@@ -21,14 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, apply_temperature, sample, top2_margin
+from .core import Distribution, apply_temperature, sample
 from .drafting import draft_chain
-from .models import ModelOracle
-from .verification import (
-    AcceptanceTrace,
-    DecodeStreams,
-    SDRoundResult,
-)
+from .models import ModelOracle, PassMeter
+from .verification import DecodeStreams, Round, RoundCase, acceptance_coins
 
 __all__ = [
     "RelaxPolicy",
@@ -110,16 +106,16 @@ class RelaxPolicy:
 class RoutingSignal:
     """A trust gate over proxy distributions, pluggable into the router.
 
-    ``margin``: top1 - top2 gap at least ``threshold``.
     ``top1_prob``: peak probability at least ``threshold``.
     ``composite_entropy``: normalized Shannon entropy (H / log V) at most
-    ``threshold`` -- low entropy means trusted.
+    ``threshold`` -- low entropy means trusted. The margin gate is the
+    router's own ``MarginRule``.
     """
 
-    kind: str  # margin | top1_prob | composite_entropy
+    kind: str  # top1_prob | composite_entropy
     threshold: float
 
-    _KINDS = ("margin", "top1_prob", "composite_entropy")
+    _KINDS = ("top1_prob", "composite_entropy")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -136,8 +132,6 @@ def _normalized_entropy(dist: Distribution) -> float:
 
 
 def routing_signal_eval(dist: Distribution, signal: RoutingSignal) -> bool:
-    if signal.kind == "margin":
-        return top2_margin(dist) >= signal.threshold
     if signal.kind == "top1_prob":
         return float(dist.probs.max()) >= signal.threshold
     return _normalized_entropy(dist) <= signal.threshold
@@ -151,7 +145,7 @@ def relaxed_sd_round(
     policy: RelaxPolicy,
     temperature: float,
     streams: DecodeStreams,
-) -> SDRoundResult:
+) -> Round:
     """A standard SD round whose per-position acceptance is relaxed.
 
     The target still scores the whole draft every round (these baselines
@@ -160,40 +154,22 @@ def relaxed_sd_round(
     at that position; relaxed rules void the residual construction's
     guarantees, so this is the deferral semantics instead.
     """
-    drafter_before = drafter.invocation_count
-    target_before = target.invocation_count
+    meter = PassMeter(drafter, target=target)
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     shaped = [apply_temperature(d, temperature) for d in target.batch_score(base, draft.tokens)]
 
-    coins: list[int] = []
-    tau = draft.k
-    for i, token in enumerate(draft.tokens):
-        decision = policy.decide(draft.dists[i], shaped[i], token)
-        if decision is None:
-            if temperature == 0.0:
-                decision = shaped[i].argmax() == token
-            else:
-                ratio = min(1.0, shaped[i].prob(token) / draft.dists[i].prob(token))
-                decision = streams.target_coins.uniform() < ratio
-        coins.append(1 if decision else 0)
-        if not decision:
-            tau = i
-            break
-
-    dist = shaped[tau] if tau < draft.k else shaped[draft.k]
-    token = dist.argmax() if temperature == 0.0 else sample(dist, streams.correction)
-    trace = AcceptanceTrace(
-        coins=tuple(coins),
-        tau=tau,
-        correction_token=token,
-        correction_is_bonus=tau == draft.k,
-        emitted=draft.tokens[:tau] + (token,),
+    coins, tau = acceptance_coins(
+        draft, shaped, temperature, streams.target_coins,
+        decide=lambda i, token: policy.decide(draft.dists[i], shaped[i], token),
     )
-    return SDRoundResult(
-        emitted=trace.emitted,
-        trace=trace,
-        drafter_passes=drafter.invocation_count - drafter_before,
-        verifier_passes=target.invocation_count - target_before,
-        verifier_role="target",
+    token = shaped[tau].argmax() if temperature == 0.0 else sample(shaped[tau], streams.correction)
+    return Round(
+        case=RoundCase(f"Relax:{policy.kind}"),
+        emitted=draft.tokens[:tau] + (token,),
+        passes=meter.passes(),
+        tau_a=tau,
+        coins=coins,
+        correction_is_bonus=tau == draft.k,
+        draft=draft,
     )

@@ -13,16 +13,18 @@ the target oracle as the built-in quality probe.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 from .baselines import RelaxPolicy, RoutingSignal, relaxed_sd_round
-from .core import Context, Vocabulary, apply_temperature, sample
-from .metrics import CostModel, RunReport, accumulate, lemma_check
+from .core import Context, Vocabulary
+from .metrics import CostModel, RoundCost, RunReport, accumulate, lemma_check
 from .models import (
     ModelOracle,
     NGramSpec,
@@ -32,7 +34,7 @@ from .models import (
     train_ngram,
 )
 from .router import MarginRule, TreeParams, trispec_round, trispec_tree_round
-from .verification import DecodeStreams, sd_round, sd_tree_round
+from .verification import DecodeStreams, Round, sd_round, sd_tree_round, target_only_round
 
 __all__ = [
     "ConfigError",
@@ -58,19 +60,6 @@ __all__ = [
 TRACE_SCHEMA = "# trispec-trace v1"
 SWEEP_SCHEMA = "# trispec-sweep v1"
 HIST_SCHEMA = "# trispec-hist v1"
-
-TRACE_COLUMNS = (
-    "run_id",
-    "round_index",
-    "case",
-    "tau_a",
-    "tau_m",
-    "tau_t",
-    "emitted_count",
-    "proxy_called",
-    "target_called",
-    "round_cost",
-)
 
 SWEEP_METRIC_COLUMNS = (
     "method",
@@ -150,7 +139,6 @@ class ExperimentConfig:
     run_id: str = ""
 
     def validate(self) -> None:
-        ok = True
         problems: list[str] = []
         if self.tokenizer not in ("char", "byte"):
             problems.append(f"tokenizer must be char or byte, got {self.tokenizer!r}")
@@ -189,16 +177,12 @@ class ExperimentConfig:
         if not 0.0 < self.train_fraction < 1.0:
             problems.append("train_fraction must lie in (0, 1)")
         if problems:
-            ok = False
-        if not ok:
             raise ConfigError("; ".join(problems))
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            key = "lambda" if f.name == "lam" else f.name
-            out[key] = list(value) if isinstance(value, tuple) else value
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        out["orders"] = list(self.orders)
         return out
 
 
@@ -211,49 +195,24 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_orders(text: str) -> tuple[int, ...]:
+def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
 
 
+# Text parsers by field annotation, shared by config values and trace cells.
+_PARSERS = {
+    "str": str,
+    "str | None": lambda s: s or None,
+    "int": int,
+    "int | None": lambda s: int(s) if s else None,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_tuple,
+}
+
 _KEY_ALIASES = {"lambda": "lam"}
 
-_FIELD_PARSERS = {
-    "corpus": lambda s: s or None,
-    "tokenizer": str,
-    "family": str,
-    "orders": _parse_orders,
-    "alpha": float,
-    "epsilon": float,
-    "noise": str,
-    "method": str,
-    "sd_verifier": str,
-    "relax_policy": str,
-    "relax_alpha": float,
-    "relax_threshold": float,
-    "relax_k": int,
-    "signal": str,
-    "lam": float,
-    "k": int,
-    "use_tree": _parse_bool,
-    "tree_depth": int,
-    "tree_topk": int,
-    "tree_budget": int,
-    "temperature": float,
-    "c_d": float,
-    "c_p": float,
-    "c_t": float,
-    "t_o": float,
-    "t_o_base": float,
-    "seed": int,
-    "max_new_tokens": int,
-    "num_prompts": int,
-    "prompt_fraction": float,
-    "train_fraction": float,
-    "raw_bonus": _parse_bool,
-    "margin_on_raw": _parse_bool,
-    "model_dir": lambda s: s or None,
-    "run_id": str,
-}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def config_overrides(items: dict[str, str]) -> dict:
@@ -324,13 +283,9 @@ class Family:
     held_tokens: list[int]
 
     def fork(self) -> "Family":
-        return Family(
-            drafter=self.drafter.fork(),
-            proxy=self.proxy.fork(),
-            target=self.target.fork(),
-            vocab=self.vocab,
-            train_tokens=self.train_tokens,
-            held_tokens=self.held_tokens,
+        """The same family with fresh invocation counters."""
+        return replace(
+            self, drafter=self.drafter.fork(), proxy=self.proxy.fork(), target=self.target.fork()
         )
 
 
@@ -462,54 +417,38 @@ class TraceRecord:
     target_called: bool
     round_cost: float
 
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "round_index": self.round_index,
-            "case": self.case,
-            "tau_a": self.tau_a,
-            "tau_m": self.tau_m,
-            "tau_t": self.tau_t,
-            "emitted_count": self.emitted_count,
-            "proxy_called": self.proxy_called,
-            "target_called": self.target_called,
-            "round_cost": self.round_cost,
-        }
+    @classmethod
+    def from_round(
+        cls, run_id: str, round_index: int, rnd: Round, cost: RoundCost
+    ) -> "TraceRecord":
+        return cls(
+            run_id=run_id,
+            round_index=round_index,
+            case=rnd.case.value,
+            tau_a=rnd.tau_a,
+            tau_m=rnd.tau_m,
+            tau_t=rnd.tau_t,
+            emitted_count=len(rnd.emitted),
+            proxy_called=rnd.proxy_called,
+            target_called=rnd.target_called,
+            round_cost=cost.total,
+        )
 
     def to_csv_row(self) -> list[str]:
-        def opt(v: int | None) -> str:
-            return "" if v is None else str(v)
-
+        """Cells in column order: None is empty, booleans are 1 or 0."""
         return [
-            self.run_id,
-            str(self.round_index),
-            self.case,
-            opt(self.tau_a),
-            opt(self.tau_m),
-            opt(self.tau_t),
-            str(self.emitted_count),
-            "1" if self.proxy_called else "0",
-            "1" if self.target_called else "0",
-            repr(self.round_cost),
+            "" if value is None else str(int(value) if isinstance(value, bool) else value)
+            for value in (getattr(self, column) for column in TRACE_COLUMNS)
         ]
 
     @classmethod
-    def from_csv_row(cls, row: list[str]) -> "TraceRecord":
-        def opt(v: str) -> int | None:
-            return None if v == "" else int(v)
+    def from_csv_row(cls, row: Sequence[str]) -> "TraceRecord":
+        if len(row) != len(TRACE_COLUMNS):
+            raise ValueError(f"trace row has {len(row)} cells, expected {len(TRACE_COLUMNS)}")
+        return cls(*(_PARSERS[f.type](cell) for f, cell in zip(fields(cls), row)))
 
-        return cls(
-            run_id=row[0],
-            round_index=int(row[1]),
-            case=row[2],
-            tau_a=opt(row[3]),
-            tau_m=opt(row[4]),
-            tau_t=opt(row[5]),
-            emitted_count=int(row[6]),
-            proxy_called=row[7] == "1",
-            target_called=row[8] == "1",
-            round_cost=float(row[9]),
-        )
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 def validate_trace_records(records: Sequence[TraceRecord]) -> None:
@@ -533,19 +472,29 @@ def validate_trace_records(records: Sequence[TraceRecord]) -> None:
             raise ValueError(f"round {rec.round_index}: emitted_count must be >= 1")
 
 
+def _csv_line(cells: Sequence[str]) -> str:
+    # Formatted with a "\r\n" terminator so that a cell holding either
+    # character is quoted (csv quotes only the terminator's characters),
+    # then ended with "\n" alone.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def write_trace_csv(records: Sequence[TraceRecord], path: str | Path) -> None:
-    lines = [TRACE_SCHEMA, ",".join(TRACE_COLUMNS)]
-    lines.extend(",".join(rec.to_csv_row()) for rec in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [TRACE_SCHEMA + "\n", _csv_line(TRACE_COLUMNS)]
+    lines.extend(_csv_line(rec.to_csv_row()) for rec in records)
+    Path(path).write_text("".join(lines), encoding="utf-8", newline="")
 
 
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != TRACE_SCHEMA:
-        raise ValueError(f"{path} is not a {TRACE_SCHEMA!r} file")
-    if len(lines) < 2 or lines[1] != ",".join(TRACE_COLUMNS):
-        raise ValueError(f"{path} has an unexpected column header")
-    records = [TraceRecord.from_csv_row(line.split(",")) for line in lines[2:] if line]
+    with open(path, encoding="utf-8", newline="") as fh:
+        if fh.readline().rstrip("\r\n") != TRACE_SCHEMA:
+            raise ValueError(f"{path} is not a {TRACE_SCHEMA!r} file")
+        rows = csv.reader(fh)
+        if next(rows, None) != list(TRACE_COLUMNS):
+            raise ValueError(f"{path} has an unexpected column header")
+        records = [TraceRecord.from_csv_row(row) for row in rows if row]
     validate_trace_records(records)
     return records
 
@@ -615,8 +564,7 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
     cfg.validate()
     family = (family or build_family(cfg)).fork()
     drafter, proxy, target = family.drafter, family.proxy, family.target
-    cost = CostModel(cfg.c_d, cfg.c_p, cfg.c_t, cfg.t_o)
-    report = RunReport(cost=cost, t_o_base=cfg.t_o_base)
+    report = RunReport(cost=CostModel(cfg.c_d, cfg.c_p, cfg.c_t, cfg.t_o), t_o_base=cfg.t_o_base)
     run_id = cfg.run_id or default_run_id(cfg)
     rule = _trust_rule(cfg)
     policy = RelaxPolicy(
@@ -627,81 +575,46 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
         family.held_tokens, family.vocab, cfg.tokenizer, cfg.num_prompts, cfg.prompt_fraction
     )
 
+    verifier = target if cfg.sd_verifier == "target" else proxy
+    # Round functions by method. Each lambda looks its function up by name when
+    # called, so a wrapper set on this module's names sees every round.
+    # target_only and relax have no tree form; use_tree leaves them as they are.
+    rounds = {
+        "target_only": lambda base, streams: target_only_round(
+            target, base, cfg.temperature, streams
+        ),
+        "sd": lambda base, streams: sd_round(
+            drafter, verifier, base, cfg.k, cfg.temperature, streams, cfg.sd_verifier
+        ),
+        "sd_tree": lambda base, streams: sd_tree_round(
+            drafter, verifier, base, cfg.tree_depth, cfg.tree_topk, cfg.tree_budget,
+            cfg.sd_verifier,
+        ),
+        "relax": lambda base, streams: relaxed_sd_round(
+            drafter, target, base, cfg.k, policy, cfg.temperature, streams
+        ),
+        "trispec": lambda base, streams: trispec_round(
+            drafter, proxy, target, base, cfg.k, rule, cfg.temperature, streams,
+            raw_bonus=cfg.raw_bonus, margin_on_raw=cfg.margin_on_raw,
+        ),
+        "trispec_tree": lambda base, streams: trispec_tree_round(
+            drafter, proxy, target, base, tree_params, rule
+        ),
+    }
+    play = rounds.get(f"{cfg.method}_tree" if cfg.use_tree else cfg.method, rounds[cfg.method])
+
     records: list[TraceRecord] = []
     continuations: list[tuple[tuple[int, ...], list[int]]] = []
-    round_index = 0
     for prompt_idx, prompt in enumerate(prompts):
         streams = DecodeStreams.from_seed(cfg.seed, scope=f"prompt{prompt_idx}")
         ctx = Context(prompt)
-        produced = 0
         emitted_all: list[int] = []
-        while produced < cfg.max_new_tokens:
-            base = ctx.as_tuple()
-            if cfg.method == "target_only":
-                before = target.invocation_count
-                dist = apply_temperature(target.next_dist(base), cfg.temperature)
-                token = dist.argmax() if cfg.temperature == 0.0 else sample(dist, streams.draft)
-                emitted: tuple[int, ...] = (token,)
-                round_cost = report.add_round(1, 0, 0, target.invocation_count - before, "TargetOnly")
-                record = TraceRecord(
-                    run_id, round_index, "TargetOnly", None, None, None, 1, False, True,
-                    round_cost.total,
-                )
-            elif cfg.method == "sd":
-                verifier = target if cfg.sd_verifier == "target" else proxy
-                if cfg.use_tree:
-                    emitted, result, d_passes, v_passes = sd_tree_round(
-                        drafter, verifier, base, cfg.tree_depth, cfg.tree_topk, cfg.tree_budget
-                    )
-                    tau_a = result.accepted_len
-                else:
-                    sd_result = sd_round(
-                        drafter, verifier, base, cfg.k, cfg.temperature, streams, cfg.sd_verifier
-                    )
-                    emitted = sd_result.emitted
-                    d_passes, v_passes = sd_result.drafter_passes, sd_result.verifier_passes
-                    tau_a = sd_result.trace.tau
-                p_passes = v_passes if cfg.sd_verifier == "proxy" else 0
-                t_passes = v_passes if cfg.sd_verifier == "target" else 0
-                round_cost = report.add_round(len(emitted), d_passes, p_passes, t_passes, "SD")
-                record = TraceRecord(
-                    run_id, round_index, "SD", tau_a, None, None, len(emitted),
-                    cfg.sd_verifier == "proxy", cfg.sd_verifier == "target", round_cost.total,
-                )
-            elif cfg.method == "relax":
-                relax_result = relaxed_sd_round(
-                    drafter, target, base, cfg.k, policy, cfg.temperature, streams
-                )
-                emitted = relax_result.emitted
-                round_cost = report.add_round(
-                    len(emitted), relax_result.drafter_passes, 0, relax_result.verifier_passes,
-                    f"Relax:{policy.kind}",
-                )
-                record = TraceRecord(
-                    run_id, round_index, f"Relax:{policy.kind}", relax_result.trace.tau, None,
-                    None, len(emitted), False, True, round_cost.total,
-                )
-            else:  # trispec
-                if cfg.use_tree:
-                    outcome = trispec_tree_round(drafter, proxy, target, base, tree_params, rule)
-                else:
-                    outcome = trispec_round(
-                        drafter, proxy, target, base, cfg.k, rule, cfg.temperature, streams,
-                        raw_bonus=cfg.raw_bonus, margin_on_raw=cfg.margin_on_raw,
-                    )
-                accumulate(report, outcome, cost)
-                emitted = outcome.emitted
-                record = TraceRecord(
-                    run_id, round_index, outcome.case.value, outcome.tau_a, outcome.tau_m,
-                    outcome.tau_t, len(emitted), True, outcome.target_called,
-                    outcome.costs.total,
-                )
-            records.append(record)
-            report.records.append(record)
-            ctx.extend(emitted)
-            emitted_all.extend(emitted)
-            produced += len(emitted)
-            round_index += 1
+        while len(emitted_all) < cfg.max_new_tokens:
+            rnd = play(ctx.as_tuple(), streams)
+            cost = accumulate(report, rnd)
+            records.append(TraceRecord.from_round(run_id, len(records), rnd, cost))
+            ctx.extend(rnd.emitted)
+            emitted_all.extend(rnd.emitted)
         continuations.append((prompt, emitted_all))
 
     report.continuation_ppl = _ppl_under_target(target, continuations)

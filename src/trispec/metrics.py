@@ -15,16 +15,14 @@ token, taken straight from the oracle invocation counters.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .core import Distribution, top2_margin
 from .models import ModelOracle
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .router import RoundOutcome
+from .verification import Round
 
 __all__ = [
     "CostModel",
@@ -77,8 +75,7 @@ class RunReport:
 
     ``tau_mean`` is the mean number of *accepted* draft tokens per round;
     ``tokens_per_round`` counts the correction/bonus token as well and is
-    the quantity the latency identity uses. Merging two reports is an
-    associative fold, so concurrent shards can be combined afterwards.
+    the quantity the latency identity uses.
     """
 
     cost: CostModel
@@ -92,7 +89,6 @@ class RunReport:
     proxy_passes: int = 0
     target_passes: int = 0
     case_counts: dict[str, int] = field(default_factory=dict)
-    records: list = field(default_factory=list)
     continuation_ppl: float | None = None
     t_o_base: float = 0.0
 
@@ -143,23 +139,6 @@ class RunReport:
     def speedup(self) -> float:
         return speedup_vs_target_only(self, self.cost, self.t_o_base)
 
-    def merge(self, other: "RunReport") -> "RunReport":
-        if other.cost != self.cost:
-            raise ValueError("cannot merge reports built on different cost models")
-        self.N += other.N
-        self.rounds += other.rounds
-        self.accepted_total += other.accepted_total
-        self.draft_time += other.draft_time
-        self.verify_time += other.verify_time
-        self.overhead_time += other.overhead_time
-        self.drafter_passes += other.drafter_passes
-        self.proxy_passes += other.proxy_passes
-        self.target_passes += other.target_passes
-        for label, count in other.case_counts.items():
-            self.case_counts[label] = self.case_counts.get(label, 0) + count
-        self.records.extend(other.records)
-        return self
-
     def to_dict(self) -> dict:
         return {
             "N": self.N,
@@ -178,33 +157,18 @@ class RunReport:
             "target_passes": self.target_passes,
             "case_counts": dict(sorted(self.case_counts.items())),
             "continuation_ppl": self.continuation_ppl,
-            "cost_model": {
-                "c_d": self.cost.c_d,
-                "c_p": self.cost.c_p,
-                "c_t": self.cost.c_t,
-                "t_o": self.cost.t_o,
-            },
-            "records": [r.to_dict() for r in self.records],
+            "cost_model": asdict(self.cost),
         }
 
 
-def accumulate(report: RunReport, outcome: "RoundOutcome", cost: CostModel) -> RunReport:
-    """Fold one ternary round into a report; fills ``outcome.costs``.
+def accumulate(report: RunReport, rnd: Round) -> RoundCost:
+    """Fold one round into a report and return what the round cost.
 
-    Pass counts come from the outcome's counter deltas, so a proxy-only
-    round adds ``k * c_d + c_p + t_o`` and an escalated round additionally
-    pays ``c_t``.
+    Pass counts come from the round's meter, so a proxy-only round adds
+    ``k * c_d + c_p + t_o`` and an escalated round additionally pays
+    ``c_t``.
     """
-    if cost != report.cost:
-        raise ValueError("outcome accounted under a different cost model than the report")
-    outcome.costs = report.add_round(
-        emitted_count=len(outcome.emitted),
-        drafter_passes=outcome.drafter_passes,
-        proxy_passes=outcome.proxy_passes,
-        target_passes=outcome.target_passes,
-        case_label=outcome.case.value,
-    )
-    return report
+    return report.add_round(len(rnd.emitted), *rnd.passes, rnd.case.value)
 
 
 def lemma_check(report: RunReport) -> float:

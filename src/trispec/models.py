@@ -17,9 +17,9 @@ source for target-call accounting downstream.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -34,6 +34,7 @@ __all__ = [
     "ModelOracle",
     "NGramSpec",
     "NgramModel",
+    "PassMeter",
     "ProxyDerivation",
     "TableModel",
     "derive_proxy",
@@ -48,24 +49,6 @@ MODEL_FORMAT_VERSION = 1
 
 class CorpusTooShortError(ValueError):
     """Raised when a training corpus cannot support the requested order."""
-
-
-class _Counter:
-    """A monotone invocation counter, safe to bump from concurrent runs."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def add(self, n: int = 1) -> None:
-        with self._lock:
-            self._value += n
-
-    @property
-    def value(self) -> int:
-        return self._value
 
 
 @dataclass(frozen=True)
@@ -104,7 +87,7 @@ class ModelOracle:
 
     def __init__(self, vocab: Vocabulary) -> None:
         self.vocab = vocab
-        self._counter = _Counter()
+        self._passes = 0
 
     @property
     def vocab_size(self) -> int:
@@ -113,14 +96,14 @@ class ModelOracle:
     @property
     def invocation_count(self) -> int:
         """Total forward passes so far (batched calls count once)."""
-        return self._counter.value
+        return self._passes
 
     def _dist(self, ctx: tuple[int, ...]) -> Distribution:
         raise NotImplementedError
 
     def next_dist(self, ctx: Sequence[int]) -> Distribution:
         """Score one position. One forward pass."""
-        self._counter.add()
+        self._passes += 1
         return self._dist(tuple(ctx))
 
     def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> list[Distribution]:
@@ -130,7 +113,7 @@ class ModelOracle:
         entry conditions on the full block (the bonus position). Each entry
         is exactly what ``next_dist`` would return for that prefix.
         """
-        self._counter.add()
+        self._passes += 1
         base = tuple(ctx)
         out = []
         for i in range(len(drafted) + 1):
@@ -145,13 +128,40 @@ class ModelOracle:
         The flattened-tree analogue of ``batch_score``: one distribution per
         path, conditioned on ``ctx + path``, a single counter bump for all.
         """
-        self._counter.add()
+        self._passes += 1
         base = tuple(ctx)
         return [self._dist(base + tuple(p)) for p in paths]
 
     def fork(self) -> "ModelOracle":
         """A view sharing this oracle's tables but with a fresh counter."""
-        raise NotImplementedError
+        twin = copy.copy(self)
+        twin._passes = 0
+        return twin
+
+
+class PassMeter:
+    """Forward passes per role since the meter was started.
+
+    ``passes()`` reads (drafter, proxy, target); a role given no oracle
+    reads 0. Every round function meters its oracles this way, so a round's
+    pass counts come straight from the invocation counters.
+    """
+
+    def __init__(
+        self,
+        drafter: ModelOracle | None = None,
+        proxy: ModelOracle | None = None,
+        target: ModelOracle | None = None,
+    ) -> None:
+        self._oracles = (drafter, proxy, target)
+        self._start = tuple(0 if o is None else o.invocation_count for o in self._oracles)
+
+    def passes(self) -> tuple[int, int, int]:
+        d, p, t = (
+            0 if o is None else o.invocation_count - start
+            for o, start in zip(self._oracles, self._start)
+        )
+        return d, p, t
 
 
 class TableModel(ModelOracle):
@@ -187,14 +197,6 @@ class TableModel(ModelOracle):
         if self.default is None:
             raise LookupError(f"no table row matches context {ctx!r} and no default row set")
         return self.default
-
-    def fork(self) -> "TableModel":
-        twin = TableModel.__new__(TableModel)
-        ModelOracle.__init__(twin, self.vocab)
-        twin.rows = self.rows
-        twin.default = self.default
-        twin._max_key = self._max_key
-        return twin
 
 
 class NgramModel(ModelOracle):
@@ -260,15 +262,6 @@ class NgramModel(ModelOracle):
         self._memo[tail] = dist
         return dist
 
-    def fork(self) -> "NgramModel":
-        twin = NgramModel.__new__(NgramModel)
-        ModelOracle.__init__(twin, self.vocab)
-        twin.spec = self.spec
-        twin._counts = self._counts
-        twin._totals = self._totals
-        twin._memo = self._memo
-        return twin
-
 
 class MixtureProxy(ModelOracle):
     """A base oracle blended toward a fixed noise distribution.
@@ -292,9 +285,6 @@ class MixtureProxy(ModelOracle):
         eps = self.deriv.epsilon
         mixed = (1.0 - eps) * self.base._dist(ctx).probs + eps * self.noise.probs
         return Distribution(mixed)
-
-    def fork(self) -> "MixtureProxy":
-        return MixtureProxy(self.base, self.deriv, self.noise)
 
 
 def _fingerprint(corpus: Sequence[int], order: int, alpha: float) -> str:

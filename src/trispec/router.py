@@ -21,30 +21,26 @@ run is exactly standard target-verified decoding, coin for coin).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .core import Distribution, apply_temperature, sample, top2_margin
 from .drafting import DraftChain, draft_chain, draft_tree, prune_tree_prefix
-from .models import ModelOracle
+from .models import ModelOracle, PassMeter
 from .verification import (
     AcceptanceTrace,
     DecodeStreams,
+    Round,
+    RoundCase,
     acceptance_coins,
     draw_correction,
+    verify_chain,
     verify_tree_greedy,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .metrics import RoundCost
-
 __all__ = [
     "MarginRule",
-    "RoundCase",
-    "RoundOutcome",
     "TreeParams",
-    "margin_predicate",
     "pruned_target_verify",
     "trispec_round",
     "trispec_tree_round",
@@ -66,11 +62,6 @@ class MarginRule:
         return top2_margin(dist) >= self.lam
 
 
-def margin_predicate(dist: Distribution, rule: MarginRule) -> int:
-    """1 when the rule trusts the distribution, else 0."""
-    return 1 if rule.trusted(dist) else 0
-
-
 def trusted_prefix_len(proxy_dists: Sequence[Distribution], rule) -> int:
     """Length of the longest trusted prefix of k+1 per-position dists.
 
@@ -83,51 +74,6 @@ def trusted_prefix_len(proxy_dists: Sequence[Distribution], rule) -> int:
         if not rule.trusted(dist):
             return i
     return len(proxy_dists)
-
-
-class RoundCase(enum.Enum):
-    PROXY_ONLY = "ProxyOnly"
-    TARGET_ESCALATED = "TargetEscalated"
-
-
-@dataclass
-class RoundOutcome:
-    """Everything one ternary round did, for accounting and invariants."""
-
-    case: RoundCase
-    tau_a: int
-    tau_m: int
-    tau_t: int | None
-    emitted: tuple[int, ...]
-    proxy_called: bool
-    target_called: bool
-    drafter_passes: int
-    proxy_passes: int
-    target_passes: int
-    proxy_coins: tuple[int, ...]
-    margins: tuple[float, ...]
-    correction_is_bonus: bool
-    draft: DraftChain | None = None
-    costs: "RoundCost | None" = None
-
-    def validate(self) -> None:
-        """Router postconditions; raises ValueError on violation."""
-        if self.case is RoundCase.PROXY_ONLY:
-            if not (self.tau_a < self.tau_m):
-                raise ValueError("proxy-only round requires tau_a < tau_m")
-            if self.target_called or self.target_passes != 0:
-                raise ValueError("proxy-only round must not touch the target")
-            if len(self.emitted) != self.tau_a + 1:
-                raise ValueError("proxy-only round emits tau_a + 1 tokens")
-        else:
-            if not (self.tau_a >= self.tau_m):
-                raise ValueError("escalated round requires tau_a >= tau_m")
-            if not self.target_called or self.target_passes < 1 or self.tau_t is None:
-                raise ValueError("escalated round must involve the target")
-            if len(self.emitted) != self.tau_m + self.tau_t + 1:
-                raise ValueError("escalated round emits tau_m + tau_t + 1 tokens")
-        if not self.proxy_called or self.proxy_passes < 1:
-            raise ValueError("every round pre-verifies through the proxy")
 
 
 def pruned_target_verify(
@@ -156,16 +102,8 @@ def pruned_target_verify(
             coins=(), tau=0, correction_token=token, correction_is_bonus=True, emitted=(token,)
         )
     sub = draft.suffix(tau_m)
-    target_dists = [apply_temperature(d, temperature) for d in target.batch_score(base, sub.tokens)]
-    coins, tau_t = acceptance_coins(sub, target_dists, temperature, coin_stream)
-    token, is_bonus = draw_correction(sub, target_dists, tau_t, temperature, correction_stream)
-    return AcceptanceTrace(
-        coins=coins,
-        tau=tau_t,
-        correction_token=token,
-        correction_is_bonus=is_bonus,
-        emitted=sub.tokens[:tau_t] + (token,),
-    )
+    target_dists = target.batch_score(base, sub.tokens)
+    return verify_chain(sub, target_dists, temperature, coin_stream, correction_stream)
 
 
 def trispec_round(
@@ -179,7 +117,7 @@ def trispec_round(
     streams: DecodeStreams,
     raw_bonus: bool = False,
     margin_on_raw: bool = False,
-) -> RoundOutcome:
+) -> Round:
     """One ternary round over a k-token draft chain.
 
     The trust signal sees the proxy's shaped distributions at temperature 1
@@ -189,9 +127,7 @@ def trispec_round(
     switches the proxy-local correction to a direct draw from the proxy's
     distribution at the rejected position instead of the residual.
     """
-    drafter_before = drafter.invocation_count
-    proxy_before = proxy.invocation_count
-    target_before = target.invocation_count
+    meter = PassMeter(drafter, proxy, target)
 
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
@@ -212,44 +148,29 @@ def trispec_round(
             token, is_bonus = draw_correction(
                 draft, proxy_shaped, tau_a, temperature, streams.correction
             )
-        outcome = RoundOutcome(
-            case=RoundCase.PROXY_ONLY,
-            tau_a=tau_a,
-            tau_m=tau_m,
-            tau_t=None,
-            emitted=draft.tokens[:tau_a] + (token,),
-            proxy_called=True,
-            target_called=False,
-            drafter_passes=drafter.invocation_count - drafter_before,
-            proxy_passes=proxy.invocation_count - proxy_before,
-            target_passes=target.invocation_count - target_before,
-            proxy_coins=coins,
-            margins=margins,
-            correction_is_bonus=is_bonus,
-            draft=draft,
-        )
+        case, tau_t = RoundCase.PROXY_ONLY, None
+        emitted = draft.tokens[:tau_a] + (token,)
     else:
         suffix_trace = pruned_target_verify(
             draft, tau_m, target, base, temperature, streams.target_coins, streams.correction
         )
-        outcome = RoundOutcome(
-            case=RoundCase.TARGET_ESCALATED,
-            tau_a=tau_a,
-            tau_m=tau_m,
-            tau_t=suffix_trace.tau,
-            emitted=draft.tokens[:tau_m] + suffix_trace.emitted,
-            proxy_called=True,
-            target_called=True,
-            drafter_passes=drafter.invocation_count - drafter_before,
-            proxy_passes=proxy.invocation_count - proxy_before,
-            target_passes=target.invocation_count - target_before,
-            proxy_coins=coins,
-            margins=margins,
-            correction_is_bonus=suffix_trace.correction_is_bonus,
-            draft=draft,
-        )
-    outcome.validate()
-    return outcome
+        case, tau_t = RoundCase.TARGET_ESCALATED, suffix_trace.tau
+        emitted = draft.tokens[:tau_m] + suffix_trace.emitted
+        is_bonus = suffix_trace.correction_is_bonus
+    rnd = Round(
+        case=case,
+        emitted=emitted,
+        passes=meter.passes(),
+        tau_a=tau_a,
+        tau_m=tau_m,
+        tau_t=tau_t,
+        coins=coins,
+        margins=margins,
+        correction_is_bonus=is_bonus,
+        draft=draft,
+    )
+    rnd.validate()
+    return rnd
 
 
 @dataclass(frozen=True)
@@ -268,7 +189,7 @@ def trispec_tree_round(
     ctx: Sequence[int],
     params: TreeParams,
     rule,
-) -> RoundOutcome:
+) -> Round:
     """One greedy ternary round over a budgeted draft tree.
 
     The proxy greedily verifies the tree; ``tau_a`` is its accepted path
@@ -279,9 +200,7 @@ def trispec_tree_round(
     is expanded from the drafter's unshaped probabilities: collapsing them
     to argmax one-hots would leave nothing to branch on.
     """
-    drafter_before = drafter.invocation_count
-    proxy_before = proxy.invocation_count
-    target_before = target.invocation_count
+    meter = PassMeter(drafter, proxy, target)
 
     tree = draft_tree(drafter, tuple(ctx), params.depth, params.branch_topk, params.budget)
     proxy_result = verify_tree_greedy(tree, proxy)
@@ -291,39 +210,25 @@ def trispec_tree_round(
     tau_m = trusted_prefix_len(margin_seq, rule)
 
     if tau_a < tau_m:
-        outcome = RoundOutcome(
-            case=RoundCase.PROXY_ONLY,
-            tau_a=tau_a,
-            tau_m=tau_m,
-            tau_t=None,
-            emitted=proxy_result.emitted,
-            proxy_called=True,
-            target_called=False,
-            drafter_passes=drafter.invocation_count - drafter_before,
-            proxy_passes=proxy.invocation_count - proxy_before,
-            target_passes=target.invocation_count - target_before,
-            proxy_coins=(1,) * tau_a,
-            margins=margins,
-            correction_is_bonus=proxy_result.exhausted,
-        )
+        case, tau_t = RoundCase.PROXY_ONLY, None
+        emitted, is_bonus = proxy_result.emitted, proxy_result.exhausted
     else:
         committed = proxy_result.path_tokens[:tau_m]
         remainder = prune_tree_prefix(tree, committed)
         target_result = verify_tree_greedy(remainder, target)
-        outcome = RoundOutcome(
-            case=RoundCase.TARGET_ESCALATED,
-            tau_a=tau_a,
-            tau_m=tau_m,
-            tau_t=target_result.accepted_len,
-            emitted=committed + target_result.emitted,
-            proxy_called=True,
-            target_called=True,
-            drafter_passes=drafter.invocation_count - drafter_before,
-            proxy_passes=proxy.invocation_count - proxy_before,
-            target_passes=target.invocation_count - target_before,
-            proxy_coins=(1,) * tau_a,
-            margins=margins,
-            correction_is_bonus=target_result.exhausted,
-        )
-    outcome.validate()
-    return outcome
+        case, tau_t = RoundCase.TARGET_ESCALATED, target_result.accepted_len
+        emitted = committed + target_result.emitted
+        is_bonus = target_result.exhausted
+    rnd = Round(
+        case=case,
+        emitted=emitted,
+        passes=meter.passes(),
+        tau_a=tau_a,
+        tau_m=tau_m,
+        tau_t=tau_t,
+        coins=(1,) * tau_a,
+        margins=margins,
+        correction_is_bonus=is_bonus,
+    )
+    rnd.validate()
+    return rnd

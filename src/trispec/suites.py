@@ -217,9 +217,9 @@ def _greedy_coin_reduction(family: Family, rounds: int, seed: int) -> tuple[bool
                 expected.append(1 if dists[pos].argmax() == token else 0)
                 if not expected[-1]:
                     break
-            if tuple(expected) != outcome.proxy_coins:
+            if tuple(expected) != outcome.coins:
                 return False, (
-                    f"round {done}: coins {outcome.proxy_coins} != argmax-match {tuple(expected)}"
+                    f"round {done}: coins {outcome.coins} != argmax-match {tuple(expected)}"
                 )
             ctx.extend(outcome.emitted)
             done += 1
@@ -251,7 +251,7 @@ def _check_invariants() -> CheckResult:
     rerun = run_experiment(cfg, family)
     blob_a = json.dumps(result.to_dict(), sort_keys=True)
     blob_b = json.dumps(rerun.to_dict(), sort_keys=True)
-    if blob_a != blob_b:
+    if blob_a != blob_b or result.records != rerun.records:
         return CheckResult("invariants", False, "identical configs produced different reports")
 
     return CheckResult(

@@ -19,26 +19,29 @@ only up to its first rejection, and exactly one correction draw.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import Distribution, RandomStream, apply_temperature, normalize, sample
 from .drafting import DraftChain, DraftTree, draft_chain, draft_tree
-from .models import ModelOracle
+from .models import ModelOracle, PassMeter
 
 __all__ = [
     "AcceptanceTrace",
     "DecodeStreams",
     "DegenerateResidualError",
-    "SDRoundResult",
+    "Round",
+    "RoundCase",
     "TreeVerifyResult",
     "acceptance_coins",
     "draw_correction",
     "residual_dist",
     "sd_round",
     "sd_tree_round",
+    "target_only_round",
     "verify_chain",
     "verify_tree_greedy",
 ]
@@ -99,8 +102,70 @@ class AcceptanceTrace:
             raise ValueError("a round emits exactly tau accepted tokens plus one correction")
 
 
-def _shape_all(dists: Sequence[Distribution], temperature: float) -> list[Distribution]:
-    return [apply_temperature(d, temperature) for d in dists]
+class RoundCase(enum.Enum):
+    """How a round resolved; the value is the trace's ``case`` label."""
+
+    PROXY_ONLY = "ProxyOnly"
+    TARGET_ESCALATED = "TargetEscalated"
+    SD = "SD"
+    TARGET_ONLY = "TargetOnly"
+    RELAX_CHOW = "Relax:chow"
+    RELAX_TOKEN_SPECIFIC = "Relax:token_specific"
+    RELAX_CONFIDENCE_FILTER = "Relax:confidence_filter"
+    RELAX_TOPK = "Relax:topk"
+
+
+@dataclass(frozen=True)
+class Round:
+    """Everything one decode round did, whatever the method.
+
+    ``tau_a`` is the first verifier's acceptance length (the proxy's in a
+    ternary round, the sole verifier's in SD and relaxed SD), ``tau_m`` the
+    trusted prefix and ``tau_t`` the target's acceptance length on the
+    suffix; a length the method does not have is None. ``passes`` counts
+    forward passes as (drafter, proxy, target), and a role was called iff
+    its count is positive. ``coins`` are the first verifier's accept/reject
+    indicators.
+    """
+
+    case: RoundCase
+    emitted: tuple[int, ...]
+    passes: tuple[int, int, int]
+    tau_a: int | None = None
+    tau_m: int | None = None
+    tau_t: int | None = None
+    coins: tuple[int, ...] = ()
+    margins: tuple[float, ...] = ()
+    correction_is_bonus: bool = False
+    draft: DraftChain | None = None
+
+    @property
+    def proxy_called(self) -> bool:
+        return self.passes[1] > 0
+
+    @property
+    def target_called(self) -> bool:
+        return self.passes[2] > 0
+
+    def validate(self) -> None:
+        """Router postconditions of a ternary round; raises ValueError."""
+        ternary = self.case in (RoundCase.PROXY_ONLY, RoundCase.TARGET_ESCALATED)
+        if ternary and not self.proxy_called:
+            raise ValueError("every round pre-verifies through the proxy")
+        if self.case is RoundCase.PROXY_ONLY:
+            if not (self.tau_a < self.tau_m):
+                raise ValueError("proxy-only round requires tau_a < tau_m")
+            if self.target_called:
+                raise ValueError("proxy-only round must not touch the target")
+            if len(self.emitted) != self.tau_a + 1:
+                raise ValueError("proxy-only round emits tau_a + 1 tokens")
+        elif self.case is RoundCase.TARGET_ESCALATED:
+            if not (self.tau_a >= self.tau_m):
+                raise ValueError("escalated round requires tau_a >= tau_m")
+            if not self.target_called or self.tau_t is None:
+                raise ValueError("escalated round must involve the target")
+            if len(self.emitted) != self.tau_m + self.tau_t + 1:
+                raise ValueError("escalated round emits tau_m + tau_t + 1 tokens")
 
 
 def acceptance_coins(
@@ -108,21 +173,25 @@ def acceptance_coins(
     verifier_dists: Sequence[Distribution],
     temperature: float,
     coin_stream: RandomStream,
+    decide: Callable[[int, int], bool | None] | None = None,
 ) -> tuple[tuple[int, ...], int]:
     """Left-to-right acceptance test; stops at the first rejection.
 
     ``verifier_dists`` must already carry the same temperature shaping as
     the draft's stored distributions. At temperature 0 the test is exact
     argmax agreement and no uniforms are consumed; otherwise one uniform is
-    drawn per examined position.
+    drawn per examined position. ``decide(i, token)``, when given, rules on
+    a position first: True or False is final, None defers to the test.
     """
     coins: list[int] = []
     for i, token in enumerate(draft.tokens):
-        if temperature == 0.0:
-            accept = verifier_dists[i].argmax() == token
-        else:
-            ratio = min(1.0, verifier_dists[i].prob(token) / draft.dists[i].prob(token))
-            accept = coin_stream.uniform() < ratio
+        accept = None if decide is None else decide(i, token)
+        if accept is None:
+            if temperature == 0.0:
+                accept = verifier_dists[i].argmax() == token
+            else:
+                ratio = min(1.0, verifier_dists[i].prob(token) / draft.dists[i].prob(token))
+                accept = coin_stream.uniform() < ratio
         coins.append(1 if accept else 0)
         if not accept:
             return tuple(coins), i
@@ -170,7 +239,7 @@ def verify_chain(
     """Verify a draft chain against k+1 raw verifier distributions."""
     if len(verifier_dists) != draft.k + 1:
         raise ValueError("need k+1 verifier distributions for a k-token draft")
-    shaped = _shape_all(verifier_dists, temperature)
+    shaped = [apply_temperature(d, temperature) for d in verifier_dists]
     coins, tau = acceptance_coins(draft, shaped, temperature, coin_stream)
     token, is_bonus = draw_correction(draft, shaped, tau, temperature, correction_stream)
     return AcceptanceTrace(
@@ -182,15 +251,19 @@ def verify_chain(
     )
 
 
-@dataclass(frozen=True)
-class SDRoundResult:
-    """One draft-then-verify round of standard speculative decoding."""
-
-    emitted: tuple[int, ...]
-    trace: AcceptanceTrace
-    drafter_passes: int
-    verifier_passes: int
-    verifier_role: str
+def target_only_round(
+    target: ModelOracle, ctx: Sequence[int], temperature: float, streams: DecodeStreams
+) -> Round:
+    """Plain decoding: one target pass, one token drawn from its own law."""
+    meter = PassMeter(target=target)
+    dist = apply_temperature(target.next_dist(tuple(ctx)), temperature)
+    token = dist.argmax() if temperature == 0.0 else sample(dist, streams.draft)
+    return Round(
+        case=RoundCase.TARGET_ONLY,
+        emitted=(token,),
+        passes=meter.passes(),
+        correction_is_bonus=True,
+    )
 
 
 def sd_round(
@@ -201,27 +274,27 @@ def sd_round(
     temperature: float,
     streams: DecodeStreams,
     verifier_role: str = "target",
-) -> SDRoundResult:
+) -> Round:
     """Draft k tokens, verify once, emit tau accepted tokens plus one more.
 
     ``verifier_role`` selects which coin stream the acceptance test uses, so
     a proxy-verified run and the proxy phase of a ternary round stay
-    coin-for-coin identical.
+    coin-for-coin identical; the verifier's passes count under that role.
     """
-    drafter_before = drafter.invocation_count
-    verifier_before = verifier.invocation_count
+    coin_stream = streams.coins_for(verifier_role)
+    meter = PassMeter(drafter, **{verifier_role: verifier})
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     verifier_dists = verifier.batch_score(base, draft.tokens)
-    trace = verify_chain(
-        draft, verifier_dists, temperature, streams.coins_for(verifier_role), streams.correction
-    )
-    return SDRoundResult(
+    trace = verify_chain(draft, verifier_dists, temperature, coin_stream, streams.correction)
+    return Round(
+        case=RoundCase.SD,
         emitted=trace.emitted,
-        trace=trace,
-        drafter_passes=drafter.invocation_count - drafter_before,
-        verifier_passes=verifier.invocation_count - verifier_before,
-        verifier_role=verifier_role,
+        passes=meter.passes(),
+        tau_a=trace.tau,
+        coins=trace.coins,
+        correction_is_bonus=trace.correction_is_bonus,
+        draft=draft,
     )
 
 
@@ -293,15 +366,18 @@ def sd_tree_round(
     depth: int,
     branch_topk: int,
     budget: int,
-) -> tuple[tuple[int, ...], TreeVerifyResult, int, int]:
-    """Greedy tree-drafted SD round: returns (emitted, result, pass deltas)."""
-    drafter_before = drafter.invocation_count
-    verifier_before = verifier.invocation_count
+    verifier_role: str = "target",
+) -> Round:
+    """Greedy tree-drafted SD round; the verifier's passes count under
+    ``verifier_role``."""
+    meter = PassMeter(drafter, **{verifier_role: verifier})
     tree = draft_tree(drafter, tuple(ctx), depth, branch_topk, budget)
     result = verify_tree_greedy(tree, verifier)
-    return (
-        result.emitted,
-        result,
-        drafter.invocation_count - drafter_before,
-        verifier.invocation_count - verifier_before,
+    return Round(
+        case=RoundCase.SD,
+        emitted=result.emitted,
+        passes=meter.passes(),
+        tau_a=result.accepted_len,
+        coins=(1,) * result.accepted_len,
+        correction_is_bonus=result.exhausted,
     )

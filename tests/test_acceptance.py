@@ -20,9 +20,9 @@ from trispec.harness import (
     run_experiment,
 )
 from trispec.metrics import lemma_check, margin_histogram
-from trispec.router import MarginRule, RoundCase, trispec_round
+from trispec.router import MarginRule, trispec_round
 from trispec.suites import first_token_law, mc_first_token_distance, paired_equivalence
-from trispec.verification import DecodeStreams, verify_chain
+from trispec.verification import DecodeStreams, RoundCase, verify_chain
 
 
 @pytest.fixture
@@ -163,7 +163,7 @@ def test_criterion_06_greedy_coins_are_argmax_agreement(report, ref_family, gree
     checked = 0
     for ctx, outcome in greedy_rounds:
         dists = probe.batch_score(ctx, outcome.draft.tokens)
-        for i, coin in enumerate(outcome.proxy_coins):
+        for i, coin in enumerate(outcome.coins):
             want = 1 if outcome.draft.tokens[i] == dists[i].argmax() else 0
             assert coin == want
             checked += 1

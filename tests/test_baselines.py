@@ -13,6 +13,7 @@ from trispec.baselines import (
     token_specific_accept,
     topk_verify_accept,
     )
+from trispec.router import MarginRule
 from trispec.verification import DecodeStreams, sd_round
 
 
@@ -115,10 +116,9 @@ def test_chow_alpha_one_accepts_every_draft(ref_family):
         result = relaxed_sd_round(
             fam.drafter, fam.target, ctx, 5, RelaxPolicy("chow", alpha=1.0), 1.0, streams
         )
-        assert result.trace.tau == 5
-        assert result.trace.correction_is_bonus
-        assert result.verifier_passes == 1  # relaxation never skips the pass
-        assert result.drafter_passes == 5
+        assert result.tau_a == 5
+        assert result.correction_is_bonus
+        assert result.passes == (5, 0, 1)  # relaxation never skips the target pass
         ctx.extend(result.emitted)
 
 
@@ -134,7 +134,7 @@ def test_topk_one_round_matches_standard_greedy_round(ref_family):
             fam.drafter, fam.target, ctx, 6, RelaxPolicy("topk", k=1), 0.0, sa
         )
         standard = sd_round(twin.drafter, twin.target, ctx2, 6, 0.0, sb)
-        assert relaxed.trace.coins == standard.trace.coins
+        assert relaxed.coins == standard.coins
         assert relaxed.emitted == standard.emitted
         ctx.extend(relaxed.emitted)
         ctx2.extend(standard.emitted)
@@ -148,7 +148,7 @@ def test_relaxed_correction_comes_from_the_target(ref_family):
         fam.drafter, fam.target, ctx, 6, RelaxPolicy("chow", alpha=0.0), 0.0, streams
     )
     probe = ref_family.target.fork()
-    tau = result.trace.tau
+    tau = result.tau_a
     expect = probe.next_dist(ctx + result.emitted[:tau]).argmax()
     assert result.emitted[-1] == expect
 
@@ -172,10 +172,12 @@ def test_top1_and_margin_signals():
     dist = Distribution([0.75, 0.25, 0.0])  # both probabilities exact in binary
     assert routing_signal_eval(dist, RoutingSignal("top1_prob", 0.75))
     assert not routing_signal_eval(dist, RoutingSignal("top1_prob", 0.76))
-    assert routing_signal_eval(dist, RoutingSignal("margin", 0.5))
-    assert not routing_signal_eval(dist, RoutingSignal("margin", 0.51))
-    with pytest.raises(ValueError):
-        RoutingSignal("temperature", 0.5)
+    # the margin gate is the router's MarginRule, not a RoutingSignal kind
+    assert MarginRule(0.5).trusted(dist)
+    assert not MarginRule(0.51).trusted(dist)
+    for kind in ("margin", "temperature"):
+        with pytest.raises(ValueError):
+            RoutingSignal(kind, 0.5)
 
 
 def test_signals_plug_into_the_router(ref_family):

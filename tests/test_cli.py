@@ -33,6 +33,13 @@ def test_run_writes_report_and_trace(tmp_path, capsys):
     assert (tmp_path / "trace.csv").read_text().startswith(TRACE_SCHEMA)
 
 
+def test_run_id_with_a_comma_reads_back(tmp_path, capsys):
+    assert main(["run", "--out", str(tmp_path), "-O", "run_id=a,b", *FAST]) == 0
+    capsys.readouterr()
+    records = read_trace_csv(tmp_path / "trace.csv")
+    assert len(records) > 0 and all(r.run_id == "a,b" for r in records)
+
+
 def test_run_rejects_bad_overrides(capsys):
     assert main(["run", "-O", "beam_width=4"]) == 2
     assert main(["run", "-O", "no_equals_sign"]) == 2

@@ -4,6 +4,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trispec.harness import (
     ConfigError,
@@ -299,6 +301,29 @@ def test_trace_round_trip(tri_result, tmp_path):
     assert text[0] == TRACE_SCHEMA
     assert text[1] == ",".join(TRACE_COLUMNS)
     assert read_trace_csv(path) == tri_result.records
+
+
+_records = st.builds(
+    TraceRecord,
+    run_id=st.text(alphabet=st.sampled_from('ab1,"\' \n\r-'), max_size=12),
+    round_index=st.integers(0, 10**6),
+    case=st.just("SD"),
+    tau_a=st.one_of(st.none(), st.integers(0, 64)),
+    tau_m=st.none(),
+    tau_t=st.none(),
+    emitted_count=st.integers(1, 65),
+    proxy_called=st.booleans(),
+    target_called=st.booleans(),
+    round_cost=st.floats(0.0, 1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(_records, max_size=5))
+def test_trace_round_trips_any_run_id(records, tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    assert read_trace_csv(path) == records
 
 
 def test_trace_rejects_foreign_files(tmp_path):

@@ -17,7 +17,7 @@ from trispec.metrics import (
     target_invocation_ratio,
 )
 from trispec.models import TableModel
-from trispec.router import RoundCase, RoundOutcome
+from trispec.verification import Round, RoundCase
 
 
 def test_cost_model_validation():
@@ -102,58 +102,25 @@ def test_speedup_against_sequential_target_decoding():
         speedup_vs_target_only(RunReport(cost=CostModel()), CostModel())
 
 
-def test_merge_equals_single_accumulation():
-    one = RunReport(cost=CostModel(t_o=1.0))
-    two = RunReport(cost=CostModel(t_o=1.0))
-    both = RunReport(cost=CostModel(t_o=1.0))
-    folds = [(4, 6, 1, 0, "ProxyOnly"), (2, 6, 1, 1, "TargetEscalated"), (7, 6, 1, 1, "TargetEscalated")]
-    for fold in folds[:1]:
-        one.add_round(*fold)
-    for fold in folds[1:]:
-        two.add_round(*fold)
-    for fold in folds:
-        both.add_round(*fold)
-    one.records.append("a")
-    two.records.append("b")
-    merged = one.merge(two)
-    assert merged is one
-    assert merged.N == both.N and merged.rounds == both.rounds
-    assert merged.L == both.L
-    assert merged.case_counts == both.case_counts
-    assert merged.records == ["a", "b"]
-    with pytest.raises(ValueError):
-        one.merge(RunReport(cost=CostModel(t_o=2.0)))
-
-
-def _proxy_only_outcome():
-    return RoundOutcome(
+def _proxy_only_round():
+    return Round(
         case=RoundCase.PROXY_ONLY,
+        emitted=(0, 1),
         tau_a=1,
         tau_m=3,
         tau_t=None,
-        emitted=(0, 1),
-        proxy_called=True,
-        target_called=False,
-        drafter_passes=4,
-        proxy_passes=1,
-        target_passes=0,
-        proxy_coins=(1, 0),
+        passes=(4, 1, 0),
+        coins=(1, 0),
         margins=(0.9, 0.8),
-        correction_is_bonus=False,
     )
 
 
-def test_accumulate_fills_outcome_costs():
-    cost = CostModel()
-    report = RunReport(cost=cost)
-    outcome = _proxy_only_outcome()
-    assert outcome.costs is None
-    accumulate(report, outcome, cost)
-    assert outcome.costs == RoundCost(draft=4.0, verify=5.0, overhead=0.0)
+def test_accumulate_returns_the_round_cost():
+    report = RunReport(cost=CostModel())
+    assert accumulate(report, _proxy_only_round()) == RoundCost(draft=4.0, verify=5.0, overhead=0.0)
     assert report.N == 2
+    assert report.drafter_passes == 4 and report.proxy_passes == 1 and report.target_passes == 0
     assert report.case_counts == {"ProxyOnly": 1}
-    with pytest.raises(ValueError):
-        accumulate(report, _proxy_only_outcome(), CostModel(t_o=3.0))
 
 
 # ---------------------------------------------------------------------------

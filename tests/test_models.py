@@ -11,6 +11,7 @@ from trispec.models import (
     MixtureProxy,
     NGramSpec,
     NgramModel,
+    PassMeter,
     ProxyDerivation,
     TableModel,
     derive_proxy,
@@ -115,6 +116,17 @@ def test_invocation_counting():
     assert model.invocation_count == 2
     model.batch_score_paths((0,), [(1,), (1, 0)])
     assert model.invocation_count == 3
+
+
+def test_pass_meter_counts_per_role_from_its_start():
+    drafter = train_ngram(ABAB, NGramSpec(order=2), AB)
+    target = drafter.fork()
+    drafter.next_dist((0,))  # before the meter starts: not counted
+    meter = PassMeter(drafter, target=target)
+    drafter.next_dist((0,))
+    drafter.next_dist((1,))
+    target.batch_score((0,), [1, 0])
+    assert meter.passes() == (2, 0, 1)  # no proxy was given, so it reads 0
 
 
 def test_fork_shares_tables_but_not_counter():

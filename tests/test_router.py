@@ -7,10 +7,7 @@ from trispec.drafting import DraftChain
 from trispec.models import TableModel
 from trispec.router import (
     MarginRule,
-    RoundCase,
-    RoundOutcome,
     TreeParams,
-    margin_predicate,
     pruned_target_verify,
     trispec_round,
     trispec_tree_round,
@@ -18,6 +15,8 @@ from trispec.router import (
 )
 from trispec.verification import (
     DecodeStreams,
+    Round,
+    RoundCase,
     sd_round,
     sd_tree_round,
     verify_chain,
@@ -63,8 +62,8 @@ def test_trusted_prefix_stops_at_first_weak_margin():
 def test_margin_rule_boundary_cases():
     one_hot = Distribution([1.0, 0.0])
     assert MarginRule(1.0).trusted(one_hot)  # margin exactly 1.0
-    assert margin_predicate(one_hot, MarginRule(1.01)) == 0
-    assert margin_predicate(Distribution([0.75, 0.25]), MarginRule(0.5)) == 1
+    assert not MarginRule(1.01).trusted(one_hot)
+    assert MarginRule(0.5).trusted(Distribution([0.75, 0.25]))
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +80,10 @@ def test_proxy_only_round_never_calls_target():
     assert out.case is RoundCase.PROXY_ONLY
     assert out.tau_a == 0 and out.tau_m == 4  # confident disagreement everywhere
     assert out.emitted == (1,)  # residual of one-hots lands on the proxy argmax
-    assert out.proxy_coins == (0,)
-    assert not out.target_called and out.target_passes == 0
+    assert out.coins == (0,)
+    assert not out.target_called
     assert target.invocation_count == 0
-    assert out.drafter_passes == 3 and out.proxy_passes == 1
+    assert out.passes == (3, 1, 0)
     assert not out.correction_is_bonus
     assert out.tau_t is None
 
@@ -110,7 +109,7 @@ def test_escalated_round_commits_prefix_and_verifies_suffix():
     assert out.tau_t == 4
     assert out.emitted == (0,) * 6 + (0,)
     assert out.margins[2] == pytest.approx(0.1)
-    assert out.target_called and out.target_passes == 1
+    assert out.target_called and out.passes[2] == 1
     assert out.correction_is_bonus
 
 
@@ -129,7 +128,7 @@ def test_fully_trusted_draft_still_buys_one_target_bonus():
     assert out.tau_t == 0  # nothing left to verify, the pass is pure bonus
     assert out.correction_is_bonus
     assert out.emitted == (0,) * 6 + (0,)
-    assert out.target_passes == 1
+    assert out.passes[2] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +217,13 @@ def _outcome(**overrides):
         tau_m=2,
         tau_t=None,
         emitted=(1,),
-        proxy_called=True,
-        target_called=False,
-        drafter_passes=3,
-        proxy_passes=1,
-        target_passes=0,
-        proxy_coins=(0,),
+        passes=(3, 1, 0),
+        coins=(0,),
         margins=(0.9,),
         correction_is_bonus=False,
     )
     fields.update(overrides)
-    return RoundOutcome(**fields)
+    return Round(**fields)
 
 
 def test_outcome_validation_catches_protocol_violations():
@@ -236,19 +231,18 @@ def test_outcome_validation_catches_protocol_violations():
     with pytest.raises(ValueError):
         _outcome(tau_a=2).validate()  # proxy-only needs tau_a < tau_m
     with pytest.raises(ValueError):
-        _outcome(target_called=True, target_passes=1).validate()
+        _outcome(passes=(3, 1, 1)).validate()
     with pytest.raises(ValueError):
         _outcome(emitted=(1, 1)).validate()
     with pytest.raises(ValueError):
-        _outcome(proxy_called=False).validate()
+        _outcome(passes=(3, 0, 0)).validate()
     with pytest.raises(ValueError):
         _outcome(case=RoundCase.TARGET_ESCALATED, tau_a=1, tau_m=2, tau_t=1,
-                 target_called=True, target_passes=1, emitted=(0, 0, 0, 0)).validate()
+                 passes=(3, 1, 1), emitted=(0, 0, 0, 0)).validate()
     with pytest.raises(ValueError):
-        _outcome(case=RoundCase.TARGET_ESCALATED, tau_a=2, tau_m=2, tau_t=None,
-                 target_called=False).validate()
+        _outcome(case=RoundCase.TARGET_ESCALATED, tau_a=2, tau_m=2, tau_t=None).validate()
     ok = _outcome(case=RoundCase.TARGET_ESCALATED, tau_a=2, tau_m=1, tau_t=1,
-                  target_called=True, target_passes=1, emitted=(0, 0, 0))
+                  passes=(3, 1, 1), emitted=(0, 0, 0))
     ok.validate()
 
 
@@ -297,18 +291,18 @@ def test_tree_round_sentinels_match_tree_sd(ref_family):
     fam = ref_family.fork()
     out = trispec_tree_round(fam.drafter, fam.proxy, fam.target, ctx, p, MarginRule(0.0))
     twin = ref_family.fork()
-    emitted, _, _, _ = sd_tree_round(twin.drafter, twin.proxy, ctx, p.depth, p.branch_topk, p.budget)
+    sd = sd_tree_round(twin.drafter, twin.proxy, ctx, p.depth, p.branch_topk, p.budget, "proxy")
     assert out.case is RoundCase.PROXY_ONLY
-    assert out.emitted == emitted
-    assert out.proxy_coins == (1,) * out.tau_a
+    assert out.emitted == sd.emitted
+    assert out.coins == (1,) * out.tau_a
 
     fam = ref_family.fork()
     out = trispec_tree_round(fam.drafter, fam.proxy, fam.target, ctx, p, MarginRule(1.01))
     twin = ref_family.fork()
-    emitted, _, _, _ = sd_tree_round(twin.drafter, twin.target, ctx, p.depth, p.branch_topk, p.budget)
+    sd = sd_tree_round(twin.drafter, twin.target, ctx, p.depth, p.branch_topk, p.budget)
     assert out.case is RoundCase.TARGET_ESCALATED and out.tau_m == 0
-    assert out.emitted == emitted
-    assert out.target_passes == 1
+    assert out.emitted == sd.emitted
+    assert out.passes[2] == 1
 
 
 def test_tree_round_commits_the_trusted_proxy_prefix(ref_family):
@@ -320,7 +314,7 @@ def test_tree_round_commits_the_trusted_proxy_prefix(ref_family):
         out = trispec_tree_round(fam.drafter, fam.proxy, fam.target, ctx, SMALL_TREE, rule)
         seen.add(out.case)
         assert len(out.margins) == out.tau_a + 1
-        assert out.proxy_coins == (1,) * out.tau_a
+        assert out.coins == (1,) * out.tau_a
         # recompute the proxy walk independently: the committed prefix must
         # be exactly its first tau_m tokens
         probe_tree = draft_tree(
@@ -341,6 +335,7 @@ def test_tree_round_counts_one_proxy_and_at_most_one_target_pass(ref_family):
     fam = ref_family.fork()
     ctx = tuple(fam.train_tokens[:12])
     out = trispec_tree_round(fam.drafter, fam.proxy, fam.target, ctx, SMALL_TREE, MarginRule(0.5))
-    assert out.proxy_passes == 1
-    assert out.target_passes == (1 if out.case is RoundCase.TARGET_ESCALATED else 0)
-    assert out.drafter_passes <= SMALL_TREE.depth
+    drafter_passes, proxy_passes, target_passes = out.passes
+    assert proxy_passes == 1
+    assert target_passes == (1 if out.case is RoundCase.TARGET_ESCALATED else 0)
+    assert drafter_passes <= SMALL_TREE.depth

@@ -184,9 +184,7 @@ def test_sd_round_pass_accounting_and_greedy_coins(ref_family):
     ctx = tuple(fam.train_tokens[:10])
     streams = DecodeStreams.from_seed(4, scope="sd")
     result = sd_round(fam.drafter, fam.target, ctx, 6, 0.0, streams)
-    assert result.drafter_passes == 6
-    assert result.verifier_passes == 1
-    assert result.verifier_role == "target"
+    assert result.passes == (6, 0, 1)  # the verifier's pass counts as the target's
     # greedy drafting is the drafter's argmax walk, so the whole round is
     # recomputable without any randomness
     drafter = ref_family.drafter.fork()
@@ -200,8 +198,8 @@ def test_sd_round_pass_accounting_and_greedy_coins(ref_family):
         if not coins[-1]:
             break
     tau = len(coins) - (1 if coins[-1] == 0 else 0)
-    assert result.trace.coins == tuple(coins)
-    assert result.trace.tau == tau
+    assert result.coins == tuple(coins)
+    assert result.tau_a == tau
     assert result.emitted[:tau] == tuple(drafted[:tau])
     assert result.emitted[-1] == dists[tau].argmax()
 
@@ -220,7 +218,8 @@ def test_sd_round_uses_only_the_selected_coin_stream(ref_family):
     )
     result = sd_round(fam.drafter, fam.proxy, ctx, 5, 1.0, streams, verifier_role="proxy")
     assert target_coins.draws == 0
-    assert proxy_coins.draws == len(result.trace.coins)
+    assert proxy_coins.draws == len(result.coins)
+    assert result.passes == (5, 1, 0)
     assert correction.draws == 1
 
 
@@ -280,11 +279,10 @@ def test_tree_round_with_unit_branching_matches_chain_round(ref_family):
     twin = ref_family.fork()
     ctx = tuple(fam.train_tokens[:12])
     k = 6
-    emitted, result, d_delta, v_delta = sd_tree_round(fam.drafter, fam.target, ctx, k, 1, k)
+    tree_result = sd_tree_round(fam.drafter, fam.target, ctx, k, 1, k)
     chain_result = sd_round(
         twin.drafter, twin.target, ctx, k, 0.0, DecodeStreams.from_seed(0, "t")
     )
-    assert emitted == chain_result.emitted
-    assert d_delta == k == chain_result.drafter_passes
-    assert v_delta == 1 == chain_result.verifier_passes
-    assert result.accepted_len == chain_result.trace.tau
+    assert tree_result.emitted == chain_result.emitted
+    assert tree_result.passes == (k, 0, 1) == chain_result.passes
+    assert tree_result.tau_a == chain_result.tau_a
