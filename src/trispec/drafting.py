@@ -105,18 +105,22 @@ class DraftTree:
     mask: np.ndarray
     budget: int
     _children: dict[int, list[int]] = field(init=False, repr=False)
+    _paths: list[tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.nodes)
         if self.mask.shape != (n, n):
             raise ValueError("mask shape must match node count")
         children: dict[int, list[int]] = {-1: []}
+        paths: list[tuple[int, ...]] = []
         for i, node in enumerate(self.nodes):
             if node.parent >= i:
                 raise ValueError("parents must precede children")
             children.setdefault(i, [])
             children[node.parent].append(i)
+            paths.append((paths[node.parent] if node.parent != -1 else ()) + (node.token,))
         self._children = children
+        self._paths = paths
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -135,7 +139,7 @@ class DraftTree:
         return out
 
     def path_tokens(self, node_id: int) -> tuple[int, ...]:
-        return tuple(self.nodes[i].token for i in self.path_ids(node_id))
+        return self._paths[node_id] if node_id != -1 else ()
 
     def validate(self) -> None:
         """Re-check structural invariants; raises on violation."""
@@ -156,17 +160,6 @@ class DraftTree:
             raise ValueError("tree exceeds its token budget")
 
 
-def _top_tokens(dist: Distribution, k: int) -> list[int]:
-    # Highest probability first; ties broken toward the lower token index.
-    order = np.lexsort((np.arange(len(dist)), -dist.probs))
-    out = []
-    for idx in order[:k]:
-        if dist.prob(int(idx)) <= 0.0:
-            break  # a drafter cannot propose mass-zero tokens
-        out.append(int(idx))
-    return out
-
-
 def draft_tree(
     drafter: ModelOracle,
     ctx: tuple[int, ...] | list[int],
@@ -177,62 +170,56 @@ def draft_tree(
 ) -> DraftTree:
     """Grow a static draft tree: expand level by level, keep the best.
 
-    Each frontier node spawns its ``branch_topk`` most probable children;
-    generation stops at ``depth``. The final tree keeps the ``budget``
-    candidates with the highest path probability (an ancestor-closed set,
-    since a child never outranks its parent). The whole frontier of a level
-    is scored in one flattened drafter pass, so a tree costs one drafter
-    pass per expanded level.
+    Each frontier node spawns its ``branch_topk`` most probable children
+    (ties toward the lower token id); generation stops at ``depth``. Each
+    level keeps only its ``budget`` candidates of highest path probability
+    (creation order on ties), which also form the next frontier: a candidate
+    with ``budget`` better ones on its own level can never make the final
+    cut. The final tree keeps the ``budget`` best kept candidates by the
+    same rule (an ancestor-closed set, since a child never outranks its
+    parent). The whole frontier of a level is scored in one flattened
+    drafter pass, so a tree costs one drafter pass per expanded level.
     """
     if depth < 1 or branch_topk < 1 or budget < 1:
         raise ValueError("depth, branch_topk and budget must all be >= 1")
     base = tuple(ctx)
-    # Candidate pool: (token, parent candidate id, depth, prob, path_prob).
-    pool: list[tuple[int, int, int, float, float]] = []
-    frontier: list[tuple[int, tuple[int, ...], float]] = [(-1, (), 1.0)]
+    # Kept candidates, level by level in creation order; parents are pool ids.
+    tokens, parents, depths, probs, path_probs = [], [], [], [], []
+    pool_size = 0
+    paths: list[tuple[int, ...]] = [()]
+    frontier_ids = np.array([-1])
+    frontier_pp = np.ones(1)
     for level in range(1, depth + 1):
-        grown: list[tuple[int, tuple[int, ...], float]] = []
-        level_dists = drafter.batch_score_paths(base, [path for _, path, _ in frontier])
-        for (parent_id, path, path_prob), raw in zip(frontier, level_dists):
-            dist = apply_temperature(raw, temperature)
-            for tok in _top_tokens(dist, branch_topk):
-                p = dist.prob(tok)
-                cand_id = len(pool)
-                pool.append((tok, parent_id, level, p, path_prob * p))
-                grown.append((cand_id, path + (tok,), path_prob * p))
-        if not grown:
-            break
-        # Only the `budget` most promising candidates can ever be kept, so
-        # deeper exploration below the rest is wasted work.
-        grown.sort(key=lambda item: (-item[2], item[0]))
-        frontier = grown[:budget]
+        dists = drafter.batch_score_paths(base, paths)
+        block = np.stack([apply_temperature(d, temperature).probs for d in dists])
+        top = np.argsort(-block, axis=1, kind="stable")[:, :branch_topk]
+        top_p = np.take_along_axis(block, top, axis=1)
+        # Row-major order is creation order; a drafter cannot propose
+        # mass-zero tokens.
+        rows, cols = np.nonzero(top_p > 0.0)
+        cand_tok, cand_p = top[rows, cols], top_p[rows, cols]
+        cand_pp = frontier_pp[rows] * cand_p
+        ranked = np.argsort(-cand_pp, kind="stable")[:budget]
+        kept = np.sort(ranked)
+        tokens.append(cand_tok[kept])
+        parents.append(frontier_ids[rows[kept]])
+        depths.append(np.full(len(kept), level))
+        probs.append(cand_p[kept])
+        path_probs.append(cand_pp[kept])
+        paths = [
+            paths[r] + (t,) for r, t in zip(rows[ranked].tolist(), cand_tok[ranked].tolist())
+        ]
+        frontier_ids = pool_size + np.searchsorted(kept, ranked)
+        frontier_pp = cand_pp[ranked]
+        pool_size += len(kept)
 
-    # Global selection: best path probability first, creation order on ties
-    # (a parent is created before and never outranked by its child).
-    order = sorted(range(len(pool)), key=lambda i: (-pool[i][4], i))
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    for cand in order:
-        if len(chosen) == budget:
-            break
-        parent = pool[cand][1]
-        if parent != -1 and parent not in chosen_set:
-            continue  # budget already exhausted along that branch
-        chosen.append(cand)
-        chosen_set.add(cand)
-
-    chosen.sort()  # creation order: parents first, level by level
-    renumber = {cand: i for i, cand in enumerate(chosen)}
-    nodes = [
-        TreeNode(
-            token=pool[cand][0],
-            parent=renumber[pool[cand][1]] if pool[cand][1] != -1 else -1,
-            depth=pool[cand][2],
-            prob=pool[cand][3],
-            path_prob=pool[cand][4],
-        )
-        for cand in chosen
-    ]
+    # Global selection by the same rule, then creation order: parents first.
+    pool = [np.concatenate(col) for col in (tokens, parents, depths, probs, path_probs)]
+    chosen = np.sort(np.argsort(-pool[4], kind="stable")[:budget])
+    tok, parent, dep, prob, path_prob = (col[chosen] for col in pool)
+    parent = np.where(parent == -1, -1, np.searchsorted(chosen, parent))
+    columns = (col.tolist() for col in (tok, parent, dep, prob, path_prob))
+    nodes = [TreeNode(*fields) for fields in zip(*columns)]
     return DraftTree(ctx=base, nodes=nodes, mask=_ancestor_mask(nodes), budget=budget)
 
 

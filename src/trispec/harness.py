@@ -160,6 +160,12 @@ class ExperimentConfig:
             problems.append(f"unknown signal {self.signal!r}")
         if self.relax_policy not in ("chow", "token_specific", "confidence_filter", "topk"):
             problems.append(f"unknown relax policy {self.relax_policy!r}")
+        if not 0.0 <= self.relax_alpha <= 1.0:
+            problems.append("relax_alpha must lie in [0, 1]")
+        if not 0.0 <= self.relax_threshold <= 1.0:
+            problems.append("relax_threshold must lie in [0, 1]")
+        if self.relax_k < 1:
+            problems.append("relax_k must be >= 1")
         if self.temperature not in (0.0, 1.0):
             problems.append("temperature must be 0 (greedy) or 1 (sampling)")
         if self.use_tree and self.temperature != 0.0:
@@ -690,7 +696,6 @@ def sweep(
 
 
 def write_sweep_csv(columns: list[str], rows: list[dict[str, str]], path: str | Path) -> None:
-    lines = [SWEEP_SCHEMA, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(row[c] for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [SWEEP_SCHEMA + "\n", _csv_line(columns)]
+    lines.extend(_csv_line([row[c] for c in columns]) for row in rows)
+    Path(path).write_text("".join(lines), encoding="utf-8", newline="")

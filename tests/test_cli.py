@@ -47,6 +47,17 @@ def test_run_rejects_bad_overrides(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["relax_alpha=2", "relax_threshold=-0.5", "relax_k=0", "relax_alpha=nan"],
+)
+@pytest.mark.parametrize("method", ["trispec", "relax"])
+def test_run_rejects_out_of_range_relax_knobs(override, method, capsys):
+    assert main(["run", "-O", f"method={method}", "-O", override]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {override.split('=')[0]}" in err
+
+
 def test_config_file_is_honored(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("method = sd\nmax_new_tokens = 4\nnum_prompts = 2\nseed = 3\n")

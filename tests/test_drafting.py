@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trispec.core import Distribution, RandomStream, Vocabulary
+from trispec.core import Distribution, RandomStream, Vocabulary, apply_temperature
 from trispec.drafting import (
     DraftChain,
     DraftTree,
@@ -182,6 +182,103 @@ def test_tree_rejects_child_before_parent():
     nodes = [TreeNode(0, 1, 2, 0.5, 0.25), TreeNode(1, -1, 1, 0.5, 0.5)]
     with pytest.raises(ValueError):
         DraftTree(ctx=(), nodes=nodes, mask=np.eye(2, dtype=bool), budget=2)
+
+
+def _reference_draft_tree(drafter, ctx, depth, branch_topk, budget, temperature=1.0):
+    """The original pool-everything tree drafter, kept as an oracle.
+
+    Per-node lexsort top-k, every candidate in the pool, the frontier cut to
+    the best ``budget`` after each level, and one global sort of the whole
+    pool by (-path_prob, creation order). Returns (nodes, mask).
+    """
+    pool = []  # (token, parent candidate id, depth, prob, path_prob)
+    frontier = [(-1, (), 1.0)]
+    for level in range(1, depth + 1):
+        grown = []
+        dists = drafter.batch_score_paths(tuple(ctx), [path for _, path, _ in frontier])
+        for (parent_id, path, path_prob), raw in zip(frontier, dists):
+            dist = apply_temperature(raw, temperature)
+            order = np.lexsort((np.arange(len(dist)), -dist.probs))
+            for tok in (int(t) for t in order[:branch_topk]):
+                p = dist.prob(tok)
+                if p <= 0.0:
+                    break
+                pool.append((tok, parent_id, level, p, path_prob * p))
+                grown.append((len(pool) - 1, path + (tok,), path_prob * p))
+        grown.sort(key=lambda item: (-item[2], item[0]))
+        frontier = grown[:budget]
+    chosen, chosen_set = [], set()
+    for cand in sorted(range(len(pool)), key=lambda i: (-pool[i][4], i)):
+        if len(chosen) == budget:
+            break
+        if pool[cand][1] != -1 and pool[cand][1] not in chosen_set:
+            continue
+        chosen.append(cand)
+        chosen_set.add(cand)
+    chosen.sort()
+    renumber = {cand: i for i, cand in enumerate(chosen)}
+    nodes = [
+        TreeNode(tok, renumber.get(parent, -1), d, p, pp)
+        for tok, parent, d, p, pp in (pool[c] for c in chosen)
+    ]
+    mask = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    for i in range(len(nodes)):
+        j = i
+        while j != -1:
+            mask[i, j] = True
+            j = nodes[j].parent
+    return nodes, mask
+
+
+@st.composite
+def _tied_tables(draw):
+    """Small drafters whose rows are full of ties and zero entries."""
+    vocab = draw(st.integers(2, 6))
+    weights = st.lists(st.integers(0, 3), min_size=vocab, max_size=vocab).filter(any)
+
+    def row():
+        w = np.array(draw(weights), dtype=float)
+        return Distribution(w / w.sum())
+
+    tokens = st.integers(0, vocab - 1)
+    keys = [(t,) for t in range(vocab)]
+    keys += draw(st.lists(st.tuples(tokens, tokens), max_size=4, unique=True))
+    return TableModel(Vocabulary(vocab), {key: row() for key in keys}, default=row())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    model=_tied_tables(),
+    depth=st.integers(1, 5),
+    budget=st.integers(1, 40),
+    temperature=st.sampled_from([1.0, 0.5, 0.0]),
+    data=st.data(),
+)
+def test_tree_matches_the_pool_everything_reference(model, depth, budget, temperature, data):
+    topk = data.draw(st.integers(1, model.vocab.size), label="topk")
+    ctx = data.draw(st.lists(st.integers(0, model.vocab.size - 1), max_size=2), label="ctx")
+    ref = model.fork()
+    want_nodes, want_mask = _reference_draft_tree(ref, ctx, depth, topk, budget, temperature)
+    fresh = model.fork()
+    tree = draft_tree(fresh, ctx, depth, topk, budget, temperature)
+    assert tree.nodes == want_nodes  # exact floats, same order
+    assert np.array_equal(tree.mask, want_mask)
+    assert fresh.invocation_count == ref.invocation_count == depth
+    tree.validate()
+
+
+def test_cached_paths_follow_parent_links(ref_family):
+    drafter = ref_family.drafter.fork()
+    ctx = tuple(ref_family.held_tokens[:8])
+    tree = draft_tree(drafter, ctx, depth=6, branch_topk=10, budget=60)
+    trees = [tree]
+    for leaf in range(len(tree)):
+        path = tree.path_tokens(leaf)
+        trees.extend(prune_tree_prefix(tree, path[:cut]) for cut in range(1, len(path) + 1))
+    for t in trees:
+        assert t.path_tokens(-1) == ()
+        for i in range(len(t)):
+            assert t.path_tokens(i) == tuple(t.nodes[j].token for j in t.path_ids(i))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing, corpus handling, experiment runs, sweeps, trace IO."""
 
+import csv
 import math
 from dataclasses import replace
 
@@ -376,6 +377,21 @@ def test_sweep_runs_the_cartesian_grid(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == SWEEP_SCHEMA
     assert len(lines) == 2 + len(rows)
+
+
+def test_sweep_csv_quotes_grid_values_that_hold_commas(tmp_path):
+    base = ExperimentConfig(method="target_only", max_new_tokens=4, num_prompts=2)
+    columns, rows = sweep(base, {"run_id": ["a,b", "plain"]})
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(columns, rows, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.readline() == SWEEP_SCHEMA + "\n"
+        header, *body = csv.reader(fh)
+    assert header == columns
+    assert [dict(zip(header, cells)) for cells in body] == rows
+    assert rows[0]["run_id"] == "a,b"
+    # a row without special characters is its cells joined by bare commas
+    assert path.read_text().splitlines()[3] == ",".join(rows[1][c] for c in columns)
 
 
 def test_sweep_rejects_bad_grids():
