@@ -7,7 +7,9 @@ stretch the acceptance length, plus the alternative proxy-trust signals
 ternary routing.
 
 All decision rules here are pure functions of distributions, so any run
-built from them is fully deterministic at temperature 0. Asymmetry worth
+built from them is fully deterministic at temperature 0. Each takes a
+``Distribution`` or a probability row; the trust signals also take a whole
+block and answer for every row. Asymmetry worth
 remembering: the Chow rule accepts at ``>=`` its threshold while the
 confidence filter requires strictly ``>``, so the two coincide on the
 argmax token at ``threshold = 1 - alpha`` except exactly at the boundary.
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, apply_temperature, sample
+from .core import Distribution, one_hot, sample, shape_rows
 from .drafting import draft_chain
 from .models import ModelOracle, PassMeter
 from .verification import DecodeStreams, Round, RoundCase, acceptance_coins
@@ -38,28 +40,33 @@ __all__ = [
 ]
 
 
-def chow_accept(draft_dist: Distribution, token: int, alpha: float) -> bool:
+Probs = Distribution | np.ndarray
+
+
+def chow_accept(draft_dist: Probs, token: int, alpha: float) -> bool:
     """Accept when the drafter itself is confident: ``p_d(x) >= 1 - alpha``."""
-    return draft_dist.prob(token) >= 1.0 - alpha
+    return bool(np.asarray(draft_dist)[token] >= 1.0 - alpha)
 
 
-def token_specific_accept(target_dist: Distribution, token: int, alpha: float) -> bool:
+def token_specific_accept(target_dist: Probs, token: int, alpha: float) -> bool:
     """Accept when the token is nearly target-optimal:
     ``p_t(x) >= (1 - alpha) * max(p_t)``. Ignores the drafter entirely."""
-    return target_dist.prob(token) >= (1.0 - alpha) * float(target_dist.probs.max())
+    probs = np.asarray(target_dist)
+    return bool(probs[token] >= (1.0 - alpha) * probs.max())
 
 
-def confidence_filter_accept(draft_dist: Distribution, threshold: float) -> bool:
+def confidence_filter_accept(draft_dist: Probs, threshold: float) -> bool:
     """Accept when the drafter's peak clears the threshold, strictly."""
-    return float(draft_dist.probs.max()) > threshold
+    return bool(np.asarray(draft_dist).max() > threshold)
 
 
-def topk_verify_accept(target_dist: Distribution, token: int, k: int) -> bool:
+def topk_verify_accept(target_dist: Probs, token: int, k: int) -> bool:
     """Accept when the token sits among the target's k most probable tokens
     (ties resolved toward the lower index). k=1 is exactly greedy."""
     if k < 1:
         raise ValueError("top-k verification needs k >= 1")
-    order = np.lexsort((np.arange(len(target_dist)), -target_dist.probs))
+    probs = np.asarray(target_dist)
+    order = np.lexsort((np.arange(probs.size), -probs))
     return token in order[:k]
 
 
@@ -89,9 +96,7 @@ class RelaxPolicy:
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
-    def decide(
-        self, draft_dist: Distribution, target_dist: Distribution, token: int
-    ) -> bool | None:
+    def decide(self, draft_dist: Probs, target_dist: Probs, token: int) -> bool | None:
         """True/False is final; None defers to the standard test."""
         if self.kind == "chow":
             return True if chow_accept(draft_dist, token, self.alpha) else None
@@ -121,20 +126,24 @@ class RoutingSignal:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown routing signal {self.kind!r}; expected one of {self._KINDS}")
 
-    def trusted(self, dist: Distribution) -> bool:
-        return routing_signal_eval(dist, self)
+    def trusted(self, probs: Probs) -> bool | np.ndarray:
+        return routing_signal_eval(probs, self)
 
 
-def _normalized_entropy(dist: Distribution) -> float:
-    probs = dist.probs[dist.probs > 0.0]
-    entropy = float(-(probs * np.log(probs)).sum())
-    return entropy / math.log(len(dist))
+def _normalized_entropy(probs: np.ndarray) -> float | np.ndarray:
+    # Each row sums its positive cells only (0 log 0 = 0): summing zeros too
+    # regroups numpy's pairwise sum and can move the last bit.
+    rows = [r[r > 0.0] for r in probs.reshape(-1, probs.shape[-1])]
+    entropy = np.array([-(r * np.log(r)).sum() for r in rows]) / math.log(probs.shape[-1])
+    return entropy.reshape(probs.shape[:-1]) if probs.ndim > 1 else entropy[0]
 
 
-def routing_signal_eval(dist: Distribution, signal: RoutingSignal) -> bool:
+def routing_signal_eval(probs: Probs, signal: RoutingSignal) -> bool | np.ndarray:
+    """Whether the signal trusts a distribution, or each row of a block."""
+    probs = np.asarray(probs)
     if signal.kind == "top1_prob":
-        return float(dist.probs.max()) >= signal.threshold
-    return _normalized_entropy(dist) <= signal.threshold
+        return probs.max(axis=-1) >= signal.threshold
+    return _normalized_entropy(probs) <= signal.threshold
 
 
 def relaxed_sd_round(
@@ -157,13 +166,16 @@ def relaxed_sd_round(
     meter = PassMeter(drafter, target=target)
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
-    shaped = [apply_temperature(d, temperature) for d in target.batch_score(base, draft.tokens)]
+    rows = shape_rows(target.batch_score(base, draft.tokens), temperature)
+    judged = rows
+    if temperature == 0.0:  # the rules judge the shaped law: the argmax one-hot
+        judged = [one_hot(rows.shape[1], i) for i in rows.argmax(axis=1).tolist()]
 
     coins, tau = acceptance_coins(
-        draft, shaped, temperature, streams.target_coins,
-        decide=lambda i, token: policy.decide(draft.dists[i], shaped[i], token),
+        draft, rows, temperature, streams.target_coins,
+        decide=lambda i, token: policy.decide(draft.dists[i], judged[i], token),
     )
-    token = shaped[tau].argmax() if temperature == 0.0 else sample(shaped[tau], streams.correction)
+    token = int(rows[tau].argmax()) if temperature == 0.0 else sample(rows[tau], streams.correction)
     return Round(
         case=RoundCase(f"Relax:{policy.kind}"),
         emitted=draft.tokens[:tau] + (token,),

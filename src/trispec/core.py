@@ -5,8 +5,11 @@ plain categorical distributions over a fixed token vocabulary. This module
 pins down the numeric conventions once:
 
 * distributions are float64 vectors, non-negative, summing to 1 within 1e-9;
+  a batched scoring pass yields a read-only block with one such row per
+  scored position, and the functions below read either form;
 * temperature acts on probabilities directly, ``p ** (1/T)`` renormalized,
-  with T=0 meaning exact argmax (lowest index wins ties);
+  with T=0 meaning exact argmax (lowest index wins ties); greedy decisions
+  take the raw argmax and never build the one-hot;
 * sampling is inverse-CDF over ascending token index and consumes exactly
   one uniform draw;
 * randomness comes from named streams addressed by (seed, label), so
@@ -16,6 +19,7 @@ pins down the numeric conventions once:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -63,8 +67,24 @@ class Vocabulary:
         return "".join(self.symbols[t] for t in tokens)
 
 
+def check_rows(probs: np.ndarray) -> None:
+    """Raise ValueError unless every row (along the last axis) is finite,
+    non-negative and sums to 1 within ``SUM_TOL``."""
+    if (probs < 0.0).any() or not np.isfinite(probs).all():
+        raise ValueError("distribution entries must be finite and >= 0")
+    totals = probs.sum(axis=-1)
+    off = abs(totals - 1.0) > SUM_TOL
+    if off.any():
+        bad = np.atleast_1d(totals)[np.atleast_1d(off)]
+        raise ValueError(f"distribution sums to {float(bad[0])!r}, not 1")
+
+
 class Distribution:
-    """An immutable categorical distribution over token ids."""
+    """An immutable categorical distribution over token ids.
+
+    ``np.asarray(dist)`` is its probability vector, so a list of
+    distributions reads as a block of rows wherever a block is expected.
+    """
 
     __slots__ = ("probs",)
 
@@ -72,13 +92,12 @@ class Distribution:
         arr = np.array(probs, dtype=np.float64, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("distribution must be a non-empty 1-d vector")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            raise ValueError("distribution entries must be finite and >= 0")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"distribution sums to {total!r}, not 1")
+        check_rows(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.probs, dtype=dtype, copy=copy)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Distribution is immutable")
@@ -90,8 +109,8 @@ class Distribution:
         return float(self.probs[token])
 
     def argmax(self) -> int:
-        # np.argmax returns the first maximum: lowest index wins ties.
-        return int(np.argmax(self.probs))
+        # argmax returns the first maximum: lowest index wins ties.
+        return int(self.probs.argmax())
 
     def __repr__(self) -> str:
         return f"Distribution({np.array2string(self.probs, precision=4)})"
@@ -126,12 +145,20 @@ def normalize(weights: Sequence[float] | np.ndarray) -> Distribution:
     arr = np.asarray(weights, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("weights must be a non-empty 1-d vector")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if (arr < 0.0).any() or not np.isfinite(arr).all():
         raise ValueError("weights must be finite and >= 0")
     total = float(arr.sum())
     if total <= 0.0:
         raise AllZeroError("cannot normalize an all-zero weight vector")
     return Distribution(arr / total)
+
+
+@functools.lru_cache(maxsize=None)
+def one_hot(size: int, index: int) -> Distribution:
+    """The point mass on ``index``; one shared immutable copy per (size, index)."""
+    hot = np.zeros(size)
+    hot[index] = 1.0
+    return Distribution(hot)
 
 
 def apply_temperature(dist: Distribution, temperature: float) -> Distribution:
@@ -146,33 +173,48 @@ def apply_temperature(dist: Distribution, temperature: float) -> Distribution:
     if temperature == 1.0:
         return dist
     if temperature == 0.0:
-        hot = np.zeros(len(dist))
-        hot[dist.argmax()] = 1.0
-        return Distribution(hot)
+        return one_hot(len(dist), dist.argmax())
+    return Distribution(shape_rows(dist.probs, temperature))
+
+
+def shape_rows(rows: np.ndarray, temperature: float) -> np.ndarray:
+    """``apply_temperature`` for every row of a block (or one vector), bit
+    for bit, except that T=0 returns the raw rows: greedy decisions read
+    only their argmax, which is the one-hot's hot index."""
+    if temperature < 0.0:
+        raise ValueError("temperature must be >= 0")
+    if temperature in (0.0, 1.0):
+        return rows
     with np.errstate(divide="ignore"):
-        scaled = np.log(dist.probs) / temperature
-    scaled -= scaled.max()
+        scaled = np.log(rows) / temperature
+    scaled -= scaled.max(axis=-1, keepdims=True)
     weights = np.exp(scaled)
-    return Distribution(weights / weights.sum())
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def sample(dist: Distribution, stream: "RandomStream") -> int:
+def sample(dist: Distribution | np.ndarray, stream: "RandomStream") -> int:
     """Inverse-CDF draw over ascending token index; one uniform consumed."""
+    probs = np.asarray(dist)
     u = stream.uniform()
-    cdf = np.cumsum(dist.probs)
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    if idx >= len(dist):
+    cdf = probs.cumsum()
+    idx = int(cdf.searchsorted(u, side="right"))
+    if idx >= probs.size:
         # Float shortfall in the CDF tail: land on the last positive token.
-        idx = int(np.flatnonzero(dist.probs > 0.0)[-1])
+        idx = int(np.flatnonzero(probs > 0.0)[-1])
     return idx
 
 
-def top2_margin(dist: Distribution) -> float:
-    """Gap between the largest and second-largest probability."""
-    if len(dist) < 2:
-        return 0.0
-    top_pair = np.partition(dist.probs, -2)[-2:]
-    return float(top_pair.max() - top_pair.min())
+def top2_margin(probs: Distribution | np.ndarray) -> float | np.ndarray:
+    """Gap between the largest and second-largest probability.
+
+    A float for one distribution; for a block, one margin per row.
+    """
+    probs = np.asarray(probs)
+    if probs.shape[-1] < 2:
+        return 0.0 if probs.ndim == 1 else np.zeros(probs.shape[:-1])
+    top_pair = np.partition(probs, -2, axis=-1)[..., -2:]
+    margins = top_pair[..., 1] - top_pair[..., 0]
+    return float(margins) if probs.ndim == 1 else margins
 
 
 def _label_entropy(label: str) -> list[int]:

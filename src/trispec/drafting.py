@@ -3,7 +3,8 @@
 A draft chain is the classic speculative block: k tokens sampled
 autoregressively from the drafter, each recorded together with the exact
 (temperature-shaped) distribution it was sampled from, because the
-verification rule needs those probabilities later.
+verification rule needs those probabilities later. A greedy chain takes
+each raw argmax and draws no uniform; it records the argmax one-hots.
 
 A draft tree generalizes the chain: every frontier node proposes its
 top-``branch_topk`` continuations, and the tree keeps the globally most
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Distribution, apply_temperature, sample, RandomStream
+from .core import Distribution, RandomStream, apply_temperature, sample, shape_rows
 from .models import ModelOracle
 
 __all__ = [
@@ -66,15 +67,19 @@ def draft_chain(
     temperature: float,
     stream: RandomStream,
 ) -> DraftChain:
-    """Sample a k-token draft block autoregressively; k drafter passes."""
+    """Sample a k-token draft block autoregressively; k drafter passes.
+
+    At temperature 0 each token is the raw argmax and no uniform is drawn.
+    """
     if k < 1:
         raise ValueError("draft length k must be >= 1")
     base = tuple(ctx)
     tokens: list[int] = []
     dists: list[Distribution] = []
     for _ in range(k):
-        shaped = apply_temperature(drafter.next_dist(base + tuple(tokens)), temperature)
-        tokens.append(sample(shaped, stream))
+        raw = drafter.next_dist(base + tuple(tokens))
+        shaped = apply_temperature(raw, temperature)
+        tokens.append(raw.argmax() if temperature == 0.0 else sample(shaped, stream))
         dists.append(shaped)
     return DraftChain(tuple(tokens), tuple(dists))
 
@@ -190,8 +195,11 @@ def draft_tree(
     frontier_ids = np.array([-1])
     frontier_pp = np.ones(1)
     for level in range(1, depth + 1):
-        dists = drafter.batch_score_paths(base, paths)
-        block = np.stack([apply_temperature(d, temperature).probs for d in dists])
+        block = drafter.batch_score_paths(base, paths)
+        if temperature == 0.0:  # one child per node: the argmax one-hot
+            block = np.eye(block.shape[1])[block.argmax(axis=1)]
+        else:
+            block = shape_rows(block, temperature)
         top = np.argsort(-block, axis=1, kind="stable")[:, :branch_topk]
         top_p = np.take_along_axis(block, top, axis=1)
         # Row-major order is creation order; a drafter cannot propose

@@ -26,8 +26,10 @@ from .baselines import RelaxPolicy, RoutingSignal, relaxed_sd_round
 from .core import Context, Vocabulary
 from .metrics import CostModel, RoundCost, RunReport, accumulate, lemma_check
 from .models import (
+    MixtureProxy,
     ModelOracle,
     NGramSpec,
+    NgramModel,
     ProxyDerivation,
     derive_proxy,
     load_oracle,
@@ -320,17 +322,16 @@ def build_family(cfg: ExperimentConfig) -> Family:
         raise ConfigError("train/held-out split left one side empty; adjust train_fraction")
 
     if cfg.model_dir is not None:
-        base = Path(cfg.model_dir)
-        drafter = load_oracle(base / "drafter.json")
-        proxy = load_oracle(base / "proxy.json")
-        target = load_oracle(base / "target.json")
-        for oracle in (drafter, proxy, target):
-            if oracle.vocab_size != vocab.size:
-                raise ConfigError(
-                    f"loaded oracle vocabulary ({oracle.vocab_size}) does not match "
-                    f"the corpus vocabulary ({vocab.size})"
-                )
-        return Family(drafter, proxy, target, vocab, train, held)
+        loaded = []
+        for role in ("drafter", "proxy", "target"):
+            path = Path(cfg.model_dir) / f"{role}.json"
+            try:
+                oracle = load_oracle(path)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"cannot load the {role} from {path}: {exc}") from exc
+            _check_loaded(role, oracle, vocab, train)
+            loaded.append(oracle)
+        return Family(*loaded, vocab, train, held)
 
     d_order, p_order, t_order = cfg.orders
     drafter = train_ngram(train, NGramSpec(d_order, cfg.alpha), vocab)
@@ -340,6 +341,26 @@ def build_family(cfg: ExperimentConfig) -> Family:
     else:
         proxy = derive_proxy(target, ProxyDerivation(cfg.epsilon, cfg.noise))
     return Family(drafter, proxy, target, vocab, train, held)
+
+
+def _check_loaded(role: str, oracle: ModelOracle, vocab: Vocabulary, train: list[int]) -> None:
+    """A loaded oracle must speak the corpus vocabulary and, where it is an
+    n-gram (a mixture's base included), carry the fingerprint of training
+    on this corpus's training split."""
+    if oracle.vocab_size != vocab.size:
+        raise ConfigError(
+            f"loaded {role} vocabulary ({oracle.vocab_size}) does not match "
+            f"the corpus vocabulary ({vocab.size})"
+        )
+    if oracle.vocab.symbols != vocab.symbols:
+        raise ConfigError(f"loaded {role} symbols do not match the corpus vocabulary")
+    while isinstance(oracle, MixtureProxy):
+        oracle = oracle.base
+    if isinstance(oracle, NgramModel) and not oracle.trained_on(train):
+        raise ConfigError(
+            f"loaded {role} was not trained on this corpus's training split "
+            f"(its fingerprint does not match)"
+        )
 
 
 def derive_prompts(
@@ -552,12 +573,12 @@ def _ppl_under_target(
     nll = 0.0
     count = 0
     for prompt, emitted in continuations:
-        ctx = list(prompt)
-        for tok in emitted:
-            p = probe.next_dist(ctx).prob(tok)
+        if not emitted:
+            continue
+        rows = probe.batch_score(prompt, emitted)
+        for p in rows[range(len(emitted)), emitted].tolist():
             nll += -math.log(max(p, 1e-300))
-            count += 1
-            ctx.append(tok)
+        count += len(emitted)
     return math.exp(nll / count) if count else None
 
 

@@ -12,7 +12,11 @@ Distribution over the next token. Three kinds are provided:
 Every oracle counts forward passes: ``next_dist`` is one pass, and a
 batched scoring call over many positions is also exactly one pass (that is
 the whole point of speculative verification). The counters are the sole
-source for target-call accounting downstream.
+source for target-call accounting downstream. A batched call returns one
+read-only ``(positions, V)`` block, a row per scored position.
+
+Each oracle reads only its ``window`` of most recent context tokens, so
+every pass trims the committed context to that window once.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, Vocabulary
+from .core import Distribution, Vocabulary, check_rows
 
 __all__ = [
     "CorpusTooShortError",
@@ -88,6 +92,8 @@ class ModelOracle:
     def __init__(self, vocab: Vocabulary) -> None:
         self.vocab = vocab
         self._passes = 0
+        # How many trailing context tokens the oracle reads; None is all.
+        self.window: int | None = None
 
     @property
     def vocab_size(self) -> int:
@@ -101,36 +107,47 @@ class ModelOracle:
     def _dist(self, ctx: tuple[int, ...]) -> Distribution:
         raise NotImplementedError
 
+    def _block(self, ctxs: list[tuple[int, ...]]) -> np.ndarray:
+        """One row per context; subclasses may build the block at once."""
+        return np.array([self._dist(c).probs for c in ctxs])
+
+    def _tail(self, ctx: Sequence[int]) -> tuple[int, ...]:
+        w = self.window
+        return tuple(ctx if w is None or len(ctx) <= w else ctx[len(ctx) - w :])
+
+    def _rows(self, ctx: Sequence[int], paths: Sequence[Sequence[int]]) -> np.ndarray:
+        base = self._tail(ctx)
+        block = self._block([base + tuple(p) for p in paths])
+        block.setflags(write=False)
+        return block
+
     def next_dist(self, ctx: Sequence[int]) -> Distribution:
         """Score one position. One forward pass."""
         self._passes += 1
-        return self._dist(tuple(ctx))
+        return self._dist(self._tail(ctx))
 
-    def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> list[Distribution]:
+    def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> np.ndarray:
         """Score positions 1..k+1 of a drafted block in one forward pass.
 
-        Entry ``i`` is the distribution after ``ctx + drafted[:i]``; the last
-        entry conditions on the full block (the bonus position). Each entry
-        is exactly what ``next_dist`` would return for that prefix.
+        Row ``i`` of the read-only ``(k+1, V)`` block is the distribution
+        after ``ctx + drafted[:i]``; the last row conditions on the full
+        block (the bonus position). Each row is exactly what ``next_dist``
+        would return for that prefix.
         """
         self._passes += 1
-        base = tuple(ctx)
-        out = []
-        for i in range(len(drafted) + 1):
-            out.append(self._dist(base + tuple(drafted[:i])))
-        return out
+        drafted = tuple(drafted)
+        return self._rows(ctx, [drafted[:i] for i in range(len(drafted) + 1)])
 
     def batch_score_paths(
         self, ctx: Sequence[int], paths: Sequence[tuple[int, ...]]
-    ) -> list[Distribution]:
+    ) -> np.ndarray:
         """Score arbitrary continuation paths of ``ctx`` in one forward pass.
 
-        The flattened-tree analogue of ``batch_score``: one distribution per
-        path, conditioned on ``ctx + path``, a single counter bump for all.
+        The flattened-tree analogue of ``batch_score``: one row per path,
+        conditioned on ``ctx + path``, a single counter bump for all.
         """
         self._passes += 1
-        base = tuple(ctx)
-        return [self._dist(base + tuple(p)) for p in paths]
+        return self._rows(ctx, paths)
 
     def fork(self) -> "ModelOracle":
         """A view sharing this oracle's tables but with a fresh counter."""
@@ -187,10 +204,10 @@ class TableModel(ModelOracle):
             raise ValueError("default row has wrong vocabulary size")
         self.rows = dict(rows)
         self.default = default
-        self._max_key = max((len(k) for k in rows), default=0)
+        self.window = max((len(k) for k in rows), default=0)
 
     def _dist(self, ctx: tuple[int, ...]) -> Distribution:
-        for n in range(min(self._max_key, len(ctx)), -1, -1):
+        for n in range(min(self.window, len(ctx)), -1, -1):
             row = self.rows.get(ctx[len(ctx) - n :])
             if row is not None:
                 return row
@@ -227,6 +244,7 @@ class NgramModel(ModelOracle):
             for j in counts
         }
         self._memo: dict[tuple[int, ...], Distribution] = {}
+        self.window = spec.order - 1
 
     @property
     def order(self) -> int:
@@ -234,6 +252,10 @@ class NgramModel(ModelOracle):
 
     def unigram(self) -> Distribution:
         return self._smoothed((), 1)
+
+    def trained_on(self, corpus: Sequence[int]) -> bool:
+        """Whether the stored fingerprint is that of training on ``corpus``."""
+        return self.spec.fingerprint == _fingerprint(corpus, self.order, self.spec.alpha)
 
     def _smoothed(self, key: tuple[int, ...], j: int) -> Distribution:
         table = self._counts[j][key]
@@ -244,7 +266,8 @@ class NgramModel(ModelOracle):
         return Distribution(weights / (total + self.spec.alpha * self.vocab.size))
 
     def _dist(self, ctx: tuple[int, ...]) -> Distribution:
-        tail = ctx[len(ctx) - min(len(ctx), self.order - 1) :] if self.order > 1 else ()
+        w = self.window
+        tail = ctx[len(ctx) - w :] if len(ctx) > w else ctx
         hit = self._memo.get(tail)
         if hit is not None:
             return hit
@@ -280,11 +303,19 @@ class MixtureProxy(ModelOracle):
         self.base = base
         self.deriv = deriv
         self.noise = noise
+        self.window = base.window
+
+    def _mix(self, base_probs: np.ndarray) -> np.ndarray:
+        eps = self.deriv.epsilon
+        return (1.0 - eps) * base_probs + eps * self.noise.probs
 
     def _dist(self, ctx: tuple[int, ...]) -> Distribution:
-        eps = self.deriv.epsilon
-        mixed = (1.0 - eps) * self.base._dist(ctx).probs + eps * self.noise.probs
-        return Distribution(mixed)
+        return Distribution(self._mix(self.base._dist(ctx).probs))
+
+    def _block(self, ctxs: list[tuple[int, ...]]) -> np.ndarray:
+        mixed = self._mix(self.base._block(ctxs))
+        check_rows(mixed)
+        return mixed
 
 
 def _fingerprint(corpus: Sequence[int], order: int, alpha: float) -> str:

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Distribution, apply_temperature, sample, top2_margin
+import numpy as np
+
+from .core import Distribution, sample, shape_rows, top2_margin
 from .drafting import DraftChain, draft_chain, draft_tree, prune_tree_prefix
 from .models import ModelOracle, PassMeter
 from .verification import (
@@ -53,27 +55,26 @@ class MarginRule:
     """Trust a distribution iff its top1-top2 gap reaches ``lam``.
 
     ``lam <= 0`` is the always-trust sentinel (margins are never negative),
-    ``lam > 1`` the never-trust sentinel (margins never exceed 1).
+    ``lam > 1`` the never-trust sentinel (margins never exceed 1). Given a
+    block, ``trusted`` answers for every row.
     """
 
     lam: float
 
-    def trusted(self, dist: Distribution) -> bool:
-        return top2_margin(dist) >= self.lam
+    def trusted(self, probs: Distribution | np.ndarray) -> bool | np.ndarray:
+        return top2_margin(probs) >= self.lam
 
 
-def trusted_prefix_len(proxy_dists: Sequence[Distribution], rule) -> int:
-    """Length of the longest trusted prefix of k+1 per-position dists.
+def trusted_prefix_len(proxy_rows: np.ndarray, rule) -> int:
+    """Length of the longest trusted prefix of a ``(k+1, V)`` proxy block.
 
-    Returns the index of the first untrusted position (0-based over
-    positions 1..k+1), or k+1 when every position is trusted. Any rule
-    object with a ``trusted(dist) -> bool`` method works here; margin is
-    the default, the alternative routing signals plug in the same way.
+    Returns the index of the first untrusted row (0-based over positions
+    1..k+1), or k+1 when every row is trusted. Any rule object whose
+    ``trusted(block)`` gives one bool per row works here; margin is the
+    default, the alternative routing signals plug in the same way.
     """
-    for i, dist in enumerate(proxy_dists):
-        if not rule.trusted(dist):
-            return i
-    return len(proxy_dists)
+    trusted = np.asarray(rule.trusted(np.asarray(proxy_rows)))
+    return len(trusted) if trusted.all() else int(trusted.argmin())
 
 
 def pruned_target_verify(
@@ -96,14 +97,14 @@ def pruned_target_verify(
         raise ValueError("tau_m must lie in [0, k]")
     base = tuple(ctx) + draft.tokens[:tau_m]
     if tau_m == draft.k:
-        bonus = apply_temperature(target.next_dist(base), temperature)
-        token = bonus.argmax() if temperature == 0.0 else sample(bonus, correction_stream)
+        bonus = shape_rows(target.batch_score(base, ())[0], temperature)
+        token = int(bonus.argmax()) if temperature == 0.0 else sample(bonus, correction_stream)
         return AcceptanceTrace(
             coins=(), tau=0, correction_token=token, correction_is_bonus=True, emitted=(token,)
         )
     sub = draft.suffix(tau_m)
-    target_dists = target.batch_score(base, sub.tokens)
-    return verify_chain(sub, target_dists, temperature, coin_stream, correction_stream)
+    rows = target.batch_score(base, sub.tokens)
+    return verify_chain(sub, rows, temperature, coin_stream, correction_stream)
 
 
 def trispec_round(
@@ -120,9 +121,10 @@ def trispec_round(
 ) -> Round:
     """One ternary round over a k-token draft chain.
 
-    The trust signal sees the proxy's shaped distributions at temperature 1
-    (where shaping is the identity) and the raw model distributions in
-    greedy mode -- an argmax one-hot carries no margin information.
+    The proxy scores the draft as one ``(k+1, V)`` block. The trust signal
+    sees its shaped rows at temperature 1 (where shaping is the identity)
+    and its raw rows in greedy mode -- an argmax one-hot carries no margin
+    information, and greedy decisions read the raw argmax anyway.
     ``margin_on_raw`` forces the raw view at any temperature. ``raw_bonus``
     switches the proxy-local correction to a direct draw from the proxy's
     distribution at the rejected position instead of the residual.
@@ -132,17 +134,17 @@ def trispec_round(
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     proxy_raw = proxy.batch_score(base, draft.tokens)
-    proxy_shaped = [apply_temperature(d, temperature) for d in proxy_raw]
+    proxy_shaped = shape_rows(proxy_raw, temperature)
     coins, tau_a = acceptance_coins(draft, proxy_shaped, temperature, streams.proxy_coins)
 
-    margin_view = proxy_raw if (temperature == 0.0 or margin_on_raw) else proxy_shaped
-    margins = tuple(top2_margin(d) for d in margin_view)
+    margin_view = proxy_raw if margin_on_raw else proxy_shaped
+    margins = tuple(top2_margin(margin_view).tolist())
     tau_m = trusted_prefix_len(margin_view, rule)
 
     if tau_a < tau_m:
         if raw_bonus and tau_a < k:
-            dist = proxy_shaped[tau_a]
-            token = dist.argmax() if temperature == 0.0 else sample(dist, streams.correction)
+            row = proxy_shaped[tau_a]
+            token = int(row.argmax()) if temperature == 0.0 else sample(row, streams.correction)
             is_bonus = False
         else:
             token, is_bonus = draw_correction(
@@ -205,9 +207,8 @@ def trispec_tree_round(
     tree = draft_tree(drafter, tuple(ctx), params.depth, params.branch_topk, params.budget)
     proxy_result = verify_tree_greedy(tree, proxy)
     tau_a = proxy_result.accepted_len
-    margin_seq = list(proxy_result.path_dists) + [proxy_result.after_dist]
-    margins = tuple(top2_margin(d) for d in margin_seq)
-    tau_m = trusted_prefix_len(margin_seq, rule)
+    margins = tuple(top2_margin(proxy_result.path_rows).tolist())
+    tau_m = trusted_prefix_len(proxy_result.path_rows, rule)
 
     if tau_a < tau_m:
         case, tau_t = RoundCase.PROXY_ONLY, None

@@ -211,10 +211,10 @@ def _greedy_coin_reduction(family: Family, rounds: int, seed: int) -> tuple[bool
                 fam.drafter, fam.proxy, fam.target, ctx, 6, rule, 0.0, streams
             )
             assert outcome.draft is not None
-            dists = probe.batch_score(tuple(ctx), outcome.draft.tokens)
+            rows = probe.batch_score(tuple(ctx), outcome.draft.tokens)
             expected = []
             for pos, token in enumerate(outcome.draft.tokens):
-                expected.append(1 if dists[pos].argmax() == token else 0)
+                expected.append(1 if rows[pos].argmax() == token else 0)
                 if not expected[-1]:
                     break
             if tuple(expected) != outcome.coins:

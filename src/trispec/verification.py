@@ -8,13 +8,16 @@ from the verifier's distribution at position k+1. That combination makes
 the output distribution of a round exactly the verifier's own -- the
 property the acceptance tests enumerate.
 
-Greedy mode (temperature 0) replaces coin flips with exact argmax
-comparison and consumes no randomness at all.
+A verifier's scores arrive as one ``(k+1, V)`` block per pass, and every
+function here reads rows of it. Greedy mode (temperature 0) replaces coin
+flips with exact argmax comparison on the raw rows, builds no one-hots, and
+consumes no randomness at all: drafts, coins and corrections alike.
 
 Randomness is split across named streams (draft sampling, proxy coins,
 target coins, corrections) so that structurally different protocols remain
-coin-for-coin comparable: a round consumes k draft draws, acceptance coins
-only up to its first rejection, and exactly one correction draw.
+coin-for-coin comparable: a sampled round consumes k draft draws,
+acceptance coins only up to its first rejection, and exactly one correction
+draw.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Distribution, RandomStream, apply_temperature, normalize, sample
+from .core import Distribution, RandomStream, apply_temperature, normalize, sample, shape_rows
 from .drafting import DraftChain, DraftTree, draft_chain, draft_tree
 from .models import ModelOracle, PassMeter
 
@@ -170,27 +173,29 @@ class Round:
 
 def acceptance_coins(
     draft: DraftChain,
-    verifier_dists: Sequence[Distribution],
+    verifier_rows: np.ndarray,
     temperature: float,
     coin_stream: RandomStream,
     decide: Callable[[int, int], bool | None] | None = None,
 ) -> tuple[tuple[int, ...], int]:
     """Left-to-right acceptance test; stops at the first rejection.
 
-    ``verifier_dists`` must already carry the same temperature shaping as
-    the draft's stored distributions. At temperature 0 the test is exact
-    argmax agreement and no uniforms are consumed; otherwise one uniform is
-    drawn per examined position. ``decide(i, token)``, when given, rules on
-    a position first: True or False is final, None defers to the test.
+    ``verifier_rows`` is the verifier's block as ``shape_rows`` leaves it:
+    shaped like the draft's stored distributions, raw at temperature 0,
+    where the test is exact argmax agreement and no uniforms are consumed;
+    otherwise one uniform is drawn per examined position. ``decide(i,
+    token)``, when given, rules on a position first: True or False is
+    final, None defers to the test.
     """
+    rows = np.asarray(verifier_rows)
     coins: list[int] = []
     for i, token in enumerate(draft.tokens):
         accept = None if decide is None else decide(i, token)
         if accept is None:
             if temperature == 0.0:
-                accept = verifier_dists[i].argmax() == token
+                accept = rows[i].argmax() == token
             else:
-                ratio = min(1.0, verifier_dists[i].prob(token) / draft.dists[i].prob(token))
+                ratio = min(1.0, float(rows[i, token]) / draft.dists[i].prob(token))
                 accept = coin_stream.uniform() < ratio
         coins.append(1 if accept else 0)
         if not accept:
@@ -198,9 +203,9 @@ def acceptance_coins(
     return tuple(coins), draft.k
 
 
-def residual_dist(draft_dist: Distribution, verifier_dist: Distribution) -> Distribution:
+def residual_dist(draft_dist: Distribution, verifier_dist: np.ndarray) -> Distribution:
     """The normalized positive part of ``p_v - p_d`` at a rejected position."""
-    residual = np.maximum(0.0, verifier_dist.probs - draft_dist.probs)
+    residual = np.maximum(0.0, np.asarray(verifier_dist) - draft_dist.probs)
     if float(residual.sum()) <= 0.0:
         raise DegenerateResidualError("rejection happened but the residual carries no mass")
     return normalize(residual)
@@ -208,7 +213,7 @@ def residual_dist(draft_dist: Distribution, verifier_dist: Distribution) -> Dist
 
 def draw_correction(
     draft: DraftChain,
-    verifier_dists: Sequence[Distribution],
+    verifier_rows: np.ndarray,
     tau: int,
     temperature: float,
     correction_stream: RandomStream,
@@ -217,29 +222,29 @@ def draw_correction(
 
     After a rejection at position ``tau`` the token comes from the residual
     there; after full acceptance it is the verifier's bonus at position
-    k+1. Greedy mode takes the argmax without consuming a draw.
+    k+1. Greedy mode takes the raw row's argmax without consuming a draw:
+    the residual of two distinct one-hots is the verifier's own one-hot.
     """
-    if tau < draft.k:
-        dist = residual_dist(draft.dists[tau], verifier_dists[tau])
-        is_bonus = False
-    else:
-        dist = verifier_dists[draft.k]
-        is_bonus = True
-    token = dist.argmax() if temperature == 0.0 else sample(dist, correction_stream)
-    return token, is_bonus
+    rows = np.asarray(verifier_rows)
+    is_bonus = tau >= draft.k
+    if temperature == 0.0:
+        return int(rows[min(tau, draft.k)].argmax()), is_bonus
+    dist = rows[draft.k] if is_bonus else residual_dist(draft.dists[tau], rows[tau])
+    return sample(dist, correction_stream), is_bonus
 
 
 def verify_chain(
     draft: DraftChain,
-    verifier_dists: Sequence[Distribution],
+    verifier_rows: np.ndarray,
     temperature: float,
     coin_stream: RandomStream,
     correction_stream: RandomStream,
 ) -> AcceptanceTrace:
-    """Verify a draft chain against k+1 raw verifier distributions."""
-    if len(verifier_dists) != draft.k + 1:
-        raise ValueError("need k+1 verifier distributions for a k-token draft")
-    shaped = [apply_temperature(d, temperature) for d in verifier_dists]
+    """Verify a draft chain against the verifier's raw ``(k+1, V)`` block."""
+    rows = np.asarray(verifier_rows)
+    if len(rows) != draft.k + 1:
+        raise ValueError("need k+1 verifier rows for a k-token draft")
+    shaped = shape_rows(rows, temperature)
     coins, tau = acceptance_coins(draft, shaped, temperature, coin_stream)
     token, is_bonus = draw_correction(draft, shaped, tau, temperature, correction_stream)
     return AcceptanceTrace(
@@ -256,8 +261,11 @@ def target_only_round(
 ) -> Round:
     """Plain decoding: one target pass, one token drawn from its own law."""
     meter = PassMeter(target=target)
-    dist = apply_temperature(target.next_dist(tuple(ctx)), temperature)
-    token = dist.argmax() if temperature == 0.0 else sample(dist, streams.draft)
+    dist = target.next_dist(ctx)
+    if temperature == 0.0:
+        token = dist.argmax()
+    else:
+        token = sample(apply_temperature(dist, temperature), streams.draft)
     return Round(
         case=RoundCase.TARGET_ONLY,
         emitted=(token,),
@@ -285,8 +293,8 @@ def sd_round(
     meter = PassMeter(drafter, **{verifier_role: verifier})
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
-    verifier_dists = verifier.batch_score(base, draft.tokens)
-    trace = verify_chain(draft, verifier_dists, temperature, coin_stream, streams.correction)
+    rows = verifier.batch_score(base, draft.tokens)
+    trace = verify_chain(draft, rows, temperature, coin_stream, streams.correction)
     return Round(
         case=RoundCase.SD,
         emitted=trace.emitted,
@@ -302,15 +310,14 @@ def sd_round(
 class TreeVerifyResult:
     """Greedy verification of a draft tree in one flattened pass.
 
-    ``path_dists[i]`` is the verifier's distribution at accepted-path
-    position i+1 (conditioned on the path so far); ``after_dist`` conditions
-    on the full accepted path and is where the correction token comes from.
+    ``path_rows[i]`` is the verifier's row at accepted-path position i+1,
+    conditioned on the first i accepted tokens; the last row conditions on
+    the full accepted path and is where the correction token comes from.
     """
 
     path_ids: tuple[int, ...]
     path_tokens: tuple[int, ...]
-    path_dists: tuple[Distribution, ...]
-    after_dist: Distribution
+    path_rows: np.ndarray
     correction_token: int
     exhausted: bool  # walk stopped at a childless node, not on a divergence
 
@@ -333,28 +340,23 @@ def verify_tree_greedy(tree: DraftTree, verifier: ModelOracle) -> TreeVerifyResu
     """
     paths = [()] + [tree.path_tokens(i) for i in range(len(tree))]
     scored = verifier.batch_score_paths(tree.ctx, paths)
-    root_dist, node_dists = scored[0], scored[1:]
+    best = scored.argmax(axis=1).tolist()  # row 0 is the root, row i+1 node i
 
     path_ids: list[int] = []
-    path_dists: list[Distribution] = []
     cur = -1
-    cur_dist = root_dist
     while True:
-        want = cur_dist.argmax()
+        want = best[cur + 1]
         child = next((c for c in tree.children(cur) if tree.nodes[c].token == want), None)
         if child is None:
             exhausted = not tree.children(cur)
             break
         path_ids.append(child)
-        path_dists.append(cur_dist)
         cur = child
-        cur_dist = node_dists[child]
     return TreeVerifyResult(
         path_ids=tuple(path_ids),
         path_tokens=tuple(tree.nodes[i].token for i in path_ids),
-        path_dists=tuple(path_dists),
-        after_dist=cur_dist,
-        correction_token=cur_dist.argmax(),
+        path_rows=scored[[0] + [i + 1 for i in path_ids]],
+        correction_token=want,
         exhausted=exhausted,
     )
 

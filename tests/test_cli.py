@@ -5,7 +5,13 @@ import json
 import pytest
 
 from trispec.cli import main
-from trispec.harness import HIST_SCHEMA, SWEEP_SCHEMA, TRACE_SCHEMA, read_trace_csv
+from trispec.harness import (
+    HIST_SCHEMA,
+    SWEEP_SCHEMA,
+    TRACE_SCHEMA,
+    read_trace_csv,
+    reference_corpus_path,
+)
 
 FAST = ("-O", "max_new_tokens=4", "-O", "num_prompts=2")
 
@@ -83,6 +89,30 @@ def test_train_then_run_from_saved_models(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads((outdir / "report.json").read_text())
     assert data["report"]["N"] >= 8
+
+
+def test_run_refuses_models_trained_on_another_corpus(tmp_path, capsys):
+    lines = reference_corpus_path().read_text(encoding="utf-8").split("\n")
+    flipped = tmp_path / "reversed.txt"
+    flipped.write_text("\n".join(reversed(lines)), encoding="utf-8")
+    models = tmp_path / "models"
+    assert main(["train", "-O", f"corpus={flipped}", "--out", str(models)]) == 0
+    capsys.readouterr()
+    # same characters, so the vocabulary agrees; the training split does not
+    assert main(["run", "--out", str(tmp_path / "out"), "-O", f"model_dir={models}", *FAST]) == 2
+    assert "error: loaded drafter was not trained on" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"format": "something-else"}', "{", '{"format": "trispec-model", "version": 1, "model": {}}', "[]"],
+)
+def test_run_refuses_unreadable_model_files(tmp_path, capsys, text):
+    for role in ("drafter", "proxy", "target"):
+        (tmp_path / f"{role}.json").write_text(text)
+    assert main(["run", "--out", str(tmp_path / "out"), "-O", f"model_dir={tmp_path}", *FAST]) == 2
+    assert "error: cannot load the drafter from" in capsys.readouterr().err
 
 
 def test_sweep_cli_writes_one_csv(tmp_path, capsys):

@@ -14,6 +14,7 @@ from trispec.core import (
     apply_temperature,
     normalize,
     sample,
+    shape_rows,
     top2_margin,
 )
 
@@ -116,6 +117,36 @@ def test_temperature_half_squares_probabilities():
     # p ** (1/T) with T=0.5: [0.64, 0.04] renormalized = [16/17, 1/17]
     shaped = apply_temperature(Distribution([0.8, 0.2]), 0.5)
     assert np.allclose(shaped.probs, [16.0 / 17.0, 1.0 / 17.0], atol=1e-12)
+
+
+def test_greedy_one_hots_are_shared_and_immutable():
+    hot = apply_temperature(Distribution([0.3, 0.5, 0.2]), 0.0)
+    assert apply_temperature(Distribution([0.1, 0.8, 0.1]), 0.0) is hot
+    assert apply_temperature(Distribution([0.6, 0.4, 0.0]), 0.0) is not hot
+    with pytest.raises(ValueError):
+        hot.probs[0] = 1.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 8), st.integers(2, 300)),
+    temperature=st.sampled_from([0.0005, 0.05, 0.3, 0.5, 0.9, 1.7, 4.0]),
+)
+def test_shape_rows_is_apply_temperature_row_by_row(seed, shape, temperature):
+    rows = np.random.default_rng(seed).dirichlet(np.ones(shape[1]), size=shape[0])
+    rows[:, ::7] = 0.0  # zero cells exercise log(0)
+    rows /= rows.sum(axis=1, keepdims=True)
+    block = shape_rows(rows, temperature)
+    for row, shaped in zip(rows, block):
+        assert np.array_equal(shaped, apply_temperature(Distribution(row), temperature).probs)
+    assert shape_rows(rows, 0.0) is rows and shape_rows(rows, 1.0) is rows
+
+
+def test_top2_margin_of_a_block_is_per_row():
+    block = np.array([[0.6, 0.3, 0.1], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0]])
+    margins = top2_margin(block)
+    assert margins.tolist() == [top2_margin(Distribution(row)) for row in block]
 
 
 def test_temperature_rejects_negative():

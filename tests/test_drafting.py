@@ -94,6 +94,18 @@ def test_draft_chain_consumes_one_uniform_per_token():
     assert model.invocation_count == 4  # chains are strictly autoregressive
 
 
+def test_greedy_draft_chain_draws_no_uniform():
+    model = _last_token_model()
+    stream = FixedUniforms([])
+    chain = draft_chain(model, (), 5, 0.0, stream)
+    assert stream.draws == 0
+    walked = [0]  # the default row's argmax, then each row's own
+    for _ in range(4):
+        walked.append(int(np.argmax(model.rows[(walked[-1],)].probs)))
+    assert chain.tokens == tuple(walked)
+    assert all(dist.prob(tok) == 1.0 for tok, dist in zip(chain.tokens, chain.dists))
+
+
 def test_draft_chain_rejects_bad_k():
     with pytest.raises(ValueError):
         draft_chain(_last_token_model(), (), 0, 1.0, FixedUniforms([]))
@@ -195,9 +207,9 @@ def _reference_draft_tree(drafter, ctx, depth, branch_topk, budget, temperature=
     frontier = [(-1, (), 1.0)]
     for level in range(1, depth + 1):
         grown = []
-        dists = drafter.batch_score_paths(tuple(ctx), [path for _, path, _ in frontier])
-        for (parent_id, path, path_prob), raw in zip(frontier, dists):
-            dist = apply_temperature(raw, temperature)
+        block = drafter.batch_score_paths(tuple(ctx), [path for _, path, _ in frontier])
+        for (parent_id, path, path_prob), raw in zip(frontier, block):
+            dist = apply_temperature(Distribution(raw), temperature)
             order = np.lexsort((np.arange(len(dist)), -dist.probs))
             for tok in (int(t) for t in order[:branch_topk]):
                 p = dist.prob(tok)

@@ -290,6 +290,33 @@ def test_model_dir_vocab_mismatch_is_caught(tmp_path):
         build_family(ExperimentConfig(model_dir=str(tmp_path)))
 
 
+def test_model_dir_symbol_mismatch_is_caught(ref_family, tmp_path):
+    from trispec.core import Vocabulary
+
+    target = ref_family.target
+    shuffled = Vocabulary(target.vocab.size, target.vocab.symbols[::-1])
+    renamed = NgramModel(shuffled, target.spec, target._counts)
+    save_oracle(ref_family.drafter, tmp_path / "drafter.json")
+    save_oracle(ref_family.proxy, tmp_path / "proxy.json")
+    save_oracle(renamed, tmp_path / "target.json")
+    with pytest.raises(ConfigError, match="loaded target symbols"):
+        build_family(ExperimentConfig(model_dir=str(tmp_path)))
+
+
+def test_model_dir_mixture_base_fingerprint_is_checked(ref_family, tmp_path):
+    from trispec.models import NGramSpec, ProxyDerivation, derive_proxy, train_ngram
+
+    other = train_ngram(ref_family.train_tokens[1:], NGramSpec(4, 0.1), ref_family.vocab)
+    save_oracle(ref_family.drafter, tmp_path / "drafter.json")
+    save_oracle(derive_proxy(other, ProxyDerivation(0.3)), tmp_path / "proxy.json")
+    save_oracle(ref_family.target, tmp_path / "target.json")
+    with pytest.raises(ConfigError, match="loaded proxy was not trained on"):
+        build_family(ExperimentConfig(model_dir=str(tmp_path)))
+    # the same mixture over the real target loads
+    save_oracle(derive_proxy(ref_family.target, ProxyDerivation(0.3)), tmp_path / "proxy.json")
+    assert isinstance(build_family(ExperimentConfig(model_dir=str(tmp_path))).proxy, MixtureProxy)
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 # ---------------------------------------------------------------------------

@@ -143,11 +143,11 @@ def test_batch_score_matches_next_dist():
     model = train_ngram(ABAB, NGramSpec(order=2, alpha=0.3), AB)
     probe = model.fork()
     ctx, drafted = (1, 0), [1, 0, 0]
-    dists = model.batch_score(ctx, drafted)
-    assert len(dists) == len(drafted) + 1
-    for i, dist in enumerate(dists):
+    block = model.batch_score(ctx, drafted)
+    assert block.shape == (len(drafted) + 1, 2)
+    for i, row in enumerate(block):
         expect = probe.next_dist(ctx + tuple(drafted[:i]))
-        assert np.array_equal(dist.probs, expect.probs)
+        assert np.array_equal(row, expect.probs)
 
 
 def test_mixture_arithmetic():

@@ -252,7 +252,7 @@ def test_tree_verify_divergence_with_siblings_left():
     assert not result.exhausted  # the walk stopped on a divergence, not a leaf
     assert result.correction_token == 0
     assert result.emitted == (1, 0)
-    assert result.path_dists[0].argmax() == 1
+    assert result.path_rows[0].argmax() == 1
     assert verifier.invocation_count == 1  # whole tree scored in one pass
 
 
@@ -271,7 +271,7 @@ def test_tree_verify_full_path_is_exhausted():
     assert result.exhausted  # accepted node is a leaf of the draft
     assert result.correction_token == 2
     assert result.emitted == (0, 0, 2)
-    assert result.after_dist.argmax() == 2
+    assert result.path_rows[-1].argmax() == 2
 
 
 def test_tree_round_with_unit_branching_matches_chain_round(ref_family):
