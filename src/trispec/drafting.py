@@ -11,10 +11,12 @@ top-``branch_topk`` continuations, and the tree keeps the globally most
 probable nodes (by drafter path probability) within a fixed token budget.
 Trees verify greedily downstream, and carry the boolean ancestor mask a
 tree-attention pass would use, so masks are part of the contract here.
+A tree is immutable, so one tree may be shared by many rounds.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +86,7 @@ def draft_chain(
     return DraftChain(tuple(tokens), tuple(dists))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     """One drafted token in a tree. ``parent`` is -1 for root children."""
 
@@ -95,44 +97,58 @@ class TreeNode:
     path_prob: float  # product of probs along the path from the root
 
 
-@dataclass
+@dataclass(frozen=True)
 class DraftTree:
     """A budgeted draft token tree rooted at the committed context tip.
 
     The root itself is implicit (it is the last committed token); ``nodes``
     holds drafted tokens only. ``mask[i][j]`` is True iff node j lies on the
     path from the root to node i, inclusive of i itself, which is exactly
-    the attention-reachability a flattened scoring pass needs.
+    the attention-reachability a flattened scoring pass needs. ``nodes`` is
+    kept as a tuple and ``mask`` read-only.
     """
 
     ctx: tuple[int, ...]
-    nodes: list[TreeNode]
+    nodes: tuple[TreeNode, ...]
     mask: np.ndarray
     budget: int
-    _children: dict[int, list[int]] = field(init=False, repr=False)
-    _paths: list[tuple[int, ...]] = field(init=False, repr=False)
+    _children: dict[int, tuple[int, ...]] = field(init=False, repr=False)
+    _paths: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.nodes)
-        if self.mask.shape != (n, n):
+        nodes = tuple(self.nodes)
+        mask = self.mask
+        n = len(nodes)
+        if mask.shape != (n, n):
             raise ValueError("mask shape must match node count")
-        children: dict[int, list[int]] = {-1: []}
+        if mask.flags.writeable:
+            mask = mask.copy()
+            mask.setflags(write=False)
+        children: dict[int, list[int]] = {}  # only nodes that have any
         paths: list[tuple[int, ...]] = []
-        for i, node in enumerate(self.nodes):
+        for i, node in enumerate(nodes):
             if node.parent >= i:
                 raise ValueError("parents must precede children")
-            children.setdefault(i, [])
-            children[node.parent].append(i)
+            children.setdefault(node.parent, []).append(i)
             paths.append((paths[node.parent] if node.parent != -1 else ()) + (node.token,))
-        self._children = children
-        self._paths = paths
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_children", {i: tuple(c) for i, c in children.items()})
+        object.__setattr__(self, "_paths", tuple(paths))
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def children(self, node_id: int) -> list[int]:
+    def children(self, node_id: int) -> tuple[int, ...]:
         """Child node ids of ``node_id`` (-1 addresses the implicit root)."""
-        return self._children.get(node_id, [])
+        return self._children.get(node_id, ())
+
+    def _rebased(self, ctx: tuple[int, ...]) -> "DraftTree":
+        """The same tree drafted after ``ctx``; it shares every node, the
+        mask and the cached paths with this one."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "ctx", ctx)
+        return twin
 
     def path_ids(self, node_id: int) -> list[int]:
         out: list[int] = []
@@ -184,17 +200,36 @@ def draft_tree(
     same rule (an ancestor-closed set, since a child never outranks its
     parent). The whole frontier of a level is scored in one flattened
     drafter pass, so a tree costs one drafter pass per expanded level.
+
+    A tree depends only on the drafter's ``window`` tail of ``ctx``, so the
+    drafter keeps the first tree of each tail and shape, with the frontier
+    paths of every level, in a memo that its forks share. A repeat makes
+    the same drafter passes, level for level, so every pass is still
+    counted, and returns that tree rebased onto ``ctx``. A drafter whose
+    window is None is not memoised.
     """
     if depth < 1 or branch_topk < 1 or budget < 1:
         raise ValueError("depth, branch_topk and budget must all be >= 1")
     base = tuple(ctx)
+    key = None
+    if drafter.window is not None:
+        key = (drafter._tail(base), depth, branch_topk, budget, temperature)
+        hit = drafter._trees.get(key)
+        if hit is not None:
+            tree, levels = hit
+            for level_paths in levels:
+                drafter.batch_score_paths(base, list(map(tuple, level_paths.tolist())))
+            return tree._rebased(base)
     # Kept candidates, level by level in creation order; parents are pool ids.
     tokens, parents, depths, probs, path_probs = [], [], [], [], []
     pool_size = 0
     paths: list[tuple[int, ...]] = [()]
+    levels = []  # each level's frontier paths, packed (paths, level - 1)
+    packed = np.min_scalar_type(drafter.vocab_size - 1)
     frontier_ids = np.array([-1])
     frontier_pp = np.ones(1)
     for level in range(1, depth + 1):
+        levels.append(np.array(paths, dtype=packed).reshape(len(paths), level - 1))
         block = drafter.batch_score_paths(base, paths)
         if temperature == 0.0:  # one child per node: the argmax one-hot
             block = np.eye(block.shape[1])[block.argmax(axis=1)]
@@ -228,7 +263,10 @@ def draft_tree(
     parent = np.where(parent == -1, -1, np.searchsorted(chosen, parent))
     columns = (col.tolist() for col in (tok, parent, dep, prob, path_prob))
     nodes = [TreeNode(*fields) for fields in zip(*columns)]
-    return DraftTree(ctx=base, nodes=nodes, mask=_ancestor_mask(nodes), budget=budget)
+    tree = DraftTree(ctx=base, nodes=nodes, mask=_ancestor_mask(nodes), budget=budget)
+    if key is not None:
+        drafter._trees[key] = (tree._rebased(key[0]), tuple(levels))
+    return tree
 
 
 def _ancestor_mask(nodes: list[TreeNode]) -> np.ndarray:
@@ -238,6 +276,7 @@ def _ancestor_mask(nodes: list[TreeNode]) -> np.ndarray:
         if node.parent != -1:
             mask[i] = mask[node.parent]
         mask[i, i] = True
+    mask.setflags(write=False)
     return mask
 
 

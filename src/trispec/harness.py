@@ -318,6 +318,7 @@ def build_family(cfg: ExperimentConfig) -> Family:
     tokens, vocab = load_corpus(corpus_path, cfg.tokenizer)
     split = int(len(tokens) * cfg.train_fraction)
     train, held = tokens[:split], tokens[split:]
+    del tokens  # the split copies it; training need not hold it twice
     if not train or not held:
         raise ConfigError("train/held-out split left one side empty; adjust train_fraction")
 

@@ -94,6 +94,9 @@ class ModelOracle:
         self._passes = 0
         # How many trailing context tokens the oracle reads; None is all.
         self.window: int | None = None
+        # Draft trees by window tail and shape, kept by ``draft_tree``;
+        # fork() shares it, as it shares every table.
+        self._trees: dict[tuple, tuple] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -319,35 +322,57 @@ class MixtureProxy(ModelOracle):
 
 
 def _fingerprint(corpus: Sequence[int], order: int, alpha: float) -> str:
-    header = f"ngram|order={order}|alpha={alpha!r}|n={len(corpus)}|".encode()
-    body = np.asarray(corpus, dtype=np.uint32).tobytes()
-    return hashlib.sha256(header + body).hexdigest()
+    digest = hashlib.sha256(f"ngram|order={order}|alpha={alpha!r}|n={len(corpus)}|".encode())
+    digest.update(np.ascontiguousarray(corpus, dtype=np.uint32))
+    return digest.hexdigest()
 
 
 def train_ngram(corpus: Sequence[int], spec: NGramSpec, vocab: Vocabulary) -> NgramModel:
     """Count-train an n-gram oracle on a token sequence.
 
+    Each order is counted in one pass over arrays. A j-gram is coded as the
+    rank of its leading (j-1)-gram times V plus its last token, and the
+    count both tallies the j-grams and ranks them for order j+1. Ranks stay
+    below the corpus length, so no code overflows. Codes are counted in a
+    dense table while it is no longer than the corpus, else by one sort;
+    every array takes the narrowest dtype that holds it, which keeps the
+    transient memory near the corpus size.
+
     Raises CorpusTooShortError when the corpus has fewer tokens than the
     requested order (no full window exists).
     """
-    tokens = tuple(int(t) for t in corpus)
-    if len(tokens) < spec.order:
+    if len(corpus) < spec.order:
         raise CorpusTooShortError(
-            f"corpus of {len(tokens)} tokens cannot train order {spec.order}"
+            f"corpus of {len(corpus)} tokens cannot train order {spec.order}"
         )
-    if tokens and (min(tokens) < 0 or max(tokens) >= vocab.size):
+    size = vocab.size
+    if min(corpus) < 0 or max(corpus) >= size:
         raise ValueError("corpus contains token ids outside the vocabulary")
+    tokens = np.asarray(corpus, dtype=np.min_scalar_type(size - 1))
     counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {}
+    grams: list[tuple[int, ...]] = [()]  # the (j-1)-grams, by rank
+    rank = np.zeros(len(tokens) + 1, dtype=np.uint8)  # of the (j-1)-gram at i
     for j in range(1, spec.order + 1):
+        span = len(grams) * size
+        code = rank[: len(tokens) - j + 1].astype(np.min_scalar_type(span))
+        code *= size
+        code += tokens[j - 1 :]
+        if span <= len(code):
+            tally = np.bincount(code, minlength=span)
+            unique = np.flatnonzero(tally)
+            tally = tally[unique]
+            lookup = np.zeros(span, dtype=np.min_scalar_type(len(unique)))
+            lookup[unique] = np.arange(len(unique))
+            rank = lookup[code]
+        else:
+            unique, rank, tally = np.unique(code, return_inverse=True, return_counts=True)
         table: dict[tuple[int, ...], dict[int, int]] = {}
-        for i in range(len(tokens) - j + 1):
-            ctx = tokens[i : i + j - 1]
-            nxt = tokens[i + j - 1]
-            row = table.get(ctx)
-            if row is None:
-                row = table[ctx] = {}
-            row[nxt] = row.get(nxt, 0) + 1
-        counts[j] = table
+        ranked: list[tuple[int, ...]] = []
+        for c, count in zip(unique.tolist(), tally.tolist()):
+            ctx, nxt = grams[c // size], c % size
+            table.setdefault(ctx, {})[nxt] = count
+            ranked.append(ctx + (nxt,))
+        counts[j], grams = table, ranked
     stamped = replace(spec, fingerprint=_fingerprint(tokens, spec.order, spec.alpha))
     return NgramModel(vocab, stamped, counts)
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Distribution, RandomStream, apply_temperature, normalize, sample, shape_rows
+from .core import Distribution, RandomStream, apply_temperature, sample, shape_rows
 from .drafting import DraftChain, DraftTree, draft_chain, draft_tree
 from .models import ModelOracle, PassMeter
 
@@ -206,9 +206,10 @@ def acceptance_coins(
 def residual_dist(draft_dist: Distribution, verifier_dist: np.ndarray) -> Distribution:
     """The normalized positive part of ``p_v - p_d`` at a rejected position."""
     residual = np.maximum(0.0, np.asarray(verifier_dist) - draft_dist.probs)
-    if float(residual.sum()) <= 0.0:
+    total = float(residual.sum())
+    if total <= 0.0:
         raise DegenerateResidualError("rejection happened but the residual carries no mass")
-    return normalize(residual)
+    return Distribution(residual / total)
 
 
 def draw_correction(

@@ -1,5 +1,7 @@
 """Draft chains and budgeted draft trees."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,16 @@ from trispec.drafting import (
     draft_tree,
     prune_tree_prefix,
 )
-from trispec.models import TableModel
+from trispec.models import (
+    MixtureProxy,
+    ModelOracle,
+    NgramModel,
+    NGramSpec,
+    PassMeter,
+    ProxyDerivation,
+    TableModel,
+    train_ngram,
+)
 
 
 class FixedUniforms:
@@ -273,7 +284,7 @@ def test_tree_matches_the_pool_everything_reference(model, depth, budget, temper
     want_nodes, want_mask = _reference_draft_tree(ref, ctx, depth, topk, budget, temperature)
     fresh = model.fork()
     tree = draft_tree(fresh, ctx, depth, topk, budget, temperature)
-    assert tree.nodes == want_nodes  # exact floats, same order
+    assert tree.nodes == tuple(want_nodes)  # exact floats, same order
     assert np.array_equal(tree.mask, want_mask)
     assert fresh.invocation_count == ref.invocation_count == depth
     tree.validate()
@@ -291,6 +302,154 @@ def test_cached_paths_follow_parent_links(ref_family):
         assert t.path_tokens(-1) == ()
         for i in range(len(t)):
             assert t.path_tokens(i) == tuple(t.nodes[j].token for j in t.path_ids(i))
+
+
+def test_tree_is_immutable():
+    tree = draft_tree(_last_token_model(), (0,), depth=2, branch_topk=2, budget=4)
+    with pytest.raises(FrozenInstanceError):
+        tree.nodes = ()
+    with pytest.raises(FrozenInstanceError):
+        tree.ctx = (1,)
+    with pytest.raises(FrozenInstanceError):
+        tree.nodes[0].token = 2
+    with pytest.raises(AttributeError):
+        tree.nodes.append(tree.nodes[0])
+    with pytest.raises(ValueError):
+        tree.mask[0, 0] = False
+    with pytest.raises(AttributeError):
+        tree.children(-1).append(0)
+    mask = np.eye(1, dtype=bool)
+    own = DraftTree(ctx=(), nodes=[TreeNode(0, -1, 1, 0.5, 0.5)], mask=mask, budget=1)
+    mask[0, 0] = False  # the caller's array is copied, not adopted
+    assert own.mask[0, 0] and isinstance(own.nodes, tuple)
+
+
+# ---------------------------------------------------------------------------
+# the tree memo
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _drafters(draw):
+    """Table, n-gram and mixture drafters over V 2-6 with tied and zero
+    cells; n-grams of order 1 have an empty window."""
+    kind = draw(st.sampled_from(["table", "ngram", "mixture"]))
+    if kind == "table":
+        return draw(_tied_tables())
+    vocab = Vocabulary(draw(st.integers(2, 6)))
+    corpus = draw(st.lists(st.integers(0, vocab.size - 1), min_size=3, max_size=40))
+    order = draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from([0.0, 0.1]))
+    ngram = train_ngram(corpus, NGramSpec(order=order, alpha=alpha), vocab)
+    if kind == "ngram":
+        return ngram
+    eps = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    uniform = Distribution(np.full(vocab.size, 1.0 / vocab.size))
+    return MixtureProxy(ngram, ProxyDerivation(eps, "uniform"), uniform)
+
+
+def _unmemoised(drafter):
+    """The same oracle built afresh, with an empty tree memo."""
+    if isinstance(drafter, TableModel):
+        return TableModel(drafter.vocab, drafter.rows, drafter.default)
+    if isinstance(drafter, NgramModel):
+        return NgramModel(drafter.vocab, drafter.spec, drafter._counts)
+    return MixtureProxy(_unmemoised(drafter.base), drafter.deriv, drafter.noise)
+
+
+def _recorded(drafter):
+    """Record every (ctx, paths) the drafter is asked to score."""
+    calls = []
+    score = drafter.batch_score_paths
+
+    def record(ctx, paths):
+        calls.append((tuple(ctx), [tuple(p) for p in paths]))
+        return score(ctx, paths)
+
+    drafter.batch_score_paths = record
+    return calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    drafter=_drafters(),
+    depth=st.integers(1, 5),
+    budget=st.integers(1, 30),
+    temperature=st.sampled_from([1.0, 0.5, 0.0]),
+    data=st.data(),
+)
+def test_memo_hit_equals_a_fresh_growth(drafter, depth, budget, temperature, data):
+    size, window = drafter.vocab.size, drafter.window
+    topk = data.draw(st.integers(1, size), label="topk")
+    token = st.integers(0, size - 1)
+    tail = tuple(data.draw(st.lists(token, min_size=window, max_size=window), label="tail"))
+    first = tuple(data.draw(st.lists(token, max_size=3), label="first")) + tail
+    second = tuple(data.draw(st.lists(token, min_size=1, max_size=3), label="second")) + tail
+
+    memo = drafter.fork()
+    draft_tree(memo, first, depth, topk, budget, temperature)
+    assert len(memo._trees) == 1
+    hit_calls = _recorded(memo)
+    hit_meter = PassMeter(memo)
+    hit = draft_tree(memo, second, depth, topk, budget, temperature)
+    assert len(memo._trees) == 1
+
+    fresh = _unmemoised(drafter)
+    miss_calls = _recorded(fresh)
+    miss_meter = PassMeter(fresh)
+    miss = draft_tree(fresh, second, depth, topk, budget, temperature)
+
+    assert hit.ctx == miss.ctx == second
+    assert hit.nodes == miss.nodes  # exact floats, same order
+    assert np.array_equal(hit.mask, miss.mask)
+    assert [hit.path_tokens(i) for i in range(len(hit))] == [
+        miss.path_tokens(i) for i in range(len(miss))
+    ]
+    assert hit_meter.passes() == miss_meter.passes() == (depth, 0, 0)
+    assert hit_calls == miss_calls
+    hit.validate()
+
+    # Any other context, whatever its tail, gets the tree grown afresh.
+    other = tuple(data.draw(st.lists(token, max_size=window + 2), label="other"))
+    got = draft_tree(memo, other, depth, topk, budget, temperature)
+    want = draft_tree(_unmemoised(drafter), other, depth, topk, budget, temperature)
+    assert got.nodes == want.nodes and got.ctx == other
+
+
+def test_memo_is_shared_across_forks_and_keyed_by_window_tail():
+    model = _last_token_model()  # window 1
+    twin = model.fork()
+    first = draft_tree(model, (2, 0), depth=3, branch_topk=2, budget=5)
+    assert twin._trees is model._trees and len(model._trees) == 1
+    again = draft_tree(twin, (1, 1, 0), depth=3, branch_topk=2, budget=5)
+    assert len(model._trees) == 1  # same tail, same shape: a hit from the fork
+    assert again.nodes is first.nodes and again.ctx == (1, 1, 0)
+    assert twin.invocation_count == model.invocation_count == 3
+    for ctx in [(0,), (2, 0), (1, 1, 0)] * 2:  # repeats add no entry
+        draft_tree(model, ctx, depth=3, branch_topk=2, budget=5)
+    assert len(model._trees) == 1
+    draft_tree(model, (1,), depth=3, branch_topk=2, budget=5)
+    draft_tree(model, (1,), depth=2, branch_topk=2, budget=5)
+    draft_tree(model, (1,), depth=2, branch_topk=2, budget=5, temperature=0.0)
+    assert len(model._trees) == 4  # one per tail and shape
+
+
+class _ParityModel(ModelOracle):
+    """Reads the whole context: the row depends on its length's parity."""
+
+    kind = "parity"
+
+    def _dist(self, ctx):
+        return Distribution([0.7, 0.3] if len(ctx) % 2 else [0.2, 0.8])
+
+
+def test_drafter_without_a_window_is_not_memoised():
+    model = _ParityModel(Vocabulary(2))
+    assert model.window is None
+    odd = draft_tree(model, (1,), depth=2, branch_topk=1, budget=2)
+    even = draft_tree(model, (0, 1), depth=2, branch_topk=1, budget=2)
+    assert not model._trees
+    assert [n.token for n in odd.nodes] != [n.token for n in even.nodes]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Oracle behavior: table lookup, n-gram training/backoff, mixtures, JSON."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispec.core import Distribution, Vocabulary
 from trispec.models import (
@@ -89,9 +92,64 @@ def test_train_ngram_errors():
     with pytest.raises(ValueError):
         train_ngram([0, 5, 1], NGramSpec(order=2), AB)  # token 5 out of vocab
     with pytest.raises(ValueError):
+        train_ngram([0, -1, 1], NGramSpec(order=2), AB)
+    with pytest.raises(ValueError):
+        train_ngram([0, 2**70, 1], NGramSpec(order=2), AB)
+    with pytest.raises(ValueError):
         NGramSpec(order=0)
     with pytest.raises(ValueError):
         NGramSpec(order=2, alpha=-0.1)
+
+
+def _reference_counts(corpus, order):
+    """The original position-by-position counting loop, kept as an oracle."""
+    tokens = tuple(int(t) for t in corpus)
+    counts = {}
+    for j in range(1, order + 1):
+        table = {}
+        for i in range(len(tokens) - j + 1):
+            row = table.setdefault(tokens[i : i + j - 1], {})
+            nxt = tokens[i + j - 1]
+            row[nxt] = row.get(nxt, 0) + 1
+        counts[j] = table
+    return counts
+
+
+def _reference_fingerprint(corpus, order, alpha):
+    header = f"ngram|order={order}|alpha={alpha!r}|n={len(corpus)}|".encode()
+    return hashlib.sha256(header + np.asarray(corpus, dtype=np.uint32).tobytes()).hexdigest()
+
+
+@st.composite
+def _corpora(draw):
+    """Corpora over V 2-300, often skewed to a few tokens so that long
+    contexts repeat, with orders up to 8 and up to the corpus length."""
+    size = draw(st.integers(2, 300))
+    common = draw(st.integers(1, size))
+    token = st.one_of(st.integers(0, common - 1), st.integers(0, size - 1))
+    corpus = draw(st.lists(token, min_size=1, max_size=400))
+    order = draw(st.integers(1, min(8, len(corpus))))
+    return size, corpus, order
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_corpora())
+def test_train_ngram_matches_the_counting_loop(case):
+    size, corpus, order = case
+    model = train_ngram(corpus, NGramSpec(order=order, alpha=0.1), Vocabulary(size))
+    want = _reference_counts(corpus, order)
+    assert model._counts == want
+    for table in model._counts.values():  # plain ints, as the JSON file needs
+        assert all(type(t) is int and type(c) is int for row in table.values() for t, c in row.items())
+    assert model.spec.fingerprint == _reference_fingerprint(corpus, order, 0.1)
+
+
+def test_train_ngram_matches_the_counting_loop_on_the_bundled_corpus(ref_family):
+    train = ref_family.train_tokens
+    for order in (1, 4, 6):
+        model = train_ngram(train, NGramSpec(order=order), ref_family.vocab)
+        assert model._counts == _reference_counts(train, order)
+        assert model.spec.fingerprint == _reference_fingerprint(train, order, 0.1)
 
 
 def test_ngram_counts_must_cover_all_orders():
