@@ -84,9 +84,10 @@ class Distribution:
 
     ``np.asarray(dist)`` is its probability vector, so a list of
     distributions reads as a block of rows wherever a block is expected.
+    Its argmax is computed on first use and kept.
     """
 
-    __slots__ = ("probs",)
+    __slots__ = ("probs", "_best")
 
     def __init__(self, probs: Sequence[float] | np.ndarray) -> None:
         arr = np.array(probs, dtype=np.float64, copy=True)
@@ -95,6 +96,7 @@ class Distribution:
         check_rows(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "_best", None)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.probs, dtype=dtype, copy=copy)
@@ -109,8 +111,12 @@ class Distribution:
         return float(self.probs[token])
 
     def argmax(self) -> int:
-        # argmax returns the first maximum: lowest index wins ties.
-        return int(self.probs.argmax())
+        best = self._best
+        if best is None:
+            # argmax returns the first maximum: lowest index wins ties.
+            best = int(self.probs.argmax())
+            object.__setattr__(self, "_best", best)
+        return best
 
     def __repr__(self) -> str:
         return f"Distribution({np.array2string(self.probs, precision=4)})"
@@ -229,6 +235,8 @@ class RandomStream:
     mapping is stable across platforms and processes (the label is folded
     into the seed via SHA-256, the generator is numpy PCG64). ``draws``
     counts consumed uniforms, which lets tests verify stopping-time claims.
+    The generator is seeded on the first draw, so a stream that is never
+    drawn from (every greedy decode) costs no generator.
     """
 
     __slots__ = ("seed", "label", "draws", "_gen")
@@ -240,12 +248,15 @@ class RandomStream:
         self.seed = seed
         self.label = label
         self.draws = 0
-        entropy = [seed & 0xFFFFFFFFFFFFFFFF, *_label_entropy(label)]
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        self._gen: np.random.Generator | None = None
 
     def uniform(self) -> float:
+        gen = self._gen
+        if gen is None:
+            entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, *_label_entropy(self.label)]
+            gen = self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         self.draws += 1
-        return float(self._gen.random())
+        return float(gen.random())
 
     def derive(self, label: str) -> "RandomStream":
         child = f"{self.label}/{label}" if self.label else label

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Distribution, RandomStream, apply_temperature, sample, shape_rows
+from .core import Distribution, RandomStream, apply_temperature, one_hot, sample, shape_rows
 from .models import ModelOracle
 
 __all__ = [
@@ -71,17 +71,23 @@ def draft_chain(
 ) -> DraftChain:
     """Sample a k-token draft block autoregressively; k drafter passes.
 
-    At temperature 0 each token is the raw argmax and no uniform is drawn.
+    At temperature 0 each token is the raw argmax, recorded with its
+    one-hot, and no uniform is drawn.
     """
     if k < 1:
         raise ValueError("draft length k must be >= 1")
-    base = tuple(ctx)
+    base = drafter._tail(ctx)  # each pass reads only the window anyway
     tokens: list[int] = []
     dists: list[Distribution] = []
     for _ in range(k):
         raw = drafter.next_dist(base + tuple(tokens))
-        shaped = apply_temperature(raw, temperature)
-        tokens.append(raw.argmax() if temperature == 0.0 else sample(shaped, stream))
+        if temperature == 0.0:
+            token = raw.argmax()
+            shaped = one_hot(len(raw), token)
+        else:
+            shaped = apply_temperature(raw, temperature)
+            token = sample(shaped, stream)
+        tokens.append(token)
         dists.append(shaped)
     return DraftChain(tuple(tokens), tuple(dists))
 

@@ -374,8 +374,10 @@ def derive_prompts(
 ) -> list[tuple[int, ...]]:
     """Prompt prefixes from held-out lines, split at ``prompt_fraction``.
 
-    Falls back to fixed-stride chunks when the held-out stream has no
-    usable line structure.
+    The first ``num_prompts`` lines of at least ``min_len`` tokens are used,
+    and the stream is read no further than the last of them. Falls back to
+    fixed-stride chunks when the held-out stream has no usable line
+    structure.
     """
     newline_id: int | None = None
     if tokenizer == "byte":
@@ -383,17 +385,17 @@ def derive_prompts(
     elif vocab.symbols and "\n" in vocab.symbols:
         newline_id = vocab.symbols.index("\n")
 
-    lines: list[list[int]] = []
+    lines: list[Sequence[int]] = []
     if newline_id is not None:
-        cur: list[int] = []
-        for tok in held:
-            if tok == newline_id:
-                lines.append(cur)
-                cur = []
-            else:
-                cur.append(tok)
-        lines.append(cur)
-    lines = [line for line in lines if len(line) >= min_len]
+        start = 0
+        while start <= len(held) and len(lines) < num_prompts:
+            try:
+                stop = held.index(newline_id, start)
+            except ValueError:
+                stop = len(held)
+            if stop - start >= min_len:
+                lines.append(held[start:stop])
+            start = stop + 1
 
     if len(lines) < num_prompts:
         chunk = max(min_len, len(held) // (num_prompts + 1))

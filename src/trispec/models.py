@@ -16,7 +16,10 @@ source for target-call accounting downstream. A batched call returns one
 read-only ``(positions, V)`` block, a row per scored position.
 
 Each oracle reads only its ``window`` of most recent context tokens, so
-every pass trims the committed context to that window once.
+every pass trims the committed context to that window once. From there it
+walks window states: every tail with the same key (``_key``) has the same
+row, so a state is computed, validated and stored once, on first use, and
+the state after each next token is filled in as it is first asked for.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, Vocabulary, check_rows
+from .core import Distribution, Vocabulary
 
 __all__ = [
     "CorpusTooShortError",
@@ -84,6 +87,42 @@ class ProxyDerivation:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
 
 
+class _States:
+    """An oracle's window states, each added on first use.
+
+    State ``s`` holds ``keys[s]``, its row ``table[s]`` (validated once, as
+    the ``Distribution`` ``dists[s]``, when the state is added) and
+    ``step[s]``, which maps each token asked for so far to the state after
+    it. ``of_tail`` and ``of_key`` find a state from a window tail or a key.
+    """
+
+    __slots__ = ("of_tail", "of_key", "keys", "dists", "step", "table")
+
+    def __init__(self, vocab_size: int) -> None:
+        self.of_tail: dict[tuple[int, ...], int] = {}
+        self.of_key: dict[tuple[int, ...], int] = {}
+        self.keys: list[tuple[int, ...]] = []
+        self.dists: list[Distribution] = []
+        self.step: list[dict[int, int]] = []
+        self.table = np.empty((16, vocab_size))
+        self.table.setflags(write=False)
+
+    def add(self, key: tuple[int, ...], dist: Distribution) -> int:
+        s = len(self.keys)
+        if s == len(self.table):
+            grown = np.empty((2 * s, self.table.shape[1]))
+            grown[:s] = self.table
+            self.table = grown
+        self.table.setflags(write=True)
+        self.table[s] = dist.probs
+        self.table.setflags(write=False)
+        self.of_key[key] = s
+        self.keys.append(key)
+        self.dists.append(dist)
+        self.step.append({})
+        return s
+
+
 class ModelOracle:
     """Base class: deterministic context -> next-token distribution."""
 
@@ -93,9 +132,12 @@ class ModelOracle:
         self.vocab = vocab
         self._passes = 0
         # How many trailing context tokens the oracle reads; None is all.
+        # Every oracle in the package has a finite window: with None, each
+        # distinct whole context is a state, so the table grows per context.
         self.window: int | None = None
-        # Draft trees by window tail and shape, kept by ``draft_tree``;
-        # fork() shares it, as it shares every table.
+        # Window states and draft trees by window tail and shape (kept by
+        # ``draft_tree``); fork() shares both, as it shares every table.
+        self._states = _States(vocab.size)
         self._trees: dict[tuple, tuple] = {}
 
     @property
@@ -110,24 +152,42 @@ class ModelOracle:
     def _dist(self, ctx: tuple[int, ...]) -> Distribution:
         raise NotImplementedError
 
-    def _block(self, ctxs: list[tuple[int, ...]]) -> np.ndarray:
-        """One row per context; subclasses may build the block at once."""
-        return np.array([self._dist(c).probs for c in ctxs])
-
     def _tail(self, ctx: Sequence[int]) -> tuple[int, ...]:
         w = self.window
         return tuple(ctx if w is None or len(ctx) <= w else ctx[len(ctx) - w :])
 
-    def _rows(self, ctx: Sequence[int], paths: Sequence[Sequence[int]]) -> np.ndarray:
-        base = self._tail(ctx)
-        block = self._block([base + tuple(p) for p in paths])
+    def _key(self, tail: tuple[int, ...]) -> tuple[int, ...]:
+        """The state key of a window tail: tails of one key share a row, and
+        the key plus a token has the same next state as the tail plus it."""
+        return tail
+
+    def _state(self, tail: tuple[int, ...]) -> int:
+        states = self._states
+        s = states.of_tail.get(tail)
+        if s is None:
+            key = self._key(tail)
+            s = states.of_key.get(key)
+            if s is None:
+                s = states.add(key, self._dist(key))
+            states.of_tail[tail] = s
+        return s
+
+    def _fill(self, s: int, token: int) -> int:
+        """Fill in and return the state after state ``s`` and ``token``."""
+        states = self._states
+        nxt = self._state(self._tail(states.keys[s] + (token,)))
+        states.step[s][token] = nxt
+        return nxt
+
+    def _gather(self, states: list[int]) -> np.ndarray:
+        block = self._states.table[states]
         block.setflags(write=False)
         return block
 
     def next_dist(self, ctx: Sequence[int]) -> Distribution:
         """Score one position. One forward pass."""
         self._passes += 1
-        return self._dist(self._tail(ctx))
+        return self._states.dists[self._state(self._tail(ctx))]
 
     def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> np.ndarray:
         """Score positions 1..k+1 of a drafted block in one forward pass.
@@ -138,8 +198,14 @@ class ModelOracle:
         would return for that prefix.
         """
         self._passes += 1
-        drafted = tuple(drafted)
-        return self._rows(ctx, [drafted[:i] for i in range(len(drafted) + 1)])
+        step = self._states.step
+        s = self._state(self._tail(ctx))
+        walked = [s]
+        for t in drafted:
+            nxt = step[s].get(t)
+            s = self._fill(s, t) if nxt is None else nxt
+            walked.append(s)
+        return self._gather(walked)
 
     def batch_score_paths(
         self, ctx: Sequence[int], paths: Sequence[tuple[int, ...]]
@@ -150,7 +216,16 @@ class ModelOracle:
         conditioned on ``ctx + path``, a single counter bump for all.
         """
         self._passes += 1
-        return self._rows(ctx, paths)
+        step = self._states.step
+        root = self._state(self._tail(ctx))
+        ends = []
+        for path in paths:
+            s = root
+            for t in path:
+                nxt = step[s].get(t)
+                s = self._fill(s, t) if nxt is None else nxt
+            ends.append(s)
+        return self._gather(ends)
 
     def fork(self) -> "ModelOracle":
         """A view sharing this oracle's tables but with a fresh counter."""
@@ -246,7 +321,9 @@ class NgramModel(ModelOracle):
             j: {ctx: sum(table.values()) for ctx, table in counts[j].items()}
             for j in counts
         }
-        self._memo: dict[tuple[int, ...], Distribution] = {}
+        for j in range(2, spec.order + 1):
+            if any(ctx[:-1] not in counts[j - 1] for ctx in counts[j]):
+                raise ValueError(f"order-{j} contexts are not prefix-closed")
         self.window = spec.order - 1
 
     @property
@@ -268,25 +345,20 @@ class NgramModel(ModelOracle):
             weights[token] += count
         return Distribution(weights / (total + self.spec.alpha * self.vocab.size))
 
+    def _key(self, tail: tuple[int, ...]) -> tuple[int, ...]:
+        """The backoff key: the longest suffix of ``tail``, at most
+        ``order - 1`` tokens, seen as a context in training. Seen contexts
+        are prefix-closed, so the key plus a token backs off to the same
+        key as the tail plus it."""
+        for n in range(min(len(tail), self.window), 0, -1):
+            key = tail[len(tail) - n :]
+            if key in self._counts[n + 1]:
+                return key
+        return ()
+
     def _dist(self, ctx: tuple[int, ...]) -> Distribution:
-        w = self.window
-        tail = ctx[len(ctx) - w :] if len(ctx) > w else ctx
-        hit = self._memo.get(tail)
-        if hit is not None:
-            return hit
-        dist = None
-        for j in range(self.order, 0, -1):
-            need = j - 1
-            if len(tail) < need:
-                continue
-            key = tail[len(tail) - need :] if need else ()
-            if key in self._counts[j]:
-                dist = self._smoothed(key, j)
-                break
-        if dist is None:  # pragma: no cover - unigram row always exists
-            raise AssertionError("n-gram backoff fell through the unigram")
-        self._memo[tail] = dist
-        return dist
+        key = self._key(ctx)
+        return self._smoothed(key, len(key) + 1)
 
 
 class MixtureProxy(ModelOracle):
@@ -312,13 +384,11 @@ class MixtureProxy(ModelOracle):
         eps = self.deriv.epsilon
         return (1.0 - eps) * base_probs + eps * self.noise.probs
 
+    def _key(self, tail: tuple[int, ...]) -> tuple[int, ...]:
+        return self.base._key(tail)
+
     def _dist(self, ctx: tuple[int, ...]) -> Distribution:
         return Distribution(self._mix(self.base._dist(ctx).probs))
-
-    def _block(self, ctxs: list[tuple[int, ...]]) -> np.ndarray:
-        mixed = self._mix(self.base._block(ctxs))
-        check_rows(mixed)
-        return mixed
 
 
 def _fingerprint(corpus: Sequence[int], order: int, alpha: float) -> str:

@@ -182,18 +182,20 @@ def acceptance_coins(
 
     ``verifier_rows`` is the verifier's block as ``shape_rows`` leaves it:
     shaped like the draft's stored distributions, raw at temperature 0,
-    where the test is exact argmax agreement and no uniforms are consumed;
+    where the test is exact argmax agreement (the argmaxes of all k rows
+    taken at once) and no uniforms are consumed;
     otherwise one uniform is drawn per examined position. ``decide(i,
     token)``, when given, rules on a position first: True or False is
     final, None defers to the test.
     """
     rows = np.asarray(verifier_rows)
+    best = rows[: draft.k].argmax(axis=1).tolist() if temperature == 0.0 else None
     coins: list[int] = []
     for i, token in enumerate(draft.tokens):
         accept = None if decide is None else decide(i, token)
         if accept is None:
-            if temperature == 0.0:
-                accept = rows[i].argmax() == token
+            if best is not None:
+                accept = best[i] == token
             else:
                 ratio = min(1.0, float(rows[i, token]) / draft.dists[i].prob(token))
                 accept = coin_stream.uniform() < ratio

@@ -225,3 +225,42 @@ def test_random_stream_uniform_range():
     for _ in range(100):
         u = stream.uniform()
         assert 0.0 <= u < 1.0
+
+
+def _eager_uniforms(seed, label, n):
+    """The stream's sequence from a generator seeded up front, as the
+    stream itself once did: the seed, then the label's SHA-256 words."""
+    import hashlib
+
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    entropy = [seed & 0xFFFFFFFFFFFFFFFF, *words]
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return [float(gen.random()) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**70),
+    label=st.text(max_size=12),
+    child=st.one_of(st.none(), st.text(min_size=1, max_size=6)),
+    n=st.integers(1, 6),
+)
+def test_lazy_stream_draws_equal_an_eager_generator(seed, label, child, n):
+    stream = RandomStream(seed, label)
+    if child is not None:
+        stream = stream.derive(child)
+    assert (stream.seed, stream.draws) == (seed, 0)
+    assert [stream.uniform() for _ in range(n)] == _eager_uniforms(seed, stream.label, n)
+    assert stream.draws == n
+
+
+def test_stream_seeds_its_generator_on_the_first_draw(monkeypatch):
+    made = []
+    pcg = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg(*a))
+    stream = RandomStream(5, "coins").derive("proxy")
+    assert not made and repr(stream) == "RandomStream(seed=5, label='coins/proxy', draws=0)"
+    stream.uniform()
+    stream.uniform()
+    assert len(made) == 1 and stream.draws == 2

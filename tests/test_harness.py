@@ -209,6 +209,73 @@ def test_prompts_error_when_corpus_is_too_small():
         derive_prompts([1] * 10, Vocabulary(4), "char", 5, 0.5)
 
 
+def _full_scan_prompts(held, vocab, tokenizer, num_prompts, prompt_fraction, min_len=8):
+    """``derive_prompts`` as it was when it split the whole stream into
+    lines before taking the first ``num_prompts`` usable ones."""
+    newline_id = None
+    if tokenizer == "byte":
+        newline_id = 0x0A
+    elif vocab.symbols and "\n" in vocab.symbols:
+        newline_id = vocab.symbols.index("\n")
+    lines = []
+    if newline_id is not None:
+        cur = []
+        for tok in held:
+            if tok == newline_id:
+                lines.append(cur)
+                cur = []
+            else:
+                cur.append(tok)
+        lines.append(cur)
+    lines = [line for line in lines if len(line) >= min_len]
+    if len(lines) < num_prompts:
+        chunk = max(min_len, len(held) // (num_prompts + 1))
+        lines = [list(held[i : i + chunk]) for i in range(0, len(held) - chunk, chunk)]
+        lines = [line for line in lines if len(line) >= min_len]
+    if len(lines) < num_prompts:
+        raise ConfigError("held-out corpus too small to derive the requested prompts")
+    return [tuple(line[: max(1, int(len(line) * prompt_fraction))]) for line in lines[:num_prompts]]
+
+
+@st.composite
+def _held_streams(draw):
+    """Streams over 4 symbols, token 0 the newline unless the vocabulary
+    has none, of short and long lines with or without a final newline."""
+    from trispec.core import Vocabulary
+
+    symbols = draw(st.sampled_from([("\n", "a", "b", "c"), None]))
+    lines = draw(st.lists(st.lists(st.integers(1, 3), max_size=14), max_size=12))
+    held = []
+    for line in lines:
+        held += line + [0]
+    if held and draw(st.booleans()):
+        held.pop()  # no newline at the end
+    held += draw(st.lists(st.integers(0, 3), max_size=30))
+    return held, Vocabulary(4, symbols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    case=_held_streams(),
+    tokenizer=st.sampled_from(["char", "byte"]),
+    num_prompts=st.integers(1, 6),
+    min_len=st.integers(1, 9),
+    fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+def test_prompts_equal_the_full_scan_of_the_stream(
+    case, tokenizer, num_prompts, min_len, fraction
+):
+    held, vocab = case
+    args = (held, vocab, tokenizer, num_prompts, fraction, min_len)
+    try:
+        want = _full_scan_prompts(*args)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            derive_prompts(*args)
+        return
+    assert derive_prompts(*args) == want
+
+
 def test_margin_eval_contexts_spacing():
     tokens = list(range(100))
     ctxs = margin_eval_contexts(tokens, positions=10, window=8)
@@ -315,6 +382,42 @@ def test_model_dir_mixture_base_fingerprint_is_checked(ref_family, tmp_path):
     # the same mixture over the real target loads
     save_oracle(derive_proxy(ref_family.target, ProxyDerivation(0.3)), tmp_path / "proxy.json")
     assert isinstance(build_family(ExperimentConfig(model_dir=str(tmp_path))).proxy, MixtureProxy)
+
+
+def test_model_dir_counts_must_be_prefix_closed(ref_family, tmp_path):
+    import json
+
+    for role in ("drafter", "proxy", "target"):
+        save_oracle(getattr(ref_family, role), tmp_path / f"{role}.json")
+    path = tmp_path / "target.json"
+    doc = json.loads(path.read_text())
+    counts = doc["model"]["counts"]
+    orphan = next(iter(counts["3"])).rsplit(",", 1)[0]  # an order-2 context a longer one extends
+    del counts["2"][orphan]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="not prefix-closed"):
+        build_family(ExperimentConfig(model_dir=str(tmp_path)))
+
+
+@pytest.mark.parametrize(
+    "method, use_tree",
+    [("target_only", False), ("sd", False), ("relax", False), ("trispec", False),
+     ("sd", True), ("trispec", True)],
+)
+def test_a_greedy_run_seeds_no_generator(ref_family, monkeypatch, method, use_tree):
+    import numpy as np
+
+    made = []
+    pcg = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg(*a))
+    cfg = ExperimentConfig(
+        method=method, use_tree=use_tree, temperature=0.0, max_new_tokens=12, num_prompts=2
+    )
+    run_experiment(cfg, ref_family)
+    assert not made
+    if not use_tree:  # the same run sampled does seed its generators
+        run_experiment(replace(cfg, temperature=1.0), ref_family)
+        assert made
 
 
 # ---------------------------------------------------------------------------

@@ -332,3 +332,131 @@ def test_load_rejects_foreign_and_versioned_files(tmp_path):
     future.write_text(json.dumps({"format": "trispec-model", "version": 99, "model": {}}))
     with pytest.raises(ValueError):
         load_oracle(future)
+
+
+# ---------------------------------------------------------------------------
+# window states: every pass against the generic per-context ``_dist``
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _state_oracles(draw):
+    """A table (keys of any length, not prefix-closed), an n-gram of order
+    1-5 with alpha 0 or not, or a mixture over either."""
+    size = draw(st.integers(2, 5))
+    vocab = Vocabulary(size)
+    token = st.integers(0, size - 1)
+    row = st.lists(st.integers(0, 5), min_size=size, max_size=size).filter(any).map(
+        lambda w: Distribution(np.array(w, float) / sum(w))
+    )
+    kind = draw(st.sampled_from(["table", "ngram", "mixture-table", "mixture-ngram"]))
+    if kind.endswith("table"):
+        keys = draw(st.lists(st.lists(token, max_size=4).map(tuple), max_size=8, unique=True))
+        oracle = TableModel(vocab, {key: draw(row) for key in keys}, default=draw(row))
+    else:
+        corpus = draw(st.lists(token, min_size=5, max_size=60))
+        spec = NGramSpec(draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 0.1, 1.0])))
+        oracle = train_ngram(corpus, spec, vocab)
+    if kind.startswith("mixture"):
+        oracle = MixtureProxy(oracle, ProxyDerivation(draw(st.floats(0.0, 1.0))), draw(row))
+    return oracle
+
+
+def _backoff_row(oracle, ctx):
+    """An n-gram row by the backoff loop the oracle ran per context before
+    it had states (a mixture mixes its base's); other oracles' ``_dist``."""
+    if isinstance(oracle, MixtureProxy):
+        return oracle._mix(_backoff_row(oracle.base, ctx))
+    if not isinstance(oracle, NgramModel):
+        return oracle._dist(ctx).probs
+    for j in range(oracle.order, 0, -1):
+        if len(ctx) >= j - 1:
+            key = ctx[len(ctx) - (j - 1) :] if j > 1 else ()
+            if key in oracle._counts[j]:
+                return oracle._smoothed(key, j).probs
+    raise AssertionError("no unigram row")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(oracle=_state_oracles(), data=st.data())
+def test_every_pass_equals_the_dist_of_each_untrimmed_context(oracle, data):
+    def row(ctx):
+        want = oracle._dist(ctx).probs
+        assert np.array_equal(want, _backoff_row(oracle, ctx))
+        return want
+
+    # ids outside the vocabulary too: a state steps on them as _dist reads them
+    token = st.integers(-1, oracle.vocab_size)
+    window = oracle.window
+    scorer, twin = oracle.fork(), oracle.fork()
+    assert scorer._states is oracle._states is twin._states
+    calls = data.draw(st.integers(1, 12), label="calls")
+    for call in range(calls):
+        # contexts shorter and longer than the window, from whichever fork
+        ctx = tuple(data.draw(st.lists(token, max_size=window + 3), label="ctx"))
+        kind = data.draw(st.sampled_from(["next_dist", "batch_score", "batch_score_paths"]))
+        who = data.draw(st.sampled_from([scorer, twin]), label="fork")
+        before = who.invocation_count
+        if kind == "next_dist":
+            got = who.next_dist(ctx)
+            assert np.array_equal(got.probs, row(ctx))
+        elif kind == "batch_score":
+            drafted = tuple(data.draw(st.lists(token, max_size=7), label="drafted"))
+            block = who.batch_score(ctx, drafted)
+            want = [row(ctx + drafted[:i]) for i in range(len(drafted) + 1)]
+            assert block.dtype == np.float64 and not block.flags.writeable
+            assert np.array_equal(block, np.array(want))
+        else:
+            paths = data.draw(
+                st.lists(st.lists(token, max_size=6).map(tuple), min_size=1, max_size=6),
+                label="paths",
+            )
+            rows = who.batch_score_paths(ctx, paths)
+            assert not rows.flags.writeable
+            assert np.array_equal(rows, np.array([row(ctx + p) for p in paths]))
+        assert who.invocation_count == before + 1
+    assert scorer.invocation_count + twin.invocation_count == calls
+    assert oracle.invocation_count == 0
+
+    states = oracle._states
+    assert len(states.keys) == len(states.of_key) == len(states.dists) <= len(states.table)
+    for s, (key, dist) in enumerate(zip(states.keys, states.dists)):
+        assert states.of_key[key] == s and np.array_equal(states.table[s], dist.probs)
+    base = oracle.base if isinstance(oracle, MixtureProxy) else oracle
+    if isinstance(base, NgramModel):  # one state per seen context, at most
+        assert all(key in base._counts[len(key) + 1] for key in states.keys)
+
+
+def test_states_are_filled_on_first_use_and_shared_by_forks():
+    model = train_ngram([0, 1, 1, 0, 1, 1, 0], NGramSpec(order=3), AB)
+    assert not model._states.keys  # nothing is compiled up front
+    twin = model.fork()
+    twin.batch_score((0, 0, 0), [1, 1])
+    # the context (0, 0) was never seen: the tail backs off to (0,)
+    assert model._states.keys == [(0,), (0, 1), (1, 1)]
+    assert model._states.step[0][1] == 1 and model._states.step[1][1] == 2
+    assert 0 not in model._states.step[0]  # never asked for
+    assert model.invocation_count == 0 and twin.invocation_count == 1
+    model.next_dist((1, 1))
+    assert len(model._states.keys) == 3  # a hit from the other fork
+
+
+def test_a_broken_mixture_row_raises_and_adds_no_state():
+    base = TableModel(
+        Vocabulary(2), {(1,): Distribution([0.2, 0.8])}, default=Distribution([0.5, 0.5])
+    )
+    mix = MixtureProxy(base, ProxyDerivation(0.5), Distribution([0.5, 0.5]))
+    ok = mix.batch_score((0,), ())
+    object.__setattr__(mix.noise, "probs", np.array([0.9, 0.9]))  # new rows sum to 1.4
+    with pytest.raises(ValueError, match="sums to"):
+        mix.batch_score((0,), (1,))
+    assert mix._states.keys == [(0,)] and not mix._states.step[0]
+    assert np.array_equal(mix.batch_score((0,), ()), ok)  # a known state still reads
+
+
+def test_ngram_counts_must_be_prefix_closed():
+    counts = {1: {(): {0: 2, 1: 1}}, 2: {(0,): {1: 1}}, 3: {(1, 0): {1: 1}}}
+    with pytest.raises(ValueError, match="order-3 contexts are not prefix-closed"):
+        NgramModel(AB, NGramSpec(order=3), counts)
+    counts[2][(1,)] = {0: 1}
+    assert NgramModel(AB, NGramSpec(order=3), counts).next_dist((1, 0)).prob(1) > 0.5

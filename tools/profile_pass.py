@@ -3,9 +3,10 @@
     python tools/profile_pass.py --workload greedy-chain --seed 1 [--sort cumtime]
 
 Run it from the repository root. It sets the workload up as the benchmark
-does, runs one untimed pass to warm the n-gram memo tables, then profiles
-one more pass of every request (``run_experiment`` plus writing
-``report.json`` and ``trace.csv``) and prints the top functions. The
+does, runs one untimed pass to fill the oracles' state tables and the
+drafter's tree memo, then profiles one more pass of every request
+(``run_experiment`` plus writing ``report.json`` and ``trace.csv``) and
+prints the top functions. The
 benchmark code under ``perfbench/`` is imported, never changed, and every
 file a request writes goes to a temporary directory that is removed
 afterwards.
@@ -54,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         bench.set_up(keep=True)
         if workload.base_config().temperature != 0.0:
             bench.sentinel_references()
-        bench.run_pass(timed=False)  # warms the memo tables and checks every request
+        bench.run_pass(timed=False)  # fills the state tables and checks every request
         if bench.problems:
             for problem in bench.problems[:20]:
                 print(problem, file=sys.stderr)
