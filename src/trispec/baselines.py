@@ -8,8 +8,8 @@ ternary routing.
 
 All decision rules here are pure functions of distributions, so any run
 built from them is fully deterministic at temperature 0. Each takes a
-``Distribution`` or a probability row; the trust signals also take a whole
-block and answer for every row. Asymmetry worth
+probability row; the trust signals also take a whole block and answer for
+every row. Asymmetry worth
 remembering: the Chow rule accepts at ``>=`` its threshold while the
 confidence filter requires strictly ``>``, so the two coincide on the
 argmax token at ``threshold = 1 - alpha`` except exactly at the boundary.
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, one_hot, sample, shape_rows
+from .core import apply_temperature, sample
 from .drafting import draft_chain
 from .models import ModelOracle, PassMeter
 from .verification import DecodeStreams, Round, RoundCase, acceptance_coins
@@ -40,33 +40,28 @@ __all__ = [
 ]
 
 
-Probs = Distribution | np.ndarray
-
-
-def chow_accept(draft_dist: Probs, token: int, alpha: float) -> bool:
+def chow_accept(draft_dist: np.ndarray, token: int, alpha: float) -> bool:
     """Accept when the drafter itself is confident: ``p_d(x) >= 1 - alpha``."""
-    return bool(np.asarray(draft_dist)[token] >= 1.0 - alpha)
+    return bool(draft_dist[token] >= 1.0 - alpha)
 
 
-def token_specific_accept(target_dist: Probs, token: int, alpha: float) -> bool:
+def token_specific_accept(target_dist: np.ndarray, token: int, alpha: float) -> bool:
     """Accept when the token is nearly target-optimal:
     ``p_t(x) >= (1 - alpha) * max(p_t)``. Ignores the drafter entirely."""
-    probs = np.asarray(target_dist)
-    return bool(probs[token] >= (1.0 - alpha) * probs.max())
+    return bool(target_dist[token] >= (1.0 - alpha) * target_dist.max())
 
 
-def confidence_filter_accept(draft_dist: Probs, threshold: float) -> bool:
+def confidence_filter_accept(draft_dist: np.ndarray, threshold: float) -> bool:
     """Accept when the drafter's peak clears the threshold, strictly."""
-    return bool(np.asarray(draft_dist).max() > threshold)
+    return bool(draft_dist.max() > threshold)
 
 
-def topk_verify_accept(target_dist: Probs, token: int, k: int) -> bool:
+def topk_verify_accept(target_dist: np.ndarray, token: int, k: int) -> bool:
     """Accept when the token sits among the target's k most probable tokens
     (ties resolved toward the lower index). k=1 is exactly greedy."""
     if k < 1:
         raise ValueError("top-k verification needs k >= 1")
-    probs = np.asarray(target_dist)
-    order = np.lexsort((np.arange(probs.size), -probs))
+    order = np.lexsort((np.arange(target_dist.size), -target_dist))
     return token in order[:k]
 
 
@@ -96,7 +91,7 @@ class RelaxPolicy:
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
-    def decide(self, draft_dist: Probs, target_dist: Probs, token: int) -> bool | None:
+    def decide(self, draft_dist: np.ndarray, target_dist: np.ndarray, token: int) -> bool | None:
         """True/False is final; None defers to the standard test."""
         if self.kind == "chow":
             return True if chow_accept(draft_dist, token, self.alpha) else None
@@ -109,7 +104,7 @@ class RelaxPolicy:
 
 @dataclass(frozen=True)
 class RoutingSignal:
-    """A trust gate over proxy distributions, pluggable into the router.
+    """A trust gate over proxy rows, pluggable into the router.
 
     ``top1_prob``: peak probability at least ``threshold``.
     ``composite_entropy``: normalized Shannon entropy (H / log V) at most
@@ -126,7 +121,7 @@ class RoutingSignal:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown routing signal {self.kind!r}; expected one of {self._KINDS}")
 
-    def trusted(self, probs: Probs) -> bool | np.ndarray:
+    def trusted(self, probs: np.ndarray) -> bool | np.ndarray:
         return routing_signal_eval(probs, self)
 
 
@@ -138,9 +133,8 @@ def _normalized_entropy(probs: np.ndarray) -> float | np.ndarray:
     return entropy.reshape(probs.shape[:-1]) if probs.ndim > 1 else entropy[0]
 
 
-def routing_signal_eval(probs: Probs, signal: RoutingSignal) -> bool | np.ndarray:
-    """Whether the signal trusts a distribution, or each row of a block."""
-    probs = np.asarray(probs)
+def routing_signal_eval(probs: np.ndarray, signal: RoutingSignal) -> bool | np.ndarray:
+    """Whether the signal trusts a row, or each row of a block."""
     if signal.kind == "top1_prob":
         return probs.max(axis=-1) >= signal.threshold
     return _normalized_entropy(probs) <= signal.threshold
@@ -166,14 +160,15 @@ def relaxed_sd_round(
     meter = PassMeter(drafter, target=target)
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
-    rows = shape_rows(target.batch_score(base, draft.tokens), temperature)
-    judged = rows
-    if temperature == 0.0:  # the rules judge the shaped law: the argmax one-hot
-        judged = [one_hot(rows.shape[1], i) for i in rows.argmax(axis=1).tolist()]
+    rows = apply_temperature(target.batch_score(base, draft.tokens), temperature)
+    drafted, judged = draft.dists, rows
+    if temperature == 0.0:  # the rules judge the shaped laws: the argmax one-hots
+        hot = np.eye(rows.shape[1])
+        drafted, judged = hot[draft.dists.argmax(axis=1)], hot[rows.argmax(axis=1)]
 
     coins, tau = acceptance_coins(
         draft, rows, temperature, streams.target_coins,
-        decide=lambda i, token: policy.decide(draft.dists[i], judged[i], token),
+        decide=lambda i, token: policy.decide(drafted[i], judged[i], token),
     )
     token = int(rows[tau].argmax()) if temperature == 0.0 else sample(rows[tau], streams.correction)
     return Round(

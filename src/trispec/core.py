@@ -4,12 +4,14 @@ Everything downstream (drafting, verification, routing, metrics) works on
 plain categorical distributions over a fixed token vocabulary. This module
 pins down the numeric conventions once:
 
-* distributions are float64 vectors, non-negative, summing to 1 within 1e-9;
-  a batched scoring pass yields a read-only block with one such row per
-  scored position, and the functions below read either form;
-* temperature acts on probabilities directly, ``p ** (1/T)`` renormalized,
-  with T=0 meaning exact argmax (lowest index wins ties); greedy decisions
-  take the raw argmax and never build the one-hot;
+* a distribution is a row: a float64 vector, non-negative, summing to 1
+  within 1e-9. A scoring pass yields a read-only block with one row per
+  scored position, and the functions below read a row or a block.
+  ``Distribution`` is only the checked type for rows that come from
+  outside the decode path (hand-built tables, model files);
+* temperature acts on probabilities directly, ``p ** (1/T)`` renormalized;
+  T=0 means exact argmax (lowest index wins ties), and greedy decisions
+  take the argmax of the raw rows, so no one-hot is ever built for them;
 * sampling is inverse-CDF over ascending token index and consumes exactly
   one uniform draw;
 * randomness comes from named streams addressed by (seed, label), so
@@ -19,7 +21,6 @@ pins down the numeric conventions once:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "AllZeroError",
-    "Context",
     "Distribution",
     "RandomStream",
     "Vocabulary",
@@ -80,14 +80,12 @@ def check_rows(probs: np.ndarray) -> None:
 
 
 class Distribution:
-    """An immutable categorical distribution over token ids.
+    """A checked, immutable probability row from outside the decode path.
 
-    ``np.asarray(dist)`` is its probability vector, so a list of
-    distributions reads as a block of rows wherever a block is expected.
-    Its argmax is computed on first use and kept.
+    ``probs`` is the read-only row; building one runs ``check_rows``.
     """
 
-    __slots__ = ("probs", "_best")
+    __slots__ = ("probs",)
 
     def __init__(self, probs: Sequence[float] | np.ndarray) -> None:
         arr = np.array(probs, dtype=np.float64, copy=True)
@@ -96,10 +94,6 @@ class Distribution:
         check_rows(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "_best", None)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.probs, dtype=dtype, copy=copy)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Distribution is immutable")
@@ -107,44 +101,12 @@ class Distribution:
     def __len__(self) -> int:
         return int(self.probs.size)
 
-    def prob(self, token: int) -> float:
-        return float(self.probs[token])
-
-    def argmax(self) -> int:
-        best = self._best
-        if best is None:
-            # argmax returns the first maximum: lowest index wins ties.
-            best = int(self.probs.argmax())
-            object.__setattr__(self, "_best", best)
-        return best
-
     def __repr__(self) -> str:
         return f"Distribution({np.array2string(self.probs, precision=4)})"
 
 
-class Context:
-    """Append-only sequence of committed tokens for one decode session."""
-
-    __slots__ = ("_tokens",)
-
-    def __init__(self, tokens: Iterable[int] = ()) -> None:
-        self._tokens = [int(t) for t in tokens]
-
-    def extend(self, tokens: Iterable[int]) -> None:
-        self._tokens.extend(int(t) for t in tokens)
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self._tokens)
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __getitem__(self, idx: int) -> int:
-        return self._tokens[idx]
-
-
-def normalize(weights: Sequence[float] | np.ndarray) -> Distribution:
-    """Scale a non-negative weight vector to a Distribution.
+def normalize(weights: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Scale a non-negative weight vector to a probability row.
 
     Raises AllZeroError when the vector carries no mass at all.
     """
@@ -156,37 +118,17 @@ def normalize(weights: Sequence[float] | np.ndarray) -> Distribution:
     total = float(arr.sum())
     if total <= 0.0:
         raise AllZeroError("cannot normalize an all-zero weight vector")
-    return Distribution(arr / total)
+    return arr / total
 
 
-@functools.lru_cache(maxsize=None)
-def one_hot(size: int, index: int) -> Distribution:
-    """The point mass on ``index``; one shared immutable copy per (size, index)."""
-    hot = np.zeros(size)
-    hot[index] = 1.0
-    return Distribution(hot)
+def apply_temperature(rows: np.ndarray, temperature: float) -> np.ndarray:
+    """Reshape a row, or every row of a block, as ``p ** (1/T)`` renormalized.
 
-
-def apply_temperature(dist: Distribution, temperature: float) -> Distribution:
-    """Reshape a distribution as ``p ** (1/T)`` renormalized.
-
-    T=1 returns ``dist`` unchanged; T=0 is the exact argmax one-hot (lowest
-    index on ties). Computed in log space so small temperatures do not
-    underflow; the argmax is preserved for every T > 0.
+    T=1 and T=0 return ``rows`` itself: greedy decisions read only the raw
+    argmax (lowest index on ties), which is the hot index of the argmax
+    one-hot. Computed in log space so small temperatures do not underflow;
+    the argmax is preserved for every T > 0.
     """
-    if temperature < 0.0:
-        raise ValueError("temperature must be >= 0")
-    if temperature == 1.0:
-        return dist
-    if temperature == 0.0:
-        return one_hot(len(dist), dist.argmax())
-    return Distribution(shape_rows(dist.probs, temperature))
-
-
-def shape_rows(rows: np.ndarray, temperature: float) -> np.ndarray:
-    """``apply_temperature`` for every row of a block (or one vector), bit
-    for bit, except that T=0 returns the raw rows: greedy decisions read
-    only their argmax, which is the one-hot's hot index."""
     if temperature < 0.0:
         raise ValueError("temperature must be >= 0")
     if temperature in (0.0, 1.0):
@@ -198,9 +140,9 @@ def shape_rows(rows: np.ndarray, temperature: float) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def sample(dist: Distribution | np.ndarray, stream: "RandomStream") -> int:
-    """Inverse-CDF draw over ascending token index; one uniform consumed."""
-    probs = np.asarray(dist)
+def sample(probs: np.ndarray, stream: "RandomStream") -> int:
+    """Inverse-CDF draw from a row over ascending token index; one uniform
+    consumed."""
     u = stream.uniform()
     cdf = probs.cumsum()
     idx = int(cdf.searchsorted(u, side="right"))
@@ -210,12 +152,11 @@ def sample(dist: Distribution | np.ndarray, stream: "RandomStream") -> int:
     return idx
 
 
-def top2_margin(probs: Distribution | np.ndarray) -> float | np.ndarray:
+def top2_margin(probs: np.ndarray) -> float | np.ndarray:
     """Gap between the largest and second-largest probability.
 
-    A float for one distribution; for a block, one margin per row.
+    A float for one row; for a block, one margin per row.
     """
-    probs = np.asarray(probs)
     if probs.shape[-1] < 2:
         return 0.0 if probs.ndim == 1 else np.zeros(probs.shape[:-1])
     top_pair = np.partition(probs, -2, axis=-1)[..., -2:]

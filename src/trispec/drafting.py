@@ -1,10 +1,11 @@
 """Draft proposal structures: linear chains and budgeted token trees.
 
 A draft chain is the classic speculative block: k tokens sampled
-autoregressively from the drafter, each recorded together with the exact
-(temperature-shaped) distribution it was sampled from, because the
-verification rule needs those probabilities later. A greedy chain takes
-each raw argmax and draws no uniform; it records the argmax one-hots.
+autoregressively from the drafter, recorded together with the exact
+(temperature-shaped) rows they were sampled from, as one read-only
+``(k, V)`` block, because the verification rule needs those probabilities
+later. A greedy chain takes each raw argmax, draws no uniform and records
+the raw rows, as a verifier's greedy block is raw.
 
 A draft tree generalizes the chain: every frontier node proposes its
 top-``branch_topk`` continuations, and the tree keeps the globally most
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Distribution, RandomStream, apply_temperature, one_hot, sample, shape_rows
+from .core import RandomStream, apply_temperature, sample
 from .models import ModelOracle
 
 __all__ = [
@@ -39,19 +40,25 @@ class PathNotInTreeError(ValueError):
     """Raised when a supposedly accepted path does not exist in the tree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DraftChain:
-    """k drafted tokens plus the shaped distributions they were drawn from."""
+    """k drafted tokens plus the ``(k, V)`` block of rows they were drawn
+    from, shaped as ``apply_temperature`` leaves them; kept read-only.
+    Chains compare and hash by identity, as an array field cannot."""
 
     tokens: tuple[int, ...]
-    dists: tuple[Distribution, ...]
+    dists: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.dists) or not self.tokens:
+        dists = np.asarray(self.dists, dtype=np.float64)
+        if dists.ndim != 2 or len(self.tokens) != len(dists) or not self.tokens:
             raise ValueError("chain needs one distribution per drafted token")
-        for tok, dist in zip(self.tokens, self.dists):
-            if dist.prob(tok) <= 0.0:
-                raise ValueError("drafted token has zero probability in its own dist")
+        if any(dists[i, tok] <= 0.0 for i, tok in enumerate(self.tokens)):
+            raise ValueError("drafted token has zero probability in its own dist")
+        if dists.flags.writeable:
+            dists = dists.copy()
+            dists.setflags(write=False)
+        object.__setattr__(self, "dists", dists)
 
     @property
     def k(self) -> int:
@@ -71,25 +78,25 @@ def draft_chain(
 ) -> DraftChain:
     """Sample a k-token draft block autoregressively; k drafter passes.
 
-    At temperature 0 each token is the raw argmax, recorded with its
-    one-hot, and no uniform is drawn.
+    At temperature 0 each token is the raw argmax, recorded with its raw
+    row, and no uniform is drawn.
     """
     if k < 1:
         raise ValueError("draft length k must be >= 1")
     base = drafter._tail(ctx)  # each pass reads only the window anyway
     tokens: list[int] = []
-    dists: list[Distribution] = []
+    rows: list[np.ndarray] = []
     for _ in range(k):
-        raw = drafter.next_dist(base + tuple(tokens))
-        if temperature == 0.0:
-            token = raw.argmax()
-            shaped = one_hot(len(raw), token)
+        row = drafter.next_dist(base + tuple(tokens))
+        if temperature == 0.0:  # the raw row; shaping would return it as is
+            tokens.append(int(row.argmax()))
         else:
-            shaped = apply_temperature(raw, temperature)
-            token = sample(shaped, stream)
-        tokens.append(token)
-        dists.append(shaped)
-    return DraftChain(tuple(tokens), tuple(dists))
+            row = apply_temperature(row, temperature)
+            tokens.append(sample(row, stream))
+        rows.append(row)
+    block = np.array(rows)
+    block.setflags(write=False)
+    return DraftChain(tuple(tokens), block)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,7 +247,7 @@ def draft_tree(
         if temperature == 0.0:  # one child per node: the argmax one-hot
             block = np.eye(block.shape[1])[block.argmax(axis=1)]
         else:
-            block = shape_rows(block, temperature)
+            block = apply_temperature(block, temperature)
         top = np.argsort(-block, axis=1, kind="stable")[:, :branch_topk]
         top_p = np.take_along_axis(block, top, axis=1)
         # Row-major order is creation order; a drafter cannot propose

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .baselines import RelaxPolicy, RoutingSignal, relaxed_sd_round
-from .core import Context, Vocabulary
+from .core import Vocabulary
 from .metrics import CostModel, RoundCost, RunReport, accumulate, lemma_check
 from .models import (
     MixtureProxy,
@@ -398,7 +398,7 @@ def derive_prompts(
             start = stop + 1
 
     if len(lines) < num_prompts:
-        chunk = max(min_len, len(held) // (num_prompts + 1))
+        chunk = max(min_len, len(held) // (num_prompts + 1), 1)
         lines = [list(held[i : i + chunk]) for i in range(0, len(held) - chunk, chunk)]
         lines = [line for line in lines if len(line) >= min_len]
     if len(lines) < num_prompts:
@@ -637,13 +637,11 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
     continuations: list[tuple[tuple[int, ...], list[int]]] = []
     for prompt_idx, prompt in enumerate(prompts):
         streams = DecodeStreams.from_seed(cfg.seed, scope=f"prompt{prompt_idx}")
-        ctx = Context(prompt)
         emitted_all: list[int] = []
         while len(emitted_all) < cfg.max_new_tokens:
-            rnd = play(ctx.as_tuple(), streams)
+            rnd = play(prompt + tuple(emitted_all), streams)
             cost = accumulate(report, rnd)
             records.append(TraceRecord.from_round(run_id, len(records), rnd, cost))
-            ctx.extend(rnd.emitted)
             emitted_all.extend(rnd.emitted)
         continuations.append((prompt, emitted_all))
 

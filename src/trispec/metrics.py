@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, top2_margin
+from .core import top2_margin
 from .models import ModelOracle
 from .verification import Round
 

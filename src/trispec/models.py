@@ -1,7 +1,7 @@
 """Token-distribution oracles standing in for the three decoding models.
 
 An oracle deterministically maps a context (tuple of token ids) to a
-Distribution over the next token. Three kinds are provided:
+probability row over the next token. Three kinds are provided:
 
 * ``TableModel`` -- explicit context-suffix rows, for hand-built fixtures;
 * ``NgramModel`` -- additive-smoothed n-gram with backoff to shorter
@@ -12,8 +12,9 @@ Distribution over the next token. Three kinds are provided:
 Every oracle counts forward passes: ``next_dist`` is one pass, and a
 batched scoring call over many positions is also exactly one pass (that is
 the whole point of speculative verification). The counters are the sole
-source for target-call accounting downstream. A batched call returns one
-read-only ``(positions, V)`` block, a row per scored position.
+source for target-call accounting downstream. ``next_dist`` returns one
+read-only row, and a batched call one read-only ``(positions, V)`` block,
+a row per scored position.
 
 Each oracle reads only its ``window`` of most recent context tokens, so
 every pass trims the committed context to that window once. From there it
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, Vocabulary
+from .core import Distribution, Vocabulary, check_rows
 
 __all__ = [
     "CorpusTooShortError",
@@ -90,35 +91,34 @@ class ProxyDerivation:
 class _States:
     """An oracle's window states, each added on first use.
 
-    State ``s`` holds ``keys[s]``, its row ``table[s]`` (validated once, as
-    the ``Distribution`` ``dists[s]``, when the state is added) and
+    State ``s`` holds ``keys[s]``, its row ``table[s]`` (checked once, when
+    the state is added, so a broken row raises and adds no state) and
     ``step[s]``, which maps each token asked for so far to the state after
     it. ``of_tail`` and ``of_key`` find a state from a window tail or a key.
     """
 
-    __slots__ = ("of_tail", "of_key", "keys", "dists", "step", "table")
+    __slots__ = ("of_tail", "of_key", "keys", "step", "table")
 
     def __init__(self, vocab_size: int) -> None:
         self.of_tail: dict[tuple[int, ...], int] = {}
         self.of_key: dict[tuple[int, ...], int] = {}
         self.keys: list[tuple[int, ...]] = []
-        self.dists: list[Distribution] = []
         self.step: list[dict[int, int]] = []
         self.table = np.empty((16, vocab_size))
         self.table.setflags(write=False)
 
-    def add(self, key: tuple[int, ...], dist: Distribution) -> int:
+    def add(self, key: tuple[int, ...], row: np.ndarray) -> int:
+        check_rows(row)
         s = len(self.keys)
         if s == len(self.table):
             grown = np.empty((2 * s, self.table.shape[1]))
             grown[:s] = self.table
             self.table = grown
         self.table.setflags(write=True)
-        self.table[s] = dist.probs
+        self.table[s] = row
         self.table.setflags(write=False)
         self.of_key[key] = s
         self.keys.append(key)
-        self.dists.append(dist)
         self.step.append({})
         return s
 
@@ -149,7 +149,7 @@ class ModelOracle:
         """Total forward passes so far (batched calls count once)."""
         return self._passes
 
-    def _dist(self, ctx: tuple[int, ...]) -> Distribution:
+    def _dist(self, ctx: tuple[int, ...]) -> np.ndarray:
         raise NotImplementedError
 
     def _tail(self, ctx: Sequence[int]) -> tuple[int, ...]:
@@ -184,10 +184,12 @@ class ModelOracle:
         block.setflags(write=False)
         return block
 
-    def next_dist(self, ctx: Sequence[int]) -> Distribution:
-        """Score one position. One forward pass."""
+    def next_dist(self, ctx: Sequence[int]) -> np.ndarray:
+        """Score one position: the read-only row after ``ctx``. One forward
+        pass."""
         self._passes += 1
-        return self._states.dists[self._state(self._tail(ctx))]
+        s = self._state(self._tail(ctx))  # may grow the table: index it after
+        return self._states.table[s]
 
     def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> np.ndarray:
         """Score positions 1..k+1 of a drafted block in one forward pass.
@@ -263,7 +265,8 @@ class TableModel(ModelOracle):
     """Explicit lookup oracle for small hand-built fixtures.
 
     Rows are keyed by context suffixes; lookup tries the longest matching
-    suffix first and falls back to the default row.
+    suffix first and falls back to the default row. Rows arrive as checked
+    ``Distribution``s and are kept as their read-only probability rows.
     """
 
     kind = "table"
@@ -280,11 +283,11 @@ class TableModel(ModelOracle):
                 raise ValueError(f"row {key!r} has wrong vocabulary size")
         if default is not None and len(default) != vocab.size:
             raise ValueError("default row has wrong vocabulary size")
-        self.rows = dict(rows)
-        self.default = default
+        self.rows = {key: dist.probs for key, dist in rows.items()}
+        self.default = None if default is None else default.probs
         self.window = max((len(k) for k in rows), default=0)
 
-    def _dist(self, ctx: tuple[int, ...]) -> Distribution:
+    def _dist(self, ctx: tuple[int, ...]) -> np.ndarray:
         for n in range(min(self.window, len(ctx)), -1, -1):
             row = self.rows.get(ctx[len(ctx) - n :])
             if row is not None:
@@ -330,20 +333,20 @@ class NgramModel(ModelOracle):
     def order(self) -> int:
         return self.spec.order
 
-    def unigram(self) -> Distribution:
+    def unigram(self) -> np.ndarray:
         return self._smoothed((), 1)
 
     def trained_on(self, corpus: Sequence[int]) -> bool:
         """Whether the stored fingerprint is that of training on ``corpus``."""
         return self.spec.fingerprint == _fingerprint(corpus, self.order, self.spec.alpha)
 
-    def _smoothed(self, key: tuple[int, ...], j: int) -> Distribution:
+    def _smoothed(self, key: tuple[int, ...], j: int) -> np.ndarray:
         table = self._counts[j][key]
         total = self._totals[j][key]
         weights = np.full(self.vocab.size, self.spec.alpha, dtype=np.float64)
         for token, count in table.items():
             weights[token] += count
-        return Distribution(weights / (total + self.spec.alpha * self.vocab.size))
+        return weights / (total + self.spec.alpha * self.vocab.size)
 
     def _key(self, tail: tuple[int, ...]) -> tuple[int, ...]:
         """The backoff key: the longest suffix of ``tail``, at most
@@ -356,7 +359,7 @@ class NgramModel(ModelOracle):
                 return key
         return ()
 
-    def _dist(self, ctx: tuple[int, ...]) -> Distribution:
+    def _dist(self, ctx: tuple[int, ...]) -> np.ndarray:
         key = self._key(ctx)
         return self._smoothed(key, len(key) + 1)
 
@@ -366,12 +369,13 @@ class MixtureProxy(ModelOracle):
 
     ``dist(ctx) = (1 - eps) * base(ctx) + eps * noise``. Scoring through the
     proxy does not touch the base oracle's invocation counter: the proxy is
-    its own model that merely shares the base's tables.
+    its own model that merely shares the base's tables. The noise is a row;
+    every mixed row is checked once, when its state is added.
     """
 
     kind = "mixture"
 
-    def __init__(self, base: ModelOracle, deriv: ProxyDerivation, noise: Distribution) -> None:
+    def __init__(self, base: ModelOracle, deriv: ProxyDerivation, noise: np.ndarray) -> None:
         super().__init__(base.vocab)
         if len(noise) != base.vocab_size:
             raise ValueError("noise distribution has wrong vocabulary size")
@@ -380,15 +384,12 @@ class MixtureProxy(ModelOracle):
         self.noise = noise
         self.window = base.window
 
-    def _mix(self, base_probs: np.ndarray) -> np.ndarray:
-        eps = self.deriv.epsilon
-        return (1.0 - eps) * base_probs + eps * self.noise.probs
-
     def _key(self, tail: tuple[int, ...]) -> tuple[int, ...]:
         return self.base._key(tail)
 
-    def _dist(self, ctx: tuple[int, ...]) -> Distribution:
-        return Distribution(self._mix(self.base._dist(ctx).probs))
+    def _dist(self, ctx: tuple[int, ...]) -> np.ndarray:
+        eps = self.deriv.epsilon
+        return (1.0 - eps) * self.base._dist(ctx) + eps * self.noise
 
 
 def _fingerprint(corpus: Sequence[int], order: int, alpha: float) -> str:
@@ -454,7 +455,7 @@ def derive_proxy(target: ModelOracle, deriv: ProxyDerivation) -> MixtureProxy:
     Unigram noise requires an n-gram target (it reuses the trained unigram).
     """
     if deriv.noise_kind == "uniform":
-        noise = Distribution(np.full(target.vocab_size, 1.0 / target.vocab_size))
+        noise = np.full(target.vocab_size, 1.0 / target.vocab_size)
     else:
         if not isinstance(target, NgramModel):
             raise ValueError("unigram noise needs an n-gram target oracle")
@@ -495,15 +496,15 @@ def _oracle_payload(oracle: ModelOracle) -> dict:
             "kind": "table",
             "vocab_size": oracle.vocab_size,
             "symbols": list(oracle.vocab.symbols) if oracle.vocab.symbols else None,
-            "rows": {_ctx_key(ctx): list(map(float, d.probs)) for ctx, d in oracle.rows.items()},
-            "default": list(map(float, oracle.default.probs)) if oracle.default else None,
+            "rows": {_ctx_key(ctx): row.tolist() for ctx, row in oracle.rows.items()},
+            "default": None if oracle.default is None else oracle.default.tolist(),
         }
     if isinstance(oracle, MixtureProxy):
         return {
             "kind": "mixture",
             "epsilon": oracle.deriv.epsilon,
             "noise_kind": oracle.deriv.noise_kind,
-            "noise": list(map(float, oracle.noise.probs)),
+            "noise": oracle.noise.tolist(),
             "base": _oracle_payload(oracle.base),
         }
     raise TypeError(f"cannot serialize oracle of type {type(oracle).__name__}")
@@ -529,7 +530,7 @@ def _oracle_from_payload(payload: dict) -> ModelOracle:
     if kind == "mixture":
         base = _oracle_from_payload(payload["base"])
         deriv = ProxyDerivation(payload["epsilon"], payload["noise_kind"])
-        return MixtureProxy(base, deriv, Distribution(payload["noise"]))
+        return MixtureProxy(base, deriv, Distribution(payload["noise"]).probs)
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, sample, shape_rows, top2_margin
+from .core import apply_temperature, sample, top2_margin
 from .drafting import DraftChain, draft_chain, draft_tree, prune_tree_prefix
 from .models import ModelOracle, PassMeter
 from .verification import (
@@ -52,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarginRule:
-    """Trust a distribution iff its top1-top2 gap reaches ``lam``.
+    """Trust a row iff its top1-top2 gap reaches ``lam``.
 
     ``lam <= 0`` is the always-trust sentinel (margins are never negative),
     ``lam > 1`` the never-trust sentinel (margins never exceed 1). Given a
@@ -61,7 +61,7 @@ class MarginRule:
 
     lam: float
 
-    def trusted(self, probs: Distribution | np.ndarray) -> bool | np.ndarray:
+    def trusted(self, probs: np.ndarray) -> bool | np.ndarray:
         return top2_margin(probs) >= self.lam
 
 
@@ -73,7 +73,7 @@ def trusted_prefix_len(proxy_rows: np.ndarray, rule) -> int:
     ``trusted(block)`` gives one bool per row works here; margin is the
     default, the alternative routing signals plug in the same way.
     """
-    trusted = np.asarray(rule.trusted(np.asarray(proxy_rows)))
+    trusted = np.asarray(rule.trusted(proxy_rows))
     return len(trusted) if trusted.all() else int(trusted.argmin())
 
 
@@ -97,7 +97,7 @@ def pruned_target_verify(
         raise ValueError("tau_m must lie in [0, k]")
     base = tuple(ctx) + draft.tokens[:tau_m]
     if tau_m == draft.k:
-        bonus = shape_rows(target.batch_score(base, ())[0], temperature)
+        bonus = apply_temperature(target.batch_score(base, ())[0], temperature)
         token = int(bonus.argmax()) if temperature == 0.0 else sample(bonus, correction_stream)
         return AcceptanceTrace(
             coins=(), tau=0, correction_token=token, correction_is_bonus=True, emitted=(token,)
@@ -134,7 +134,7 @@ def trispec_round(
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     proxy_raw = proxy.batch_score(base, draft.tokens)
-    proxy_shaped = shape_rows(proxy_raw, temperature)
+    proxy_shaped = apply_temperature(proxy_raw, temperature)
     coins, tau_a = acceptance_coins(draft, proxy_shaped, temperature, streams.proxy_coins)
 
     margin_view = proxy_raw if margin_on_raw else proxy_shaped

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Distribution, normalize
+from .core import normalize, sample
 from .drafting import DraftChain, draft_tree
 from .harness import (
     ConfigError,
@@ -53,7 +53,7 @@ class CheckResult:
     detail: str
 
 
-def first_token_law(p_d: Distribution, p_v: Distribution) -> float:
+def first_token_law(p_d: np.ndarray, p_v: np.ndarray) -> float:
     """L1 gap between the implied first-token law and the verifier.
 
     Accepting with probability min(1, p_v/p_d) and re-drawing rejections
@@ -61,41 +61,39 @@ def first_token_law(p_d: Distribution, p_v: Distribution) -> float:
     token exactly verifier-distributed; the overlap and the excess split
     the verifier's mass with no remainder. Returns 0 up to float noise.
     """
-    overlap = np.minimum(p_d.probs, p_v.probs)
-    excess = np.maximum(p_v.probs - p_d.probs, 0.0)
+    overlap = np.minimum(p_d, p_v)
+    excess = np.maximum(p_v - p_d, 0.0)
     reject_mass = 1.0 - float(overlap.sum())
     if reject_mass > 0.0:
         implied = overlap + reject_mass * (excess / float(excess.sum()))
     else:
         implied = overlap
-    return float(np.abs(implied - p_v.probs).sum())
+    return float(np.abs(implied - p_v).sum())
 
 
-def mc_first_token_distance(
-    p_d: Distribution, p_v: Distribution, rounds: int, seed: int
-) -> float:
+def mc_first_token_distance(p_d: np.ndarray, p_v: np.ndarray, rounds: int, seed: int) -> float:
     """Empirical L1 distance of the first emitted token from the verifier.
 
     Drives the real single-position verify path end to end: draft a token
     from ``p_d``, run the acceptance coin against ``p_v``, and take the
     residual (or bonus) correction on rejection (or full acceptance).
     """
-    from .core import sample  # local import keeps module deps one-way
-
     streams = DecodeStreams.from_seed(seed, scope="mc")
+    drafted, verifier_rows = np.stack([p_d]), np.stack([p_v, p_v])
+    drafted.setflags(write=False)  # a chain copies a writeable block
     counts = np.zeros(len(p_d), dtype=np.int64)
     for _ in range(rounds):
         token = sample(p_d, streams.draft)
-        chain = DraftChain(tokens=(token,), dists=(p_d,))
+        chain = DraftChain(tokens=(token,), dists=drafted)
         trace = verify_chain(
-            chain, [p_v, p_v], 1.0, streams.target_coins, streams.correction
+            chain, verifier_rows, 1.0, streams.target_coins, streams.correction
         )
         counts[trace.emitted[0]] += 1
     empirical = counts / counts.sum()
-    return float(np.abs(empirical - p_v.probs).sum())
+    return float(np.abs(empirical - p_v).sum())
 
 
-def _random_pair(gen: np.random.Generator, size: int) -> tuple[Distribution, Distribution]:
+def _random_pair(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     p = normalize(gen.random(size) + 0.01)
     q = normalize(gen.random(size) + 0.01)
     return p, q

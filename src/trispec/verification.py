@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Distribution, RandomStream, apply_temperature, sample, shape_rows
+from .core import RandomStream, apply_temperature, sample
 from .drafting import DraftChain, DraftTree, draft_chain, draft_tree
 from .models import ModelOracle, PassMeter
 
@@ -180,16 +180,15 @@ def acceptance_coins(
 ) -> tuple[tuple[int, ...], int]:
     """Left-to-right acceptance test; stops at the first rejection.
 
-    ``verifier_rows`` is the verifier's block as ``shape_rows`` leaves it:
-    shaped like the draft's stored distributions, raw at temperature 0,
+    ``verifier_rows`` is the verifier's block as ``apply_temperature``
+    leaves it, like the draft's stored rows: raw at temperature 0,
     where the test is exact argmax agreement (the argmaxes of all k rows
     taken at once) and no uniforms are consumed;
     otherwise one uniform is drawn per examined position. ``decide(i,
     token)``, when given, rules on a position first: True or False is
     final, None defers to the test.
     """
-    rows = np.asarray(verifier_rows)
-    best = rows[: draft.k].argmax(axis=1).tolist() if temperature == 0.0 else None
+    best = verifier_rows[: draft.k].argmax(axis=1).tolist() if temperature == 0.0 else None
     coins: list[int] = []
     for i, token in enumerate(draft.tokens):
         accept = None if decide is None else decide(i, token)
@@ -197,7 +196,7 @@ def acceptance_coins(
             if best is not None:
                 accept = best[i] == token
             else:
-                ratio = min(1.0, float(rows[i, token]) / draft.dists[i].prob(token))
+                ratio = min(1.0, float(verifier_rows[i, token]) / float(draft.dists[i, token]))
                 accept = coin_stream.uniform() < ratio
         coins.append(1 if accept else 0)
         if not accept:
@@ -205,13 +204,17 @@ def acceptance_coins(
     return tuple(coins), draft.k
 
 
-def residual_dist(draft_dist: Distribution, verifier_dist: np.ndarray) -> Distribution:
-    """The normalized positive part of ``p_v - p_d`` at a rejected position."""
-    residual = np.maximum(0.0, np.asarray(verifier_dist) - draft_dist.probs)
+def residual_dist(draft_row: np.ndarray, verifier_row: np.ndarray) -> np.ndarray:
+    """The normalized positive part of ``p_v - p_d`` at a rejected position.
+
+    Both rows are valid already, so the residual needs no check beyond
+    carrying mass.
+    """
+    residual = np.maximum(0.0, verifier_row - draft_row)
     total = float(residual.sum())
     if total <= 0.0:
         raise DegenerateResidualError("rejection happened but the residual carries no mass")
-    return Distribution(residual / total)
+    return residual / total
 
 
 def draw_correction(
@@ -228,12 +231,13 @@ def draw_correction(
     k+1. Greedy mode takes the raw row's argmax without consuming a draw:
     the residual of two distinct one-hots is the verifier's own one-hot.
     """
-    rows = np.asarray(verifier_rows)
     is_bonus = tau >= draft.k
+    row = verifier_rows[min(tau, draft.k)]
     if temperature == 0.0:
-        return int(rows[min(tau, draft.k)].argmax()), is_bonus
-    dist = rows[draft.k] if is_bonus else residual_dist(draft.dists[tau], rows[tau])
-    return sample(dist, correction_stream), is_bonus
+        return int(row.argmax()), is_bonus
+    if not is_bonus:
+        row = residual_dist(draft.dists[tau], row)
+    return sample(row, correction_stream), is_bonus
 
 
 def verify_chain(
@@ -244,10 +248,9 @@ def verify_chain(
     correction_stream: RandomStream,
 ) -> AcceptanceTrace:
     """Verify a draft chain against the verifier's raw ``(k+1, V)`` block."""
-    rows = np.asarray(verifier_rows)
-    if len(rows) != draft.k + 1:
+    if len(verifier_rows) != draft.k + 1:
         raise ValueError("need k+1 verifier rows for a k-token draft")
-    shaped = shape_rows(rows, temperature)
+    shaped = apply_temperature(verifier_rows, temperature)
     coins, tau = acceptance_coins(draft, shaped, temperature, coin_stream)
     token, is_bonus = draw_correction(draft, shaped, tau, temperature, correction_stream)
     return AcceptanceTrace(
@@ -264,11 +267,8 @@ def target_only_round(
 ) -> Round:
     """Plain decoding: one target pass, one token drawn from its own law."""
     meter = PassMeter(target=target)
-    dist = target.next_dist(ctx)
-    if temperature == 0.0:
-        token = dist.argmax()
-    else:
-        token = sample(apply_temperature(dist, temperature), streams.draft)
+    row = apply_temperature(target.next_dist(ctx), temperature)
+    token = int(row.argmax()) if temperature == 0.0 else sample(row, streams.draft)
     return Round(
         case=RoundCase.TARGET_ONLY,
         emitted=(token,),

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from trispec.baselines import chow_accept, confidence_filter_accept, topk_verify_accept
-from trispec.core import Distribution, RandomStream
+from trispec.core import RandomStream
 from trispec.harness import (
     ExperimentConfig,
     derive_prompts,
@@ -77,14 +77,14 @@ def test_criterion_01_lossless_first_token_law(report):
     worst = 0.0
     for i in range(50):
         size = 2 + i % 4
-        p_d = Distribution(gen.dirichlet(np.ones(size)))
-        p_v = Distribution(gen.dirichlet(np.ones(size)))
+        p_d = np.array(gen.dirichlet(np.ones(size)))
+        p_v = np.array(gen.dirichlet(np.ones(size)))
         worst = max(worst, first_token_law(p_d, p_v))
     # partial-overlap supports exercise the rejection-heavy corner
-    worst = max(worst, first_token_law(Distribution([0.5, 0.5, 0.0]), Distribution([0.0, 0.5, 0.5])))
-    worst = max(worst, first_token_law(Distribution([0.1, 0.9, 0.0]), Distribution([0.0, 0.1, 0.9])))
+    worst = max(worst, first_token_law(np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.5, 0.5])))
+    worst = max(worst, first_token_law(np.array([0.1, 0.9, 0.0]), np.array([0.0, 0.1, 0.9])))
     mc = mc_first_token_distance(
-        Distribution([0.5, 0.3, 0.2]), Distribution([0.2, 0.3, 0.5]), rounds=100_000, seed=7
+        np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5]), rounds=100_000, seed=7
     )
     elapsed = time.monotonic() - start
     assert mc == pytest.approx(0.0039, abs=2e-4)
@@ -247,12 +247,12 @@ def test_criterion_10_relaxation_rules_match_their_exact_twins(report):
     coincide = 0
     for i in range(10_000):
         size = 2 + i % 4
-        dist = Distribution(gen.dirichlet(np.ones(size)))
+        dist = np.array(gen.dirichlet(np.ones(size)))
         token = int(gen.integers(size))
         assert topk_verify_accept(dist, token, 1) == (token == dist.argmax())
         alpha = float(gen.uniform(0.01, 0.99))
         top = dist.argmax()
-        if abs(dist.prob(top) - (1.0 - alpha)) < 1e-9:
+        if abs(dist[top] - (1.0 - alpha)) < 1e-9:
             continue  # the inclusive/strict boundary itself is out of scope
         assert chow_accept(dist, top, alpha) == confidence_filter_accept(dist, 1.0 - alpha)
         coincide += 1

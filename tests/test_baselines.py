@@ -1,8 +1,9 @@
 """Relaxed acceptance rules and alternative routing signals."""
 
+import numpy as np
 import pytest
 
-from trispec.core import Distribution, RandomStream
+from trispec.core import RandomStream
 from trispec.baselines import (
     RelaxPolicy,
     RoutingSignal,
@@ -23,29 +24,29 @@ from trispec.verification import DecodeStreams, sd_round
 
 
 def test_chow_accepts_at_its_threshold_inclusively():
-    dist = Distribution([0.95, 0.05])
+    dist = np.array([0.95, 0.05])
     assert chow_accept(dist, 0, alpha=0.05)
-    assert not chow_accept(Distribution([0.9499, 0.0501]), 0, alpha=0.05)
+    assert not chow_accept(np.array([0.9499, 0.0501]), 0, alpha=0.05)
     assert not chow_accept(dist, 1, alpha=0.05)  # confidence is token-specific
     assert chow_accept(dist, 1, alpha=1.0)  # alpha=1 accepts anything
 
 
 def test_confidence_filter_is_strict():
-    assert not confidence_filter_accept(Distribution([0.95, 0.05]), 0.95)
-    assert confidence_filter_accept(Distribution([0.9501, 0.0499]), 0.95)
+    assert not confidence_filter_accept(np.array([0.95, 0.05]), 0.95)
+    assert confidence_filter_accept(np.array([0.9501, 0.0499]), 0.95)
 
 
 def test_chow_and_filter_coincide_off_the_boundary():
     alpha = 0.05
     for peak in (0.3, 0.7, 0.9, 0.96, 0.99):
-        dist = Distribution([peak, 1.0 - peak])
+        dist = np.array([peak, 1.0 - peak])
         token = dist.argmax()
-        if dist.prob(token) != 1.0 - alpha:  # the boundary is the known split
+        if dist[token] != 1.0 - alpha:  # the boundary is the known split
             assert chow_accept(dist, token, alpha) == confidence_filter_accept(dist, 1.0 - alpha)
 
 
 def test_token_specific_scales_with_the_peak():
-    dist = Distribution([0.5, 0.4, 0.1])
+    dist = np.array([0.5, 0.4, 0.1])
     assert token_specific_accept(dist, 0, alpha=0.05)
     assert not token_specific_accept(dist, 1, alpha=0.05)  # 0.4 < 0.95 * 0.5
     assert token_specific_accept(dist, 1, alpha=0.25)  # 0.4 >= 0.75 * 0.5
@@ -53,7 +54,7 @@ def test_token_specific_scales_with_the_peak():
 
 
 def test_topk_membership_and_tie_breaking():
-    tied = Distribution([0.4, 0.4, 0.2])
+    tied = np.array([0.4, 0.4, 0.2])
     assert topk_verify_accept(tied, 0, k=1)  # tie resolves to the lower index
     assert not topk_verify_accept(tied, 1, k=1)
     assert topk_verify_accept(tied, 1, k=2)
@@ -63,11 +64,9 @@ def test_topk_membership_and_tie_breaking():
 
 
 def test_topk_one_is_exactly_greedy():
-    import numpy as np
-
     rng = np.random.default_rng(17)
     for _ in range(200):
-        dist = Distribution(rng.dirichlet(np.ones(int(rng.integers(2, 6)))))
+        dist = np.array(rng.dirichlet(np.ones(int(rng.integers(2, 6)))))
         for token in range(len(dist)):
             assert topk_verify_accept(dist, token, 1) == (token == dist.argmax())
 
@@ -89,8 +88,8 @@ def test_policy_validation():
 
 
 def test_policy_deferral_semantics():
-    half = Distribution([0.5, 0.5])
-    sure = Distribution([0.97, 0.03])
+    half = np.array([0.5, 0.5])
+    sure = np.array([0.97, 0.03])
     # bypass rules answer True or defer with None
     assert RelaxPolicy("chow", alpha=0.05).decide(sure, half, 0) is True
     assert RelaxPolicy("chow", alpha=0.05).decide(half, sure, 0) is None
@@ -159,17 +158,17 @@ def test_relaxed_correction_comes_from_the_target(ref_family):
 
 
 def test_entropy_signal_frozen_values():
-    assert RoutingSignal("composite_entropy", 1.0).trusted(Distribution([0.25] * 4))
-    assert not RoutingSignal("composite_entropy", 0.99).trusted(Distribution([0.25] * 4))
+    assert RoutingSignal("composite_entropy", 1.0).trusted(np.array([0.25] * 4))
+    assert not RoutingSignal("composite_entropy", 0.99).trusted(np.array([0.25] * 4))
     # H([.5,.5,0,0]) / log 4 = log 2 / log 4 = 0.5 exactly
-    half = Distribution([0.5, 0.5, 0.0, 0.0])
+    half = np.array([0.5, 0.5, 0.0, 0.0])
     assert RoutingSignal("composite_entropy", 0.5).trusted(half)
     assert not RoutingSignal("composite_entropy", 0.49).trusted(half)
-    assert RoutingSignal("composite_entropy", 0.0).trusted(Distribution([1.0, 0.0, 0.0, 0.0]))
+    assert RoutingSignal("composite_entropy", 0.0).trusted(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_top1_and_margin_signals():
-    dist = Distribution([0.75, 0.25, 0.0])  # both probabilities exact in binary
+    dist = np.array([0.75, 0.25, 0.0])  # both probabilities exact in binary
     assert routing_signal_eval(dist, RoutingSignal("top1_prob", 0.75))
     assert not routing_signal_eval(dist, RoutingSignal("top1_prob", 0.76))
     # the margin gate is the router's MarginRule, not a RoutingSignal kind

@@ -2,14 +2,16 @@
 
 The references below are the per-position round functions this package
 ran before a scoring pass returned one ``(k+1, V)`` block: every scored
-position is a ``Distribution``, greedy shaping builds argmax one-hots, and a
-greedy draft draws one (ignored) uniform per token through ``sample``. The
-block-native rounds must reproduce them exactly: tokens, coins, lengths,
-margins, passes, and the uniforms drawn from every stream, except that a
-greedy draft now draws none.
+position is a ``Distribution``, a draft keeps one per token, greedy shaping
+builds argmax one-hots, and a greedy draft draws one (ignored) uniform per
+token through ``sample``. The block-native rounds must reproduce them
+exactly: tokens, coins, lengths, margins, passes, and the uniforms drawn
+from every stream, except that a greedy draft now draws none and keeps the
+raw rows whose argmax one-hots the reference keeps.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,7 +27,6 @@ from trispec.core import (
     sample,
     top2_margin,
 )
-from trispec.drafting import DraftChain
 from trispec.models import (
     MixtureProxy,
     NGramSpec,
@@ -42,6 +43,34 @@ from trispec.verification import AcceptanceTrace, DecodeStreams, Round, RoundCas
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _RefChain:
+    """A draft chain as it was: one ``Distribution`` per drafted token."""
+
+    tokens: tuple
+    dists: tuple
+
+    @property
+    def k(self):
+        return len(self.tokens)
+
+    def suffix(self, start):
+        return _RefChain(self.tokens[start:], self.dists[start:])
+
+
+def _argmax(dist):
+    return int(dist.probs.argmax())
+
+
+def _ref_apply_temperature(dist, temperature):
+    """Shaping as it was: T=0 gives the argmax one-hot (lowest index on ties)."""
+    if temperature == 0.0:
+        hot = np.zeros(len(dist))
+        hot[_argmax(dist)] = 1.0
+        return Distribution(hot)
+    return dist if temperature == 1.0 else Distribution(apply_temperature(dist.probs, temperature))
+
+
 def _ref_scores(oracle, ctx, drafted):
     return [Distribution(row) for row in oracle.batch_score(ctx, drafted)]
 
@@ -49,10 +78,11 @@ def _ref_scores(oracle, ctx, drafted):
 def _ref_draft_chain(drafter, ctx, k, temperature, stream):
     tokens, dists = [], []
     for _ in range(k):
-        shaped = apply_temperature(drafter.next_dist(tuple(ctx) + tuple(tokens)), temperature)
-        tokens.append(sample(shaped, stream))
+        raw = Distribution(drafter.next_dist(tuple(ctx) + tuple(tokens)))
+        shaped = _ref_apply_temperature(raw, temperature)
+        tokens.append(sample(shaped.probs, stream))
         dists.append(shaped)
-    return DraftChain(tuple(tokens), tuple(dists))
+    return _RefChain(tuple(tokens), tuple(dists))
 
 
 def _ref_margin(dist):
@@ -83,9 +113,9 @@ def _ref_acceptance_coins(draft, dists, temperature, coin_stream, decide=None):
         accept = None if decide is None else decide(i, token)
         if accept is None:
             if temperature == 0.0:
-                accept = dists[i].argmax() == token
+                accept = _argmax(dists[i]) == token
             else:
-                ratio = min(1.0, dists[i].prob(token) / draft.dists[i].prob(token))
+                ratio = min(1.0, float(dists[i].probs[token] / draft.dists[i].probs[token]))
                 accept = coin_stream.uniform() < ratio
         coins.append(1 if accept else 0)
         if not accept:
@@ -95,16 +125,16 @@ def _ref_acceptance_coins(draft, dists, temperature, coin_stream, decide=None):
 
 def _ref_draw_correction(draft, dists, tau, temperature, stream):
     if tau < draft.k:
-        dist = normalize(np.maximum(0.0, dists[tau].probs - draft.dists[tau].probs))
+        dist = Distribution(normalize(np.maximum(0.0, dists[tau].probs - draft.dists[tau].probs)))
         is_bonus = False
     else:
         dist = dists[draft.k]
         is_bonus = True
-    return (dist.argmax() if temperature == 0.0 else sample(dist, stream)), is_bonus
+    return (_argmax(dist) if temperature == 0.0 else sample(dist.probs, stream)), is_bonus
 
 
 def _ref_verify_chain(draft, dists, temperature, coin_stream, correction_stream):
-    shaped = [apply_temperature(d, temperature) for d in dists]
+    shaped = [_ref_apply_temperature(d, temperature) for d in dists]
     coins, tau = _ref_acceptance_coins(draft, shaped, temperature, coin_stream)
     token, is_bonus = _ref_draw_correction(draft, shaped, tau, temperature, correction_stream)
     return AcceptanceTrace(coins, tau, token, is_bonus, draft.tokens[:tau] + (token,))
@@ -113,8 +143,8 @@ def _ref_verify_chain(draft, dists, temperature, coin_stream, correction_stream)
 def _ref_pruned_target_verify(draft, tau_m, target, ctx, temperature, coins, correction):
     base = tuple(ctx) + draft.tokens[:tau_m]
     if tau_m == draft.k:
-        bonus = apply_temperature(target.next_dist(base), temperature)
-        token = bonus.argmax() if temperature == 0.0 else sample(bonus, correction)
+        bonus = _ref_apply_temperature(Distribution(target.next_dist(base)), temperature)
+        token = _argmax(bonus) if temperature == 0.0 else sample(bonus.probs, correction)
         return AcceptanceTrace((), 0, token, True, (token,))
     sub = draft.suffix(tau_m)
     rows = _ref_scores(target, base, sub.tokens)
@@ -127,7 +157,7 @@ def _ref_trispec_round(drafter, proxy, target, ctx, k, rule, temperature, stream
     base = tuple(ctx)
     draft = _ref_draft_chain(drafter, base, k, temperature, streams.draft)
     proxy_raw = _ref_scores(proxy, base, draft.tokens)
-    proxy_shaped = [apply_temperature(d, temperature) for d in proxy_raw]
+    proxy_shaped = [_ref_apply_temperature(d, temperature) for d in proxy_raw]
     coins, tau_a = _ref_acceptance_coins(draft, proxy_shaped, temperature, streams.proxy_coins)
     margin_view = proxy_raw if (temperature == 0.0 or margin_on_raw) else proxy_shaped
     margins = tuple(_ref_margin(d) for d in margin_view)
@@ -135,7 +165,7 @@ def _ref_trispec_round(drafter, proxy, target, ctx, k, rule, temperature, stream
     if tau_a < tau_m:
         if raw_bonus and tau_a < k:
             dist = proxy_shaped[tau_a]
-            token = dist.argmax() if temperature == 0.0 else sample(dist, streams.correction)
+            token = _argmax(dist) if temperature == 0.0 else sample(dist.probs, streams.correction)
             is_bonus = False
         else:
             token, is_bonus = _ref_draw_correction(
@@ -166,11 +196,11 @@ def _ref_sd_round(drafter, verifier, ctx, k, temperature, streams, verifier_role
 
 def _ref_decide(policy, draft_dist, target_dist, token):
     if policy.kind == "chow":
-        return True if draft_dist.prob(token) >= 1.0 - policy.alpha else None
+        return True if draft_dist.probs[token] >= 1.0 - policy.alpha else None
     if policy.kind == "confidence_filter":
         return True if float(draft_dist.probs.max()) > policy.threshold else None
     if policy.kind == "token_specific":
-        return target_dist.prob(token) >= (1.0 - policy.alpha) * float(target_dist.probs.max())
+        return target_dist.probs[token] >= (1.0 - policy.alpha) * float(target_dist.probs.max())
     order = np.lexsort((np.arange(len(target_dist)), -target_dist.probs))
     return token in order[: policy.k]
 
@@ -178,12 +208,14 @@ def _ref_decide(policy, draft_dist, target_dist, token):
 def _ref_relaxed_sd_round(drafter, target, ctx, k, policy, temperature, streams):
     meter = PassMeter(drafter, target=target)
     draft = _ref_draft_chain(drafter, ctx, k, temperature, streams.draft)
-    shaped = [apply_temperature(d, temperature) for d in _ref_scores(target, ctx, draft.tokens)]
+    scores = _ref_scores(target, ctx, draft.tokens)
+    shaped = [_ref_apply_temperature(d, temperature) for d in scores]
     coins, tau = _ref_acceptance_coins(
         draft, shaped, temperature, streams.target_coins,
         decide=lambda i, token: _ref_decide(policy, draft.dists[i], shaped[i], token),
     )
-    token = shaped[tau].argmax() if temperature == 0.0 else sample(shaped[tau], streams.correction)
+    last = shaped[tau]
+    token = _argmax(last) if temperature == 0.0 else sample(last.probs, streams.correction)
     return Round(RoundCase(f"Relax:{policy.kind}"), draft.tokens[:tau] + (token,), meter.passes(),
                  tau_a=tau, coins=coins, correction_is_bonus=tau == draft.k, draft=draft)
 
@@ -243,8 +275,10 @@ def _run_both(oracles, ctx, temperature, new_round, ref_round):
                      "margins", "correction_is_bonus"):
             assert getattr(got, name) == getattr(want, name), name
         assert got.draft.tokens == want.draft.tokens
-        for a, b in zip(got.draft.dists, want.draft.dists):
-            assert np.array_equal(a.probs, b.probs)
+        rows = got.draft.dists
+        if temperature == 0.0:  # raw rows: their argmax one-hots are the reference's
+            rows = np.eye(rows.shape[1])[rows.argmax(axis=1)]
+        assert np.array_equal(rows, [d.probs for d in want.draft.dists])
         got_draws, want_draws = _draws(new_streams), _draws(ref_streams)
         assert got_draws[1:] == want_draws[1:]
         assert got_draws[0] == (0 if temperature == 0.0 else want_draws[0])
@@ -341,7 +375,7 @@ def test_trust_rules_match_the_reference_at_their_own_boundaries(rows, kind, pic
     rule = MarginRule(threshold) if kind == "margin" else RoutingSignal(kind, threshold)
     want = [_ref_trusted(rule, d) for d in dists]
     assert np.asarray(rule.trusted(block)).tolist() == want
-    assert [bool(rule.trusted(d)) for d in dists] == want
+    assert [bool(rule.trusted(row)) for row in block] == want
     assert trusted_prefix_len(block, rule) == _ref_trusted_prefix_len(dists, rule)
     if kind == "margin":
         assert top2_margin(block).tolist() == [_ref_margin(d) for d in dists]
@@ -364,7 +398,7 @@ def _oracle(draw):
     if kind.startswith("mixture"):
         w = np.array(draw(st.lists(st.integers(1, 4), min_size=vocab, max_size=vocab)), float)
         deriv = ProxyDerivation(draw(st.floats(0.0, 1.0)))
-        oracle = MixtureProxy(oracle, deriv, Distribution(w / w.sum()))
+        oracle = MixtureProxy(oracle, deriv, w / w.sum())
     return oracle
 
 
@@ -385,19 +419,19 @@ def test_block_is_read_only_and_equals_next_dist_of_each_prefix(oracle, data):
         block[0, 0] = 0.5
     for i, row in enumerate(block):
         prefix = ctx + drafted[:i]
-        assert np.array_equal(row, probe.next_dist(prefix).probs)
-        assert np.array_equal(row, oracle._dist(prefix).probs)  # the untrimmed context
+        assert np.array_equal(row, probe.next_dist(prefix))
+        assert np.array_equal(row, oracle._dist(prefix))  # the untrimmed context
 
     rows = scorer.batch_score_paths(ctx, paths)
     assert not rows.flags.writeable
     for row, path in zip(rows, paths):
-        assert np.array_equal(row, probe.next_dist(ctx + path).probs)
+        assert np.array_equal(row, probe.next_dist(ctx + path))
     assert scorer.invocation_count == 2
 
 
 def test_mixture_block_rows_are_validated():
     base = TableModel(Vocabulary(2), {}, default=Distribution([0.5, 0.5]))
-    broken = MixtureProxy(base, ProxyDerivation(0.5), Distribution([0.5, 0.5]))
-    object.__setattr__(broken.noise, "probs", np.array([0.9, 0.9]))  # rows now sum to 1.4
+    broken = MixtureProxy(base, ProxyDerivation(0.5), np.array([0.5, 0.5]))
+    broken.noise = np.array([0.9, 0.9])  # rows now sum to 1.4
     with pytest.raises(ValueError, match="sums to"):
         broken.batch_score((), (0,))

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from trispec.core import (
     AllZeroError,
-    Context,
     Distribution,
     RandomStream,
     Vocabulary,
     apply_temperature,
     normalize,
     sample,
-    shape_rows,
     top2_margin,
 )
 
@@ -50,7 +48,7 @@ def test_vocabulary_basics():
 
 def test_distribution_validation():
     d = Distribution([0.25, 0.75])
-    assert d.prob(1) == 0.75
+    assert d.probs[1] == 0.75
     assert len(d) == 2
     with pytest.raises(ValueError):
         Distribution([0.5, 0.6])  # sums to 1.1
@@ -71,20 +69,13 @@ def test_distribution_is_immutable():
 
 
 def test_argmax_tie_breaks_to_lowest_index():
-    assert Distribution([0.4, 0.4, 0.2]).argmax() == 0
-    assert Distribution([0.2, 0.4, 0.4]).argmax() == 1
-
-
-def test_context_accumulates():
-    ctx = Context((3, 1))
-    ctx.extend([4])
-    assert ctx.as_tuple() == (3, 1, 4)
-    assert len(ctx) == 3
-    assert ctx[0] == 3
+    assert np.array([0.4, 0.4, 0.2]).argmax() == 0
+    assert np.array([0.2, 0.4, 0.4]).argmax() == 1
+    assert apply_temperature(np.array([0.2, 0.4, 0.4]), 0.5).argmax() == 1
 
 
 def test_normalize_basic_and_errors():
-    assert np.allclose(normalize([2.0, 2.0]).probs, [0.5, 0.5])
+    assert np.allclose(normalize([2.0, 2.0]), [0.5, 0.5])
     with pytest.raises(AllZeroError):
         normalize([0.0, 0.0])
     with pytest.raises(ValueError):
@@ -96,35 +87,31 @@ def test_normalize_basic_and_errors():
 @given(positive_weights)
 def test_normalize_is_idempotent(weights):
     once = normalize(weights)
-    twice = normalize(once.probs)
-    assert np.allclose(once.probs, twice.probs, atol=1e-12)
+    twice = normalize(once)
+    assert np.allclose(once, twice, atol=1e-12)
 
 
 def test_temperature_one_is_identity():
-    d = Distribution([0.3, 0.7])
+    d = np.array([0.3, 0.7])
     assert apply_temperature(d, 1.0) is d
 
 
 def test_temperature_zero_is_argmax_onehot():
-    shaped = apply_temperature(Distribution([0.3, 0.5, 0.2]), 0.0)
-    assert shaped.probs.tolist() == [0.0, 1.0, 0.0]
+    # T=0 leaves the raw rows: greedy decisions read their argmax, the hot
+    # index of the argmax one-hot, and build the one-hot only to judge it.
+    row = np.array([0.3, 0.5, 0.2])
+    assert apply_temperature(row, 0.0) is row
+    assert np.eye(3)[apply_temperature(row, 0.0).argmax()].tolist() == [0.0, 1.0, 0.0]
     # tie goes to the lower index, matching argmax
-    shaped = apply_temperature(Distribution([0.5, 0.5]), 0.0)
-    assert shaped.probs.tolist() == [1.0, 0.0]
+    block = np.array([[0.5, 0.5], [0.25, 0.75]])
+    assert apply_temperature(block, 0.0) is block
+    assert np.eye(2)[block.argmax(axis=1)].tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_temperature_half_squares_probabilities():
     # p ** (1/T) with T=0.5: [0.64, 0.04] renormalized = [16/17, 1/17]
-    shaped = apply_temperature(Distribution([0.8, 0.2]), 0.5)
-    assert np.allclose(shaped.probs, [16.0 / 17.0, 1.0 / 17.0], atol=1e-12)
-
-
-def test_greedy_one_hots_are_shared_and_immutable():
-    hot = apply_temperature(Distribution([0.3, 0.5, 0.2]), 0.0)
-    assert apply_temperature(Distribution([0.1, 0.8, 0.1]), 0.0) is hot
-    assert apply_temperature(Distribution([0.6, 0.4, 0.0]), 0.0) is not hot
-    with pytest.raises(ValueError):
-        hot.probs[0] = 1.0
+    shaped = apply_temperature(np.array([0.8, 0.2]), 0.5)
+    assert np.allclose(shaped, [16.0 / 17.0, 1.0 / 17.0], atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -133,25 +120,24 @@ def test_greedy_one_hots_are_shared_and_immutable():
     shape=st.tuples(st.integers(1, 8), st.integers(2, 300)),
     temperature=st.sampled_from([0.0005, 0.05, 0.3, 0.5, 0.9, 1.7, 4.0]),
 )
-def test_shape_rows_is_apply_temperature_row_by_row(seed, shape, temperature):
+def test_apply_temperature_shapes_a_block_row_by_row(seed, shape, temperature):
     rows = np.random.default_rng(seed).dirichlet(np.ones(shape[1]), size=shape[0])
     rows[:, ::7] = 0.0  # zero cells exercise log(0)
     rows /= rows.sum(axis=1, keepdims=True)
-    block = shape_rows(rows, temperature)
+    block = apply_temperature(rows, temperature)
     for row, shaped in zip(rows, block):
-        assert np.array_equal(shaped, apply_temperature(Distribution(row), temperature).probs)
-    assert shape_rows(rows, 0.0) is rows and shape_rows(rows, 1.0) is rows
+        assert np.array_equal(shaped, apply_temperature(row, temperature))
 
 
 def test_top2_margin_of_a_block_is_per_row():
     block = np.array([[0.6, 0.3, 0.1], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0]])
     margins = top2_margin(block)
-    assert margins.tolist() == [top2_margin(Distribution(row)) for row in block]
+    assert margins.tolist() == [top2_margin(row) for row in block]
 
 
 def test_temperature_rejects_negative():
     with pytest.raises(ValueError):
-        apply_temperature(Distribution([1.0, 0.0]), -0.5)
+        apply_temperature(np.array([1.0, 0.0]), -0.5)
 
 
 @given(positive_weights, st.floats(0.05, 0.95))
@@ -159,13 +145,13 @@ def test_temperature_rejects_negative():
 def test_temperature_sharpening_concentrates_on_argmax(weights, temperature):
     d = normalize(weights)
     shaped = apply_temperature(d, temperature)
-    assert abs(float(shaped.probs.sum()) - 1.0) < 1e-9
+    assert abs(float(shaped.sum()) - 1.0) < 1e-9
     assert shaped.argmax() == d.argmax()
-    assert shaped.prob(d.argmax()) >= d.prob(d.argmax()) - 1e-12
+    assert shaped[d.argmax()] >= d[d.argmax()] - 1e-12
 
 
 def test_sample_inverse_cdf():
-    d = Distribution([0.5, 0.5])
+    d = np.array([0.5, 0.5])
     assert sample(d, FixedUniforms([0.25])) == 0
     assert sample(d, FixedUniforms([0.75])) == 1
     # searchsorted side="right": u exactly on the boundary falls rightward
@@ -174,21 +160,21 @@ def test_sample_inverse_cdf():
 
 def test_sample_tail_shortfall_lands_on_last_positive():
     # CDF tops out just below 1; a larger u must not index past the end.
-    d = Distribution([0.3, 0.7 - 5e-10])
+    d = np.array([0.3, 0.7 - 5e-10])
     assert sample(d, FixedUniforms([0.99999999999])) == 1
 
 
 def test_sample_consumes_one_draw():
     stream = FixedUniforms([0.1, 0.9])
-    sample(Distribution([0.5, 0.5]), stream)
+    sample(np.array([0.5, 0.5]), stream)
     assert stream.draws == 1
 
 
 def test_top2_margin_values():
-    assert top2_margin(Distribution([0.6, 0.3, 0.1])) == pytest.approx(0.3)
-    assert top2_margin(Distribution([1.0, 0.0])) == pytest.approx(1.0)
-    assert top2_margin(Distribution([0.25] * 4)) == pytest.approx(0.0)
-    assert top2_margin(Distribution([1.0])) == 0.0
+    assert top2_margin(np.array([0.6, 0.3, 0.1])) == pytest.approx(0.3)
+    assert top2_margin(np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert top2_margin(np.array([0.25] * 4)) == pytest.approx(0.0)
+    assert top2_margin(np.array([1.0])) == 0.0
 
 
 def test_random_stream_reproducible():

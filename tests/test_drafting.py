@@ -65,17 +65,17 @@ def test_chain_requires_tokens():
     with pytest.raises(ValueError):
         DraftChain((), ())
     with pytest.raises(ValueError):
-        DraftChain((0, 1), (Distribution([0.5, 0.5]),))
+        DraftChain((0, 1), np.array([[0.5, 0.5]]))
 
 
 def test_chain_rejects_zero_probability_token():
     with pytest.raises(ValueError):
-        DraftChain((1,), (Distribution([1.0, 0.0]),))
+        DraftChain((1,), np.array([[1.0, 0.0]]))
 
 
 def test_chain_suffix():
-    d = Distribution([0.5, 0.5])
-    chain = DraftChain((0, 1, 0), (d, d, d))
+    d = [0.5, 0.5]
+    chain = DraftChain((0, 1, 0), np.array([d, d, d]))
     tail = chain.suffix(1)
     assert tail.tokens == (1, 0)
     assert tail.k == 2
@@ -92,8 +92,9 @@ def test_draft_chain_greedy_matches_argmax_walk(ref_family):
     for _ in range(12):
         walked.append(probe.next_dist(ctx + tuple(walked)).argmax())
     assert list(chain.tokens) == walked
-    for tok, dist in zip(chain.tokens, chain.dists):
-        assert dist.prob(tok) == 1.0  # greedy shaping collapses to one-hot
+    for i in range(12):  # a greedy chain keeps the raw rows, as a verifier does
+        assert np.array_equal(chain.dists[i], probe.next_dist(ctx + chain.tokens[:i]))
+    assert not chain.dists.flags.writeable
 
 
 def test_draft_chain_consumes_one_uniform_per_token():
@@ -112,9 +113,10 @@ def test_greedy_draft_chain_draws_no_uniform():
     assert stream.draws == 0
     walked = [0]  # the default row's argmax, then each row's own
     for _ in range(4):
-        walked.append(int(np.argmax(model.rows[(walked[-1],)].probs)))
+        walked.append(int(np.argmax(model.rows[(walked[-1],)])))
     assert chain.tokens == tuple(walked)
-    assert all(dist.prob(tok) == 1.0 for tok, dist in zip(chain.tokens, chain.dists))
+    raw = [model.default] + [model.rows[(t,)] for t in walked[:-1]]
+    assert np.array_equal(chain.dists, raw)
 
 
 def test_draft_chain_rejects_bad_k():
@@ -143,10 +145,10 @@ def test_tree_matches_brute_force_selection():
     tree = draft_tree(model, (), depth=2, branch_topk=2, budget=4)
 
     pool = {}
-    root = probe.next_dist(()).probs
+    root = probe.next_dist(())
     for tok in np.argsort(-root)[:2]:
         pool[(int(tok),)] = root[tok]
-        child = probe.next_dist((int(tok),)).probs
+        child = probe.next_dist((int(tok),))
         for nxt in np.argsort(-child)[:2]:
             pool[(int(tok), int(nxt))] = root[tok] * child[nxt]
     expect = sorted(pool, key=lambda p: -pool[p])[:4]
@@ -220,10 +222,12 @@ def _reference_draft_tree(drafter, ctx, depth, branch_topk, budget, temperature=
         grown = []
         block = drafter.batch_score_paths(tuple(ctx), [path for _, path, _ in frontier])
         for (parent_id, path, path_prob), raw in zip(frontier, block):
-            dist = apply_temperature(Distribution(raw), temperature)
-            order = np.lexsort((np.arange(len(dist)), -dist.probs))
+            dist = apply_temperature(raw, temperature)
+            if temperature == 0.0:  # greedy shaping: the argmax one-hot
+                dist = np.eye(len(raw))[raw.argmax()]
+            order = np.lexsort((np.arange(len(dist)), -dist))
             for tok in (int(t) for t in order[:branch_topk]):
-                p = dist.prob(tok)
+                p = float(dist[tok])
                 if p <= 0.0:
                     break
                 pool.append((tok, parent_id, level, p, path_prob * p))
@@ -344,14 +348,15 @@ def _drafters(draw):
     if kind == "ngram":
         return ngram
     eps = draw(st.sampled_from([0.0, 0.3, 1.0]))
-    uniform = Distribution(np.full(vocab.size, 1.0 / vocab.size))
+    uniform = np.full(vocab.size, 1.0 / vocab.size)
     return MixtureProxy(ngram, ProxyDerivation(eps, "uniform"), uniform)
 
 
 def _unmemoised(drafter):
     """The same oracle built afresh, with an empty tree memo."""
     if isinstance(drafter, TableModel):
-        return TableModel(drafter.vocab, drafter.rows, drafter.default)
+        rows = {key: Distribution(row) for key, row in drafter.rows.items()}
+        return TableModel(drafter.vocab, rows, Distribution(drafter.default))
     if isinstance(drafter, NgramModel):
         return NgramModel(drafter.vocab, drafter.spec, drafter._counts)
     return MixtureProxy(_unmemoised(drafter.base), drafter.deriv, drafter.noise)
@@ -440,7 +445,7 @@ class _ParityModel(ModelOracle):
     kind = "parity"
 
     def _dist(self, ctx):
-        return Distribution([0.7, 0.3] if len(ctx) % 2 else [0.2, 0.8])
+        return np.array([0.7, 0.3] if len(ctx) % 2 else [0.2, 0.8])
 
 
 def test_drafter_without_a_window_is_not_memoised():

@@ -229,7 +229,7 @@ def _full_scan_prompts(held, vocab, tokenizer, num_prompts, prompt_fraction, min
         lines.append(cur)
     lines = [line for line in lines if len(line) >= min_len]
     if len(lines) < num_prompts:
-        chunk = max(min_len, len(held) // (num_prompts + 1))
+        chunk = max(min_len, len(held) // (num_prompts + 1), 1)
         lines = [list(held[i : i + chunk]) for i in range(0, len(held) - chunk, chunk)]
         lines = [line for line in lines if len(line) >= min_len]
     if len(lines) < num_prompts:
@@ -259,7 +259,7 @@ def _held_streams(draw):
     case=_held_streams(),
     tokenizer=st.sampled_from(["char", "byte"]),
     num_prompts=st.integers(1, 6),
-    min_len=st.integers(1, 9),
+    min_len=st.integers(0, 9),
     fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
 )
 def test_prompts_equal_the_full_scan_of_the_stream(
@@ -418,6 +418,44 @@ def test_a_greedy_run_seeds_no_generator(ref_family, monkeypatch, method, use_tr
     if not use_tree:  # the same run sampled does seed its generators
         run_experiment(replace(cfg, temperature=1.0), ref_family)
         assert made
+
+
+_EVERY_METHOD = [
+    dict(method=method, temperature=t, **extra)
+    for t in (0.0, 1.0)
+    for method, extra in [
+        ("target_only", {}), ("sd", {"sd_verifier": "target"}), ("sd", {"sd_verifier": "proxy"}),
+        ("trispec", {}),
+        *(("relax", {"relax_policy": p}) for p in ("chow", "token_specific",
+                                                   "confidence_filter", "topk")),
+    ]
+] + [dict(method="sd", use_tree=True), dict(method="trispec", use_tree=True)]
+
+
+@pytest.mark.parametrize("family_name", ["ref_family", "perturbed_family"])
+def test_decoding_builds_no_distribution(family_name, request, monkeypatch):
+    """Every pass, draft and round works on rows: ``Distribution`` is only the
+    checked type of rows from outside, so no decode path builds one."""
+    import numpy as np
+
+    from trispec.core import Distribution
+
+    family = request.getfixturevalue(family_name)
+    built = []
+    init = Distribution.__init__
+    monkeypatch.setattr(Distribution, "__init__", lambda d, probs: built.append(1) or init(d, probs))
+    for overrides in _EVERY_METHOD:
+        cfg = ExperimentConfig(max_new_tokens=16, num_prompts=2, **overrides)
+        assert run_experiment(cfg, family).report.N > 0
+    assert built == []
+
+    fam = family.fork()
+    ctx = tuple(family.held_tokens[:9])
+    for oracle in (fam.drafter, fam.proxy, fam.target):
+        for rows in (oracle.next_dist(ctx), oracle.batch_score(ctx, ctx[:3]),
+                     oracle.batch_score_paths(ctx, [(), ctx[:2]])):
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            assert not rows.flags.writeable
 
 
 # ---------------------------------------------------------------------------

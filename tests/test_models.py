@@ -33,9 +33,9 @@ def test_table_model_longest_suffix_wins():
         (0, 1): Distribution([0.1, 0.9]),
     }
     model = TableModel(Vocabulary(2), rows, default=Distribution([0.5, 0.5]))
-    assert model.next_dist((0, 1)).prob(1) == 0.9  # two-token suffix beats one
-    assert model.next_dist((1, 1)).prob(0) == 0.9  # falls back to (1,)
-    assert model.next_dist((0,)).prob(0) == 0.5  # default row
+    assert model.next_dist((0, 1))[1] == 0.9  # two-token suffix beats one
+    assert model.next_dist((1, 1))[0] == 0.9  # falls back to (1,)
+    assert model.next_dist((0,))[0] == 0.5  # default row
 
 
 def test_table_model_missing_default_raises():
@@ -54,36 +54,36 @@ def test_table_model_rejects_wrong_row_size():
 def test_ngram_unsmoothed_relative_frequencies():
     model = train_ngram(ABAB, NGramSpec(order=2, alpha=0.0), AB)
     # bigrams: a->b twice, b->a once; alpha=0 keeps pure frequencies
-    assert model.next_dist((0,)).probs.tolist() == [0.0, 1.0]
-    assert model.next_dist((1,)).probs.tolist() == [1.0, 0.0]
+    assert model.next_dist((0,)).tolist() == [0.0, 1.0]
+    assert model.next_dist((1,)).tolist() == [1.0, 0.0]
 
 
 def test_ngram_additive_smoothing():
     model = train_ngram(ABAB, NGramSpec(order=2, alpha=1.0), AB)
     # P(b|a) = (2 + 1) / (2 + 1*2) = 0.75
-    assert model.next_dist((0,)).prob(1) == pytest.approx(0.75)
-    assert model.next_dist((0,)).prob(0) == pytest.approx(0.25)
+    assert model.next_dist((0,))[1] == pytest.approx(0.75)
+    assert model.next_dist((0,))[0] == pytest.approx(0.25)
 
 
 def test_ngram_backoff_to_shorter_order():
     model = train_ngram(ABAB, NGramSpec(order=3, alpha=0.0), AB)
     # (a, b) was seen as a trigram context; (b, b) never was and must fall
     # back to the bigram row for (b,)
-    assert model.next_dist((0, 1)).probs.tolist() == [1.0, 0.0]
-    assert model.next_dist((1, 1)).probs.tolist() == [1.0, 0.0]
+    assert model.next_dist((0, 1)).tolist() == [1.0, 0.0]
+    assert model.next_dist((1, 1)).tolist() == [1.0, 0.0]
 
 
 def test_ngram_empty_context_hits_unigram():
     model = train_ngram(ABAB, NGramSpec(order=2, alpha=0.0), AB)
-    assert model.next_dist(()).probs.tolist() == [0.5, 0.5]
-    assert model.unigram().probs.tolist() == [0.5, 0.5]
+    assert model.next_dist(()).tolist() == [0.5, 0.5]
+    assert model.unigram().tolist() == [0.5, 0.5]
 
 
 def test_ngram_uses_only_last_order_minus_one_tokens():
     model = train_ngram(ABAB, NGramSpec(order=2, alpha=0.5), AB)
     long_ctx = model.next_dist((1, 1, 1, 0))
     short_ctx = model.next_dist((0,))
-    assert np.array_equal(long_ctx.probs, short_ctx.probs)
+    assert np.array_equal(long_ctx, short_ctx)
 
 
 def test_train_ngram_errors():
@@ -194,7 +194,7 @@ def test_fork_shares_tables_but_not_counter():
     assert twin.invocation_count == 0
     twin.next_dist((1,))
     assert model.invocation_count == 1
-    assert np.array_equal(twin.next_dist((0,)).probs, model.next_dist((0,)).probs)
+    assert np.array_equal(twin.next_dist((0,)), model.next_dist((0,)))
 
 
 def test_batch_score_matches_next_dist():
@@ -205,20 +205,20 @@ def test_batch_score_matches_next_dist():
     assert block.shape == (len(drafted) + 1, 2)
     for i, row in enumerate(block):
         expect = probe.next_dist(ctx + tuple(drafted[:i]))
-        assert np.array_equal(row, expect.probs)
+        assert np.array_equal(row, expect)
 
 
 def test_mixture_arithmetic():
     base = TableModel(Vocabulary(2), {}, default=Distribution([0.8, 0.2]))
-    noise = Distribution([0.5, 0.5])
+    noise = np.array([0.5, 0.5])
     proxy = MixtureProxy(base, ProxyDerivation(0.3, "uniform"), noise)
-    got = proxy.next_dist((0,)).probs
+    got = proxy.next_dist((0,))
     assert np.allclose(got, [0.7 * 0.8 + 0.3 * 0.5, 0.7 * 0.2 + 0.3 * 0.5], atol=1e-12)
 
 
 def test_mixture_does_not_bump_base_counter():
     base = TableModel(Vocabulary(2), {}, default=Distribution([0.8, 0.2]))
-    proxy = MixtureProxy(base, ProxyDerivation(0.5, "uniform"), Distribution([0.5, 0.5]))
+    proxy = MixtureProxy(base, ProxyDerivation(0.5, "uniform"), np.array([0.5, 0.5]))
     proxy.next_dist(())
     proxy.batch_score((), [0, 1])
     assert proxy.invocation_count == 2
@@ -228,7 +228,7 @@ def test_mixture_does_not_bump_base_counter():
 def test_mixture_rejects_wrong_noise_size():
     base = TableModel(Vocabulary(3), {}, default=Distribution([0.5, 0.3, 0.2]))
     with pytest.raises(ValueError):
-        MixtureProxy(base, ProxyDerivation(0.2, "uniform"), Distribution([0.5, 0.5]))
+        MixtureProxy(base, ProxyDerivation(0.2, "uniform"), np.array([0.5, 0.5]))
 
 
 def test_proxy_derivation_bounds():
@@ -243,7 +243,7 @@ def test_proxy_derivation_bounds():
 def test_derive_proxy_uniform_noise():
     base = train_ngram(ABAB, NGramSpec(order=2), AB)
     proxy = derive_proxy(base, ProxyDerivation(1.0, "uniform"))
-    assert np.allclose(proxy.next_dist((0,)).probs, [0.5, 0.5])
+    assert np.allclose(proxy.next_dist((0,)), [0.5, 0.5])
 
 
 def test_derive_proxy_endpoints():
@@ -251,8 +251,8 @@ def test_derive_proxy_endpoints():
     exact = derive_proxy(base, ProxyDerivation(0.0, "unigram"))
     pure = derive_proxy(base, ProxyDerivation(1.0, "unigram"))
     for ctx in ((0,), (1,), ()):
-        assert np.allclose(exact.next_dist(ctx).probs, base.fork().next_dist(ctx).probs)
-        assert np.allclose(pure.next_dist(ctx).probs, base.unigram().probs)
+        assert np.allclose(exact.next_dist(ctx), base.fork().next_dist(ctx))
+        assert np.allclose(pure.next_dist(ctx), base.unigram())
 
 
 def test_derive_proxy_unigram_needs_ngram_target():
@@ -288,7 +288,7 @@ def test_save_load_round_trip_ngram(tmp_path):
     assert loaded.spec == model.spec
     assert loaded.vocab.symbols == ("a", "b")
     for ctx in ((), (0,), (0, 1), (1, 1)):
-        assert np.array_equal(loaded.next_dist(ctx).probs, model.fork().next_dist(ctx).probs)
+        assert np.array_equal(loaded.next_dist(ctx), model.fork().next_dist(ctx))
 
 
 def test_save_load_round_trip_table(tmp_path):
@@ -301,8 +301,8 @@ def test_save_load_round_trip_table(tmp_path):
     save_oracle(model, path)
     loaded = load_oracle(path)
     assert isinstance(loaded, TableModel)
-    assert loaded.next_dist((0,)).prob(1) == 0.75
-    assert loaded.next_dist((1,)).prob(1) == 0.5
+    assert loaded.next_dist((0,))[1] == 0.75
+    assert loaded.next_dist((1,))[1] == 0.5
 
 
 def test_save_load_round_trip_mixture(tmp_path):
@@ -313,7 +313,7 @@ def test_save_load_round_trip_mixture(tmp_path):
     loaded = load_oracle(path)
     assert isinstance(loaded, MixtureProxy)
     assert loaded.deriv == proxy.deriv
-    assert np.allclose(loaded.next_dist((0,)).probs, proxy.fork().next_dist((0,)).probs)
+    assert np.allclose(loaded.next_dist((0,)), proxy.fork().next_dist((0,)))
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -321,6 +321,65 @@ def test_save_is_byte_deterministic(tmp_path):
     save_oracle(model, tmp_path / "a.json")
     save_oracle(model, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@st.composite
+def _saved_oracles(draw):
+    """A table (V 2-6, rows from integer weights with ties and zeros, with
+    or without a default), an n-gram of order 1-4 with alpha 0 or not, or a
+    mixture over an n-gram with unigram or uniform noise."""
+    size = draw(st.integers(2, 6))
+    vocab = Vocabulary(size)
+    token = st.integers(0, size - 1)
+    kind = draw(st.sampled_from(["table", "ngram", "mixture"]))
+    if kind == "table":
+        row = st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any).map(
+            lambda w: Distribution(np.array(w, float) / sum(w))
+        )
+        keys = draw(st.lists(st.lists(token, max_size=3).map(tuple), max_size=6, unique=True))
+        rows = {key: draw(row) for key in keys}
+        return TableModel(vocab, rows, default=draw(st.one_of(st.none(), row)))
+    corpus = draw(st.lists(token, min_size=4, max_size=40))
+    spec = NGramSpec(draw(st.integers(1, 4)), draw(st.sampled_from([0.0, 0.1, 0.7])))
+    oracle = train_ngram(corpus, spec, vocab)
+    if kind == "mixture":
+        noise = draw(st.sampled_from(["unigram", "uniform"]))
+        oracle = derive_proxy(oracle, ProxyDerivation(draw(st.floats(0.0, 1.0)), noise))
+    return oracle
+
+
+def _scored(score, *args):
+    """A pass's block, or LookupError where a table without a default has
+    no row for the context."""
+    try:
+        return score(*args)
+    except LookupError:
+        return LookupError
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(oracle=_saved_oracles(), data=st.data())
+def test_model_files_round_trip_bit_for_bit(oracle, data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "m.json"
+    save_oracle(oracle, path)
+    saved = path.read_bytes()
+    loaded = load_oracle(path)
+    save_oracle(loaded, path)
+    assert path.read_bytes() == saved
+
+    tokens = st.integers(0, oracle.vocab_size - 1)
+    ctx = tuple(data.draw(st.lists(tokens, max_size=6), label="ctx"))
+    drafted = tuple(data.draw(st.lists(tokens, max_size=5), label="drafted"))
+    paths = data.draw(st.lists(st.lists(tokens, max_size=4).map(tuple), min_size=1, max_size=4),
+                      label="paths")
+    for method, args in (("next_dist", (ctx,)), ("batch_score", (ctx, drafted)),
+                         ("batch_score_paths", (ctx, paths))):
+        want = _scored(getattr(oracle.fork(), method), *args)
+        got = _scored(getattr(loaded.fork(), method), *args)
+        if want is LookupError:
+            assert got is LookupError
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), method
 
 
 def test_load_rejects_foreign_and_versioned_files(tmp_path):
@@ -358,7 +417,8 @@ def _state_oracles(draw):
         spec = NGramSpec(draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 0.1, 1.0])))
         oracle = train_ngram(corpus, spec, vocab)
     if kind.startswith("mixture"):
-        oracle = MixtureProxy(oracle, ProxyDerivation(draw(st.floats(0.0, 1.0))), draw(row))
+        noise = draw(row).probs
+        oracle = MixtureProxy(oracle, ProxyDerivation(draw(st.floats(0.0, 1.0))), noise)
     return oracle
 
 
@@ -366,14 +426,15 @@ def _backoff_row(oracle, ctx):
     """An n-gram row by the backoff loop the oracle ran per context before
     it had states (a mixture mixes its base's); other oracles' ``_dist``."""
     if isinstance(oracle, MixtureProxy):
-        return oracle._mix(_backoff_row(oracle.base, ctx))
+        eps = oracle.deriv.epsilon
+        return (1.0 - eps) * _backoff_row(oracle.base, ctx) + eps * oracle.noise
     if not isinstance(oracle, NgramModel):
-        return oracle._dist(ctx).probs
+        return oracle._dist(ctx)
     for j in range(oracle.order, 0, -1):
         if len(ctx) >= j - 1:
             key = ctx[len(ctx) - (j - 1) :] if j > 1 else ()
             if key in oracle._counts[j]:
-                return oracle._smoothed(key, j).probs
+                return oracle._smoothed(key, j)
     raise AssertionError("no unigram row")
 
 
@@ -381,7 +442,7 @@ def _backoff_row(oracle, ctx):
 @given(oracle=_state_oracles(), data=st.data())
 def test_every_pass_equals_the_dist_of_each_untrimmed_context(oracle, data):
     def row(ctx):
-        want = oracle._dist(ctx).probs
+        want = oracle._dist(ctx)
         assert np.array_equal(want, _backoff_row(oracle, ctx))
         return want
 
@@ -399,7 +460,7 @@ def test_every_pass_equals_the_dist_of_each_untrimmed_context(oracle, data):
         before = who.invocation_count
         if kind == "next_dist":
             got = who.next_dist(ctx)
-            assert np.array_equal(got.probs, row(ctx))
+            assert np.array_equal(got, row(ctx))
         elif kind == "batch_score":
             drafted = tuple(data.draw(st.lists(token, max_size=7), label="drafted"))
             block = who.batch_score(ctx, drafted)
@@ -419,9 +480,9 @@ def test_every_pass_equals_the_dist_of_each_untrimmed_context(oracle, data):
     assert oracle.invocation_count == 0
 
     states = oracle._states
-    assert len(states.keys) == len(states.of_key) == len(states.dists) <= len(states.table)
-    for s, (key, dist) in enumerate(zip(states.keys, states.dists)):
-        assert states.of_key[key] == s and np.array_equal(states.table[s], dist.probs)
+    assert len(states.keys) == len(states.of_key) <= len(states.table)
+    for s, key in enumerate(states.keys):
+        assert states.of_key[key] == s and np.array_equal(states.table[s], row(key))
     base = oracle.base if isinstance(oracle, MixtureProxy) else oracle
     if isinstance(base, NgramModel):  # one state per seen context, at most
         assert all(key in base._counts[len(key) + 1] for key in states.keys)
@@ -445,9 +506,9 @@ def test_a_broken_mixture_row_raises_and_adds_no_state():
     base = TableModel(
         Vocabulary(2), {(1,): Distribution([0.2, 0.8])}, default=Distribution([0.5, 0.5])
     )
-    mix = MixtureProxy(base, ProxyDerivation(0.5), Distribution([0.5, 0.5]))
+    mix = MixtureProxy(base, ProxyDerivation(0.5), np.array([0.5, 0.5]))
     ok = mix.batch_score((0,), ())
-    object.__setattr__(mix.noise, "probs", np.array([0.9, 0.9]))  # new rows sum to 1.4
+    mix.noise = np.array([0.9, 0.9])  # new rows sum to 1.4
     with pytest.raises(ValueError, match="sums to"):
         mix.batch_score((0,), (1,))
     assert mix._states.keys == [(0,)] and not mix._states.step[0]
@@ -459,4 +520,4 @@ def test_ngram_counts_must_be_prefix_closed():
     with pytest.raises(ValueError, match="order-3 contexts are not prefix-closed"):
         NgramModel(AB, NGramSpec(order=3), counts)
     counts[2][(1,)] = {0: 1}
-    assert NgramModel(AB, NGramSpec(order=3), counts).next_dist((1, 0)).prob(1) > 0.5
+    assert NgramModel(AB, NGramSpec(order=3), counts).next_dist((1, 0))[1] > 0.5

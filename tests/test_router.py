@@ -1,5 +1,6 @@
 """Ternary routing: margin gating, the two round cases, tree rounds."""
 
+import numpy as np
 import pytest
 
 from trispec.core import Distribution, RandomStream, Vocabulary
@@ -48,22 +49,22 @@ def _const(probs, vocab=None):
 
 
 def test_trusted_prefix_stops_at_first_weak_margin():
-    dists = [
-        Distribution([0.95, 0.05]),
-        Distribution([0.95, 0.05]),
-        Distribution([0.55, 0.45]),
-        Distribution([0.95, 0.05]),
-    ]
+    dists = np.array([
+        [0.95, 0.05],
+        [0.95, 0.05],
+        [0.55, 0.45],
+        [0.95, 0.05],
+    ])
     assert trusted_prefix_len(dists, MarginRule(0.5)) == 2
     assert trusted_prefix_len(dists, MarginRule(0.0)) == 4
     assert trusted_prefix_len(dists, MarginRule(1.01)) == 0
 
 
 def test_margin_rule_boundary_cases():
-    one_hot = Distribution([1.0, 0.0])
+    one_hot = np.array([1.0, 0.0])
     assert MarginRule(1.0).trusted(one_hot)  # margin exactly 1.0
     assert not MarginRule(1.01).trusted(one_hot)
-    assert MarginRule(0.5).trusted(Distribution([0.75, 0.25]))
+    assert MarginRule(0.5).trusted(np.array([0.75, 0.25]))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def test_always_trust_sentinel_is_proxy_verified_sd(ref_family):
 
 
 def test_pruned_verify_rejects_out_of_range_commit():
-    draft = DraftChain((0,), (Distribution([0.5, 0.5]),))
+    draft = DraftChain((0,), np.array([[0.5, 0.5]]))
     target = _const([0.5, 0.5])
     for bad in (-1, 2):
         with pytest.raises(ValueError):
@@ -176,8 +177,8 @@ def test_pruned_verify_rejects_out_of_range_commit():
 
 
 def test_pruned_verify_with_empty_commit_is_plain_verification():
-    half = Distribution([0.5, 0.5])
-    draft = DraftChain((1, 0, 1), (half, half, half))
+    half = [0.5, 0.5]
+    draft = DraftChain((1, 0, 1), np.array([half, half, half]))
     target = TableModel(V2, {(1,): Distribution([0.2, 0.8])}, default=Distribution([0.7, 0.3]))
     dists = target.fork().batch_score((), draft.tokens)
     coins = [0.4, 0.4, 0.4]
@@ -189,8 +190,8 @@ def test_pruned_verify_with_empty_commit_is_plain_verification():
 
 
 def test_pruned_verify_conditions_on_the_committed_prefix():
-    half = Distribution([0.5, 0.5])
-    draft = DraftChain((1, 0), (half, half))
+    half = [0.5, 0.5]
+    draft = DraftChain((1, 0), np.array([half, half]))
     target = TableModel(V2, {(1,): Distribution([0.1, 0.9])}, default=Distribution([0.9, 0.1]))
     committed = pruned_target_verify(
         draft, 1, target.fork(), (), 0.0, FixedUniforms([]), FixedUniforms([])

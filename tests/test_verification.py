@@ -32,7 +32,7 @@ class FixedUniforms:
 
 
 def _chain(tokens, dists):
-    return DraftChain(tuple(tokens), tuple(Distribution(d) for d in dists))
+    return DraftChain(tuple(tokens), np.array(dists, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_coins_for_selects_role_stream():
 
 def test_greedy_acceptance_is_argmax_match_and_drawless():
     draft = _chain((0, 1), ([1.0, 0.0], [0.0, 1.0]))
-    dists = [Distribution([0.9, 0.1]), Distribution([0.9, 0.1])]
+    dists = np.array([[0.9, 0.1], [0.9, 0.1]])
     stream = FixedUniforms([])
     coins, tau = acceptance_coins(draft, dists, 0.0, stream)
     assert (coins, tau) == ((1, 0), 1)
@@ -72,7 +72,7 @@ def test_greedy_acceptance_is_argmax_match_and_drawless():
 
 def test_coin_threshold_is_the_probability_ratio():
     draft = _chain((0,), ([0.8, 0.2],))
-    dists = [Distribution([0.4, 0.6])]  # ratio = 0.4 / 0.8 = 0.5
+    dists = np.array([[0.4, 0.6]])  # ratio = 0.4 / 0.8 = 0.5
     assert acceptance_coins(draft, dists, 1.0, FixedUniforms([0.49])) == ((1,), 1)
     assert acceptance_coins(draft, dists, 1.0, FixedUniforms([0.51])) == ((0,), 0)
 
@@ -80,7 +80,7 @@ def test_coin_threshold_is_the_probability_ratio():
 def test_acceptance_stops_at_first_rejection():
     half = [0.5, 0.5]
     draft = _chain((0, 0, 0, 0), (half, half, half, half))
-    dists = [Distribution(half), Distribution(half), Distribution([0.0, 1.0]), Distribution(half)]
+    dists = np.array([half, half, [0.0, 1.0], half])
     stream = FixedUniforms([0.9, 0.9, 0.9, 0.9])
     coins, tau = acceptance_coins(draft, dists, 1.0, stream)
     assert (coins, tau) == ((1, 1, 0), 2)
@@ -90,7 +90,7 @@ def test_acceptance_stops_at_first_rejection():
 def test_full_acceptance_consumes_k_coins():
     half = [0.5, 0.5]
     draft = _chain((1, 1), (half, half))
-    dists = [Distribution(half), Distribution(half)]
+    dists = np.array([half, half])
     stream = FixedUniforms([0.3, 0.3])
     coins, tau = acceptance_coins(draft, dists, 1.0, stream)
     assert (coins, tau) == ((1, 1), 2)
@@ -103,18 +103,18 @@ def test_full_acceptance_consumes_k_coins():
 
 
 def test_residual_is_normalized_positive_excess():
-    res = residual_dist(Distribution([0.5, 0.5]), Distribution([0.25, 0.75]))
-    assert res.probs.tolist() == [0.0, 1.0]
+    res = residual_dist(np.array([0.5, 0.5]), np.array([0.25, 0.75]))
+    assert res.tolist() == [0.0, 1.0]
 
 
 def test_residual_of_identical_dists_is_degenerate():
     with pytest.raises(DegenerateResidualError):
-        residual_dist(Distribution([0.5, 0.5]), Distribution([0.5, 0.5]))
+        residual_dist(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
 
 def test_correction_after_rejection_comes_from_residual():
     draft = _chain((0,), ([0.5, 0.5],))
-    dists = [Distribution([0.25, 0.75]), Distribution([0.9, 0.1])]
+    dists = np.array([[0.25, 0.75], [0.9, 0.1]])
     stream = FixedUniforms([])
     token, is_bonus = draw_correction(draft, dists, 0, 0.0, stream)
     assert (token, is_bonus) == (1, False)
@@ -127,7 +127,7 @@ def test_correction_after_rejection_comes_from_residual():
 
 def test_correction_after_full_acceptance_is_the_bonus():
     draft = _chain((0,), ([0.5, 0.5],))
-    dists = [Distribution([0.25, 0.75]), Distribution([0.1, 0.9])]
+    dists = np.array([[0.25, 0.75], [0.1, 0.9]])
     token, is_bonus = draw_correction(draft, dists, 1, 0.0, FixedUniforms([]))
     assert (token, is_bonus) == (1, True)
     token, is_bonus = draw_correction(draft, dists, 1, 1.0, FixedUniforms([0.05]))
@@ -142,12 +142,12 @@ def test_correction_after_full_acceptance_is_the_bonus():
 def test_verify_chain_needs_one_extra_dist():
     draft = _chain((0,), ([0.5, 0.5],))
     with pytest.raises(ValueError):
-        verify_chain(draft, [Distribution([0.5, 0.5])], 1.0, FixedUniforms([]), FixedUniforms([]))
+        verify_chain(draft, np.array([[0.5, 0.5]]), 1.0, FixedUniforms([]), FixedUniforms([]))
 
 
 def test_verify_chain_emits_accepted_prefix_plus_correction():
     draft = _chain((0, 1), ([0.6, 0.4], [0.6, 0.4]))
-    dists = [Distribution([0.9, 0.1]), Distribution([0.2, 0.8]), Distribution([0.5, 0.5])]
+    dists = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
     trace = verify_chain(draft, dists, 0.0, FixedUniforms([]), FixedUniforms([]))
     assert trace.coins == (1, 1)  # argmaxes match the drafted tokens
     assert trace.tau == 2
@@ -168,8 +168,8 @@ def test_trace_consistency_is_enforced():
 
 
 def test_first_token_law_is_exact_and_holds_empirically():
-    p_d = Distribution([0.6, 0.3, 0.1])
-    p_v = Distribution([0.2, 0.5, 0.3])
+    p_d = np.array([0.6, 0.3, 0.1])
+    p_v = np.array([0.2, 0.5, 0.3])
     assert first_token_law(p_d, p_v) <= 1e-12
     assert mc_first_token_distance(p_d, p_v, rounds=30_000, seed=11) <= 0.05
 
