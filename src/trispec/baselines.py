@@ -160,17 +160,18 @@ def relaxed_sd_round(
     meter = PassMeter(drafter, target=target)
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
-    rows = apply_temperature(target.batch_score(base, draft.tokens), temperature)
-    drafted, judged = draft.dists, rows
+    rows = target.batch_score(base, draft.tokens)
+    scores = target.argmaxes() if temperature == 0.0 else apply_temperature(rows, temperature)
+    drafted, judged = draft.dists, scores
     if temperature == 0.0:  # the rules judge the shaped laws: the argmax one-hots
         hot = np.eye(rows.shape[1])
-        drafted, judged = hot[draft.dists.argmax(axis=1)], hot[rows.argmax(axis=1)]
+        drafted, judged = hot[list(draft.tokens)], hot[scores]
 
     coins, tau = acceptance_coins(
-        draft, rows, temperature, streams.target_coins,
+        draft, scores, temperature, streams.target_coins,
         decide=lambda i, token: policy.decide(drafted[i], judged[i], token),
     )
-    token = int(rows[tau].argmax()) if temperature == 0.0 else sample(rows[tau], streams.correction)
+    token = scores[tau] if temperature == 0.0 else sample(scores[tau], streams.correction)
     return Round(
         case=RoundCase(f"Relax:{policy.kind}"),
         emitted=draft.tokens[:tau] + (token,),

@@ -10,8 +10,8 @@ pins down the numeric conventions once:
   ``Distribution`` is only the checked type for rows that come from
   outside the decode path (hand-built tables, model files);
 * temperature acts on probabilities directly, ``p ** (1/T)`` renormalized;
-  T=0 means exact argmax (lowest index wins ties), and greedy decisions
-  take the argmax of the raw rows, so no one-hot is ever built for them;
+  T=0 means exact argmax (lowest index wins ties); greedy decisions read
+  each raw row's argmax as its window state keeps it, and build no one-hot;
 * sampling is inverse-CDF over ascending token index and consumes exactly
   one uniform draw;
 * randomness comes from named streams addressed by (seed, label), so

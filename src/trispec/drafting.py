@@ -4,8 +4,9 @@ A draft chain is the classic speculative block: k tokens sampled
 autoregressively from the drafter, recorded together with the exact
 (temperature-shaped) rows they were sampled from, as one read-only
 ``(k, V)`` block, because the verification rule needs those probabilities
-later. A greedy chain takes each raw argmax, draws no uniform and records
-the raw rows, as a verifier's greedy block is raw.
+later. A greedy chain takes the argmax each drafter pass's state keeps,
+draws no uniform and records the raw rows, as a verifier's greedy block is
+raw.
 
 A draft tree generalizes the chain: every frontier node proposes its
 top-``branch_topk`` continuations, and the tree keeps the globally most
@@ -78,18 +79,19 @@ def draft_chain(
 ) -> DraftChain:
     """Sample a k-token draft block autoregressively; k drafter passes.
 
-    At temperature 0 each token is the raw argmax, recorded with its raw
-    row, and no uniform is drawn.
+    At temperature 0 each token is the argmax kept by the state the pass
+    walked, recorded with its raw row, and no uniform is drawn.
     """
     if k < 1:
         raise ValueError("draft length k must be >= 1")
     base = drafter._tail(ctx)  # each pass reads only the window anyway
+    best = drafter._states.best
     tokens: list[int] = []
     rows: list[np.ndarray] = []
     for _ in range(k):
         row = drafter.next_dist(base + tuple(tokens))
         if temperature == 0.0:  # the raw row; shaping would return it as is
-            tokens.append(int(row.argmax()))
+            tokens.append(best[drafter.walked[0]])
         else:
             row = apply_temperature(row, temperature)
             tokens.append(sample(row, stream))
@@ -245,7 +247,7 @@ def draft_tree(
         levels.append(np.array(paths, dtype=packed).reshape(len(paths), level - 1))
         block = drafter.batch_score_paths(base, paths)
         if temperature == 0.0:  # one child per node: the argmax one-hot
-            block = np.eye(block.shape[1])[block.argmax(axis=1)]
+            block = np.eye(block.shape[1])[drafter.argmaxes()]
         else:
             block = apply_temperature(block, temperature)
         top = np.argsort(-block, axis=1, kind="stable")[:, :branch_topk]

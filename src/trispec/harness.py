@@ -141,7 +141,8 @@ class ExperimentConfig:
     run_id: str = ""
 
     def validate(self) -> None:
-        problems: list[str] = []
+        problems = [f"{f.name} must be finite" for f in fields(self)
+                    if f.type == "float" and not math.isfinite(getattr(self, f.name))]
         if self.tokenizer not in ("char", "byte"):
             problems.append(f"tokenizer must be char or byte, got {self.tokenizer!r}")
         if self.family not in ("ngram", "perturbed"):
@@ -465,11 +466,11 @@ class TraceRecord:
         )
 
     def to_csv_row(self) -> list[str]:
-        """Cells in column order: None is empty, booleans are 1 or 0."""
-        return [
-            "" if value is None else str(int(value) if isinstance(value, bool) else value)
-            for value in (getattr(self, column) for column in TRACE_COLUMNS)
-        ]
+        """Cells in ``TRACE_COLUMNS`` order: None is empty, booleans are 1 or 0."""
+        taus = ["" if tau is None else str(tau) for tau in (self.tau_a, self.tau_m, self.tau_t)]
+        return [self.run_id, str(self.round_index), self.case, *taus, str(self.emitted_count),
+                "1" if self.proxy_called else "0", "1" if self.target_called else "0",
+                str(self.round_cost)]
 
     @classmethod
     def from_csv_row(cls, row: Sequence[str]) -> "TraceRecord":
@@ -647,15 +648,14 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
 
     report.continuation_ppl = _ppl_under_target(target, continuations)
     residual = lemma_check(report)
-    if residual > 1e-9 * max(report.L, 1.0):
+    if not residual <= 1e-9 * max(report.L, 1.0):  # NaN fails too
         raise AssertionError(f"latency decomposition identity violated: residual {residual}")
     return ExperimentResult(run_id, cfg, report, records, continuations)
 
 
 def write_report_json(result: ExperimentResult, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(result.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

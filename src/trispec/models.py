@@ -21,6 +21,8 @@ every pass trims the committed context to that window once. From there it
 walks window states: every tail with the same key (``_key``) has the same
 row, so a state is computed, validated and stored once, on first use, and
 the state after each next token is filled in as it is first asked for.
+A state keeps its row's argmax and top-2 margin too, and every pass records
+the states it walked, so greedy decisions read those instead of the rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Distribution, Vocabulary, check_rows
+from .core import Distribution, Vocabulary, check_rows, top2_margin
 
 __all__ = [
     "CorpusTooShortError",
@@ -92,18 +94,22 @@ class _States:
     """An oracle's window states, each added on first use.
 
     State ``s`` holds ``keys[s]``, its row ``table[s]`` (checked once, when
-    the state is added, so a broken row raises and adds no state) and
-    ``step[s]``, which maps each token asked for so far to the state after
-    it. ``of_tail`` and ``of_key`` find a state from a window tail or a key.
+    the state is added, so a broken row raises and adds no state), its
+    argmax ``best[s]`` (lowest index on ties) and top-2 ``margin[s]``, taken
+    then too, and ``step[s]``, which maps each token asked for so far to the
+    state after it. ``of_tail`` and ``of_key`` find a state from a window
+    tail or a key.
     """
 
-    __slots__ = ("of_tail", "of_key", "keys", "step", "table")
+    __slots__ = ("of_tail", "of_key", "keys", "step", "table", "best", "margin")
 
     def __init__(self, vocab_size: int) -> None:
         self.of_tail: dict[tuple[int, ...], int] = {}
         self.of_key: dict[tuple[int, ...], int] = {}
         self.keys: list[tuple[int, ...]] = []
         self.step: list[dict[int, int]] = []
+        self.best: list[int] = []
+        self.margin: list[float] = []
         self.table = np.empty((16, vocab_size))
         self.table.setflags(write=False)
 
@@ -120,6 +126,8 @@ class _States:
         self.of_key[key] = s
         self.keys.append(key)
         self.step.append({})
+        self.best.append(int(row.argmax()))
+        self.margin.append(top2_margin(row))
         return s
 
 
@@ -139,6 +147,8 @@ class ModelOracle:
         # ``draft_tree``); fork() shares both, as it shares every table.
         self._states = _States(vocab.size)
         self._trees: dict[tuple, tuple] = {}
+        # The states the last pass walked, one per row it returned.
+        self.walked: list[int] = []
 
     @property
     def vocab_size(self) -> int:
@@ -180,15 +190,26 @@ class ModelOracle:
         return nxt
 
     def _gather(self, states: list[int]) -> np.ndarray:
-        block = self._states.table[states]
+        """The read-only rows of ``states``, which the pass records as walked."""
+        self.walked = states
+        block = self._states.table.take(states, axis=0)
         block.setflags(write=False)
         return block
+
+    def argmaxes(self) -> list[int]:
+        """The argmax of each row the last pass returned, as its state keeps it."""
+        return list(map(self._states.best.__getitem__, self.walked))
+
+    def margins(self) -> tuple[float, ...]:
+        """The top-2 margin of each row the last pass returned, likewise."""
+        return tuple(map(self._states.margin.__getitem__, self.walked))
 
     def next_dist(self, ctx: Sequence[int]) -> np.ndarray:
         """Score one position: the read-only row after ``ctx``. One forward
         pass."""
         self._passes += 1
         s = self._state(self._tail(ctx))  # may grow the table: index it after
+        self.walked = [s]
         return self._states.table[s]
 
     def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> np.ndarray:
@@ -250,15 +271,17 @@ class PassMeter:
         proxy: ModelOracle | None = None,
         target: ModelOracle | None = None,
     ) -> None:
-        self._oracles = (drafter, proxy, target)
-        self._start = tuple(0 if o is None else o.invocation_count for o in self._oracles)
+        self._oracles = drafter, proxy, target
+        self._start = self._counts()
+
+    def _counts(self) -> tuple[int, int, int]:
+        d, p, t = self._oracles
+        return (0 if d is None else d.invocation_count, 0 if p is None else p.invocation_count,
+                0 if t is None else t.invocation_count)
 
     def passes(self) -> tuple[int, int, int]:
-        d, p, t = (
-            0 if o is None else o.invocation_count - start
-            for o, start in zip(self._oracles, self._start)
-        )
-        return d, p, t
+        (d, p, t), (d0, p0, t0) = self._counts(), self._start
+        return d - d0, p - p0, t - t0
 
 
 class TableModel(ModelOracle):

@@ -65,14 +65,17 @@ class MarginRule:
         return top2_margin(probs) >= self.lam
 
 
-def trusted_prefix_len(proxy_rows: np.ndarray, rule) -> int:
+def trusted_prefix_len(proxy_rows: np.ndarray, rule, margins: Sequence[float] | None = None) -> int:
     """Length of the longest trusted prefix of a ``(k+1, V)`` proxy block.
 
     Returns the index of the first untrusted row (0-based over positions
     1..k+1), or k+1 when every row is trusted. Any rule object whose
     ``trusted(block)`` gives one bool per row works here; margin is the
-    default, the alternative routing signals plug in the same way.
+    default, the alternative routing signals plug in the same way. Given
+    the rows' ``margins`` already, a ``MarginRule`` reads those instead.
     """
+    if margins is not None and isinstance(rule, MarginRule):
+        return next((i for i, m in enumerate(margins) if not m >= rule.lam), len(margins))
     trusted = np.asarray(rule.trusted(proxy_rows))
     return len(trusted) if trusted.all() else int(trusted.argmin())
 
@@ -91,20 +94,25 @@ def pruned_target_verify(
     The target conditions on the committed prefix and scores only positions
     ``tau_m+1..k`` (one batched pass). With ``tau_m == k`` there is nothing
     left to verify and the pass purely produces the bonus distribution at
-    position k+1.
+    position k+1. In greedy mode the suffix is compared with the argmaxes
+    of the states the pass walked, and no sub-chain is built.
     """
     if not 0 <= tau_m <= draft.k:
         raise ValueError("tau_m must lie in [0, k]")
     base = tuple(ctx) + draft.tokens[:tau_m]
-    if tau_m == draft.k:
-        bonus = apply_temperature(target.batch_score(base, ())[0], temperature)
-        token = int(bonus.argmax()) if temperature == 0.0 else sample(bonus, correction_stream)
+    rest = draft.tokens[tau_m:]
+    rows = target.batch_score(base, rest)
+    if temperature == 0.0:
+        best = target.argmaxes()
+        tau = next((i for i, token in enumerate(rest) if best[i] != token), len(rest))
+        coins = (1,) * tau + (0,) * (tau < len(rest))
+        return AcceptanceTrace(coins, tau, best[tau], tau == len(rest), rest[:tau] + (best[tau],))
+    if not rest:
+        token = sample(apply_temperature(rows[0], temperature), correction_stream)
         return AcceptanceTrace(
             coins=(), tau=0, correction_token=token, correction_is_bonus=True, emitted=(token,)
         )
-    sub = draft.suffix(tau_m)
-    rows = target.batch_score(base, sub.tokens)
-    return verify_chain(sub, rows, temperature, coin_stream, correction_stream)
+    return verify_chain(draft.suffix(tau_m), rows, temperature, coin_stream, correction_stream)
 
 
 def trispec_round(
@@ -124,31 +132,32 @@ def trispec_round(
     The proxy scores the draft as one ``(k+1, V)`` block. The trust signal
     sees its shaped rows at temperature 1 (where shaping is the identity)
     and its raw rows in greedy mode -- an argmax one-hot carries no margin
-    information, and greedy decisions read the raw argmax anyway.
-    ``margin_on_raw`` forces the raw view at any temperature. ``raw_bonus``
-    switches the proxy-local correction to a direct draw from the proxy's
-    distribution at the rejected position instead of the residual.
+    information. Greedy decisions and margins are read from the states the
+    proxy's pass walked, once each. ``margin_on_raw`` forces the raw view
+    at any temperature. ``raw_bonus`` switches the proxy-local correction
+    to a direct draw from the proxy's distribution at the rejected position
+    instead of the residual; a greedy draw there is the argmax either way.
     """
     meter = PassMeter(drafter, proxy, target)
 
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     proxy_raw = proxy.batch_score(base, draft.tokens)
-    proxy_shaped = apply_temperature(proxy_raw, temperature)
-    coins, tau_a = acceptance_coins(draft, proxy_shaped, temperature, streams.proxy_coins)
-
-    margin_view = proxy_raw if margin_on_raw else proxy_shaped
-    margins = tuple(top2_margin(margin_view).tolist())
-    tau_m = trusted_prefix_len(margin_view, rule)
+    if temperature == 0.0:
+        proxy_scores, margin_view, margins = proxy.argmaxes(), proxy_raw, proxy.margins()
+    else:
+        proxy_scores = apply_temperature(proxy_raw, temperature)
+        margin_view = proxy_raw if margin_on_raw else proxy_scores
+        margins = tuple(top2_margin(margin_view).tolist())
+    coins, tau_a = acceptance_coins(draft, proxy_scores, temperature, streams.proxy_coins)
+    tau_m = trusted_prefix_len(margin_view, rule, margins)
 
     if tau_a < tau_m:
-        if raw_bonus and tau_a < k:
-            row = proxy_shaped[tau_a]
-            token = int(row.argmax()) if temperature == 0.0 else sample(row, streams.correction)
-            is_bonus = False
+        if raw_bonus and tau_a < k and temperature != 0.0:
+            token, is_bonus = sample(proxy_scores[tau_a], streams.correction), False
         else:
             token, is_bonus = draw_correction(
-                draft, proxy_shaped, tau_a, temperature, streams.correction
+                draft, proxy_scores, tau_a, temperature, streams.correction
             )
         case, tau_t = RoundCase.PROXY_ONLY, None
         emitted = draft.tokens[:tau_a] + (token,)
@@ -198,17 +207,19 @@ def trispec_tree_round(
     length and the margin gate runs along that path (positions 1..tau_a+1,
     raw distributions -- tree rounds are greedy by construction). Case II
     commits the trusted prefix, prunes the tree below it, and hands every
-    surviving branch to the target for greedy verification. The tree itself
-    is expanded from the drafter's unshaped probabilities: collapsing them
-    to argmax one-hots would leave nothing to branch on.
+    surviving branch to the target for greedy verification. Margins come
+    from the states the proxy's pass walked. The tree itself is expanded
+    from the drafter's unshaped probabilities: collapsing them to argmax
+    one-hots would leave nothing to branch on.
     """
     meter = PassMeter(drafter, proxy, target)
 
     tree = draft_tree(drafter, tuple(ctx), params.depth, params.branch_topk, params.budget)
     proxy_result = verify_tree_greedy(tree, proxy)
     tau_a = proxy_result.accepted_len
-    margins = tuple(top2_margin(proxy_result.path_rows).tolist())
-    tau_m = trusted_prefix_len(proxy_result.path_rows, rule)
+    scored = proxy.margins()  # the root's, then node i's at i + 1
+    margins = (scored[0],) + tuple(scored[i + 1] for i in proxy_result.path_ids)
+    tau_m = trusted_prefix_len(proxy_result.path_rows, rule, margins)
 
     if tau_a < tau_m:
         case, tau_t = RoundCase.PROXY_ONLY, None

@@ -8,10 +8,11 @@ from the verifier's distribution at position k+1. That combination makes
 the output distribution of a round exactly the verifier's own -- the
 property the acceptance tests enumerate.
 
-A verifier's scores arrive as one ``(k+1, V)`` block per pass, and every
-function here reads rows of it. Greedy mode (temperature 0) replaces coin
-flips with exact argmax comparison on the raw rows, builds no one-hots, and
-consumes no randomness at all: drafts, coins and corrections alike.
+A verifier's scores arrive as one ``(k+1, V)`` block per pass, and the
+sampled rule reads its rows. Greedy mode (temperature 0) reads instead the
+argmaxes of the states the pass walked (``ModelOracle.argmaxes``), builds
+no one-hots, and consumes no randomness at all: drafts, coins and
+corrections alike.
 
 Randomness is split across named streams (draft sampling, proxy coins,
 target coins, corrections) so that structurally different protocols remain
@@ -173,30 +174,28 @@ class Round:
 
 def acceptance_coins(
     draft: DraftChain,
-    verifier_rows: np.ndarray,
+    scores: np.ndarray | Sequence[int],
     temperature: float,
     coin_stream: RandomStream,
     decide: Callable[[int, int], bool | None] | None = None,
 ) -> tuple[tuple[int, ...], int]:
     """Left-to-right acceptance test; stops at the first rejection.
 
-    ``verifier_rows`` is the verifier's block as ``apply_temperature``
-    leaves it, like the draft's stored rows: raw at temperature 0,
-    where the test is exact argmax agreement (the argmaxes of all k rows
-    taken at once) and no uniforms are consumed;
-    otherwise one uniform is drawn per examined position. ``decide(i,
-    token)``, when given, rules on a position first: True or False is
-    final, None defers to the test.
+    ``scores`` is the verifier's block as ``apply_temperature`` leaves it,
+    like the draft's stored rows, and one uniform is drawn per examined
+    position. At temperature 0 it is the verifier's argmax at each
+    position instead, the test is exact agreement and no uniform is
+    consumed. ``decide(i, token)``, when given, rules on a position first:
+    True or False is final, None defers to the test.
     """
-    best = verifier_rows[: draft.k].argmax(axis=1).tolist() if temperature == 0.0 else None
     coins: list[int] = []
     for i, token in enumerate(draft.tokens):
         accept = None if decide is None else decide(i, token)
         if accept is None:
-            if best is not None:
-                accept = best[i] == token
+            if temperature == 0.0:
+                accept = scores[i] == token
             else:
-                ratio = min(1.0, float(verifier_rows[i, token]) / float(draft.dists[i, token]))
+                ratio = min(1.0, float(scores[i, token]) / float(draft.dists[i, token]))
                 accept = coin_stream.uniform() < ratio
         coins.append(1 if accept else 0)
         if not accept:
@@ -219,7 +218,7 @@ def residual_dist(draft_row: np.ndarray, verifier_row: np.ndarray) -> np.ndarray
 
 def draw_correction(
     draft: DraftChain,
-    verifier_rows: np.ndarray,
+    scores: np.ndarray | Sequence[int],
     tau: int,
     temperature: float,
     correction_stream: RandomStream,
@@ -228,29 +227,31 @@ def draw_correction(
 
     After a rejection at position ``tau`` the token comes from the residual
     there; after full acceptance it is the verifier's bonus at position
-    k+1. Greedy mode takes the raw row's argmax without consuming a draw:
-    the residual of two distinct one-hots is the verifier's own one-hot.
+    k+1. In greedy mode ``scores`` are argmaxes and the token is the one at
+    that position, with no draw: the residual of two distinct one-hots is
+    the verifier's own one-hot.
     """
     is_bonus = tau >= draft.k
-    row = verifier_rows[min(tau, draft.k)]
+    score = scores[min(tau, draft.k)]
     if temperature == 0.0:
-        return int(row.argmax()), is_bonus
+        return score, is_bonus
     if not is_bonus:
-        row = residual_dist(draft.dists[tau], row)
-    return sample(row, correction_stream), is_bonus
+        score = residual_dist(draft.dists[tau], score)
+    return sample(score, correction_stream), is_bonus
 
 
 def verify_chain(
     draft: DraftChain,
-    verifier_rows: np.ndarray,
+    scores: np.ndarray | Sequence[int],
     temperature: float,
     coin_stream: RandomStream,
     correction_stream: RandomStream,
 ) -> AcceptanceTrace:
-    """Verify a draft chain against the verifier's raw ``(k+1, V)`` block."""
-    if len(verifier_rows) != draft.k + 1:
+    """Verify a draft chain against the verifier's raw ``(k+1, V)`` block,
+    or at temperature 0 against its k+1 argmaxes."""
+    if len(scores) != draft.k + 1:
         raise ValueError("need k+1 verifier rows for a k-token draft")
-    shaped = apply_temperature(verifier_rows, temperature)
+    shaped = apply_temperature(scores, temperature)  # argmaxes pass as they are
     coins, tau = acceptance_coins(draft, shaped, temperature, coin_stream)
     token, is_bonus = draw_correction(draft, shaped, tau, temperature, correction_stream)
     return AcceptanceTrace(
@@ -268,7 +269,7 @@ def target_only_round(
     """Plain decoding: one target pass, one token drawn from its own law."""
     meter = PassMeter(target=target)
     row = apply_temperature(target.next_dist(ctx), temperature)
-    token = int(row.argmax()) if temperature == 0.0 else sample(row, streams.draft)
+    token = target.argmaxes()[0] if temperature == 0.0 else sample(row, streams.draft)
     return Round(
         case=RoundCase.TARGET_ONLY,
         emitted=(token,),
@@ -297,7 +298,8 @@ def sd_round(
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     rows = verifier.batch_score(base, draft.tokens)
-    trace = verify_chain(draft, rows, temperature, coin_stream, streams.correction)
+    scores = verifier.argmaxes() if temperature == 0.0 else rows
+    trace = verify_chain(draft, scores, temperature, coin_stream, streams.correction)
     return Round(
         case=RoundCase.SD,
         emitted=trace.emitted,
@@ -338,12 +340,13 @@ def verify_tree_greedy(tree: DraftTree, verifier: ModelOracle) -> TreeVerifyResu
 
     The verifier scores every node of the tree in a single masked pass; the
     walk then descends from the root as long as some child carries the
-    argmax token, and the correction is the argmax after the accepted path
-    (which repairs the first divergence, or extends a fully accepted path).
+    argmax token (as the states the pass walked keep it), and the
+    correction is the argmax after the accepted path (which repairs the
+    first divergence, or extends a fully accepted path).
     """
     paths = [()] + [tree.path_tokens(i) for i in range(len(tree))]
     scored = verifier.batch_score_paths(tree.ctx, paths)
-    best = scored.argmax(axis=1).tolist()  # row 0 is the root, row i+1 node i
+    best = verifier.argmaxes()  # row 0 is the root, row i+1 node i
 
     path_ids: list[int] = []
     cur = -1

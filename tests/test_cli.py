@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv)."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +10,7 @@ from trispec.harness import (
     HIST_SCHEMA,
     SWEEP_SCHEMA,
     TRACE_SCHEMA,
+    ExperimentConfig,
     read_trace_csv,
     reference_corpus_path,
 )
@@ -62,6 +64,21 @@ def test_run_rejects_out_of_range_relax_knobs(override, method, capsys):
     assert main(["run", "-O", f"method={method}", "-O", override]) == 2
     err = capsys.readouterr().err
     assert f"error: {override.split('=')[0]}" in err
+
+
+_FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize(
+    "override",
+    [f"{name}={('nan', 'inf', '-inf')[i % 3]}" for i, name in enumerate(_FLOAT_FIELDS)],
+)
+def test_run_rejects_non_finite_floats(override, tmp_path, capsys):
+    """NaN fails every range check written as ``x < 0``, and an infinite cost
+    makes ``L`` NaN; each float field must refuse both before a run starts."""
+    assert main(["run", "--out", str(tmp_path), "-O", override]) == 2
+    assert f"error: {override.split('=')[0]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_config_file_is_honored(tmp_path, capsys):

@@ -458,6 +458,38 @@ def test_decoding_builds_no_distribution(family_name, request, monkeypatch):
             assert not rows.flags.writeable
 
 
+_GREEDY_CASES = [
+    dict(method="trispec"), dict(method="sd", sd_verifier="target"),
+    dict(method="sd", sd_verifier="proxy"), dict(method="target_only"),
+    dict(method="trispec", use_tree=True),
+]
+
+
+@pytest.mark.parametrize("family_name", ["ref_family", "perturbed_family"])
+def test_warm_greedy_decoding_takes_no_margin_from_rows(family_name, request, monkeypatch):
+    """A state takes its row's margin once, when it is added; after that a
+    greedy round reads argmaxes and margins from the states its passes
+    walked, so on a warm family no decode path calls ``top2_margin``."""
+    import sys
+
+    from trispec import core
+
+    family = request.getfixturevalue(family_name)
+    cfgs = [ExperimentConfig(max_new_tokens=16, num_prompts=2, **case) for case in _GREEDY_CASES]
+    for cfg in cfgs:
+        run_experiment(cfg, family)  # adds every state these runs walk
+    calls = []
+    margin = core.top2_margin
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "trispec" and vars(module).get("top2_margin") is margin:
+            monkeypatch.setattr(module, "top2_margin", lambda p: calls.append(1) or margin(p))
+    for cfg in cfgs:
+        assert cfg.temperature == 0.0 and run_experiment(cfg, family).report.N > 0
+    assert calls == []
+    run_experiment(replace(cfgs[0], temperature=1.0), family)
+    assert calls  # the sampled round still reads its rows' margins, through the patch
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 # ---------------------------------------------------------------------------

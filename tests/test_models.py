@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trispec.core import Distribution, Vocabulary
+from trispec.core import Distribution, Vocabulary, top2_margin
 from trispec.models import (
     CorpusTooShortError,
     MixtureProxy,
@@ -486,6 +486,43 @@ def test_every_pass_equals_the_dist_of_each_untrimmed_context(oracle, data):
     base = oracle.base if isinstance(oracle, MixtureProxy) else oracle
     if isinstance(base, NgramModel):  # one state per seen context, at most
         assert all(key in base._counts[len(key) + 1] for key in states.keys)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(oracle=_state_oracles(), data=st.data())
+def test_states_keep_their_rows_argmax_and_margin_and_passes_record_their_states(oracle, data):
+    """Greedy decisions read ``best`` and ``margin`` of the states a pass
+    walked instead of its rows, so both must be the rows' own answers, bit
+    for bit, and ``walked`` must index exactly the rows the pass returned."""
+    token = st.integers(0, oracle.vocab_size - 1)
+    scorer, twin = oracle.fork(), oracle.fork()
+    for _ in range(data.draw(st.integers(1, 8), label="calls")):
+        ctx = tuple(data.draw(st.lists(token, max_size=oracle.window + 2), label="ctx"))
+        kind = data.draw(st.sampled_from(["next_dist", "batch_score", "batch_score_paths"]))
+        who = data.draw(st.sampled_from([scorer, twin]), label="fork")
+        if kind == "next_dist":
+            rows = who.next_dist(ctx)[None]
+        elif kind == "batch_score":
+            rows = who.batch_score(ctx, data.draw(st.lists(token, max_size=6), label="drafted"))
+        else:
+            paths = st.lists(st.lists(token, max_size=4).map(tuple), min_size=1, max_size=5)
+            rows = who.batch_score_paths(ctx, data.draw(paths, label="paths"))
+        assert len(who.walked) == len(rows)
+        assert who._states.table[who.walked].tobytes() == rows.tobytes()
+        assert who.argmaxes() == rows.argmax(axis=1).tolist()
+        assert np.array(who.margins()).tobytes() == top2_margin(rows).tobytes()
+
+    states = oracle._states
+    assert scorer._states is twin._states is states  # forks share the values
+    table = states.table[: len(states.keys)]
+    assert states.best == table.argmax(axis=1).tolist()
+    assert np.array(states.margin).tobytes() == top2_margin(table).tobytes()
+    assert [type(b) for b in states.best] == [int] * len(table)
+
+    fresh = oracle.fork()  # a fork made later walks the same states
+    fresh.batch_score(ctx, ())
+    twin.batch_score(ctx, ())
+    assert fresh.walked == twin.walked and len(states.keys) == len(table)
 
 
 def test_states_are_filled_on_first_use_and_shared_by_forks():

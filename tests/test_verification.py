@@ -35,6 +35,11 @@ def _chain(tokens, dists):
     return DraftChain(tuple(tokens), np.array(dists, dtype=float))
 
 
+def _argmaxes(dists):
+    """A greedy verifier's scores: the argmax of each row, lowest on ties."""
+    return dists.argmax(axis=1).tolist()
+
+
 # ---------------------------------------------------------------------------
 # streams
 # ---------------------------------------------------------------------------
@@ -65,7 +70,7 @@ def test_greedy_acceptance_is_argmax_match_and_drawless():
     draft = _chain((0, 1), ([1.0, 0.0], [0.0, 1.0]))
     dists = np.array([[0.9, 0.1], [0.9, 0.1]])
     stream = FixedUniforms([])
-    coins, tau = acceptance_coins(draft, dists, 0.0, stream)
+    coins, tau = acceptance_coins(draft, _argmaxes(dists), 0.0, stream)
     assert (coins, tau) == ((1, 0), 1)
     assert stream.draws == 0
 
@@ -116,7 +121,7 @@ def test_correction_after_rejection_comes_from_residual():
     draft = _chain((0,), ([0.5, 0.5],))
     dists = np.array([[0.25, 0.75], [0.9, 0.1]])
     stream = FixedUniforms([])
-    token, is_bonus = draw_correction(draft, dists, 0, 0.0, stream)
+    token, is_bonus = draw_correction(draft, _argmaxes(dists), 0, 0.0, stream)
     assert (token, is_bonus) == (1, False)
     assert stream.draws == 0  # greedy corrections take the argmax directly
     stream = FixedUniforms([0.5])
@@ -128,7 +133,7 @@ def test_correction_after_rejection_comes_from_residual():
 def test_correction_after_full_acceptance_is_the_bonus():
     draft = _chain((0,), ([0.5, 0.5],))
     dists = np.array([[0.25, 0.75], [0.1, 0.9]])
-    token, is_bonus = draw_correction(draft, dists, 1, 0.0, FixedUniforms([]))
+    token, is_bonus = draw_correction(draft, _argmaxes(dists), 1, 0.0, FixedUniforms([]))
     assert (token, is_bonus) == (1, True)
     token, is_bonus = draw_correction(draft, dists, 1, 1.0, FixedUniforms([0.05]))
     assert (token, is_bonus) == (0, True)  # low uniform lands in the 0.1 cell
@@ -148,7 +153,7 @@ def test_verify_chain_needs_one_extra_dist():
 def test_verify_chain_emits_accepted_prefix_plus_correction():
     draft = _chain((0, 1), ([0.6, 0.4], [0.6, 0.4]))
     dists = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
-    trace = verify_chain(draft, dists, 0.0, FixedUniforms([]), FixedUniforms([]))
+    trace = verify_chain(draft, _argmaxes(dists), 0.0, FixedUniforms([]), FixedUniforms([]))
     assert trace.coins == (1, 1)  # argmaxes match the drafted tokens
     assert trace.tau == 2
     assert trace.correction_is_bonus
