@@ -184,8 +184,8 @@ class RandomStream:
 
     def __init__(self, seed: int, label: str = "") -> None:
         seed = int(seed)
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= seed < 2**64:
+            raise ValueError("seed must be an integer in [0, 2**64)")
         self.seed = seed
         self.label = label
         self.draws = 0
@@ -194,7 +194,7 @@ class RandomStream:
     def uniform(self) -> float:
         gen = self._gen
         if gen is None:
-            entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, *_label_entropy(self.label)]
+            entropy = [self.seed, *_label_entropy(self.label)]
             gen = self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         self.draws += 1
         return float(gen.random())

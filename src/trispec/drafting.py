@@ -18,7 +18,6 @@ A tree is immutable, so one tree may be shared by many rounds.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,12 +139,12 @@ class DraftTree:
             mask = mask.copy()
             mask.setflags(write=False)
         children: dict[int, list[int]] = {}  # only nodes that have any
-        paths: list[tuple[int, ...]] = []
+        paths: list[tuple[int, ...]] = [()]  # the root's, then node i's at i + 1
         for i, node in enumerate(nodes):
             if node.parent >= i:
                 raise ValueError("parents must precede children")
             children.setdefault(node.parent, []).append(i)
-            paths.append((paths[node.parent] if node.parent != -1 else ()) + (node.token,))
+            paths.append(paths[node.parent + 1] + (node.token,))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "_children", {i: tuple(c) for i, c in children.items()})
@@ -161,8 +160,8 @@ class DraftTree:
     def _rebased(self, ctx: tuple[int, ...]) -> "DraftTree":
         """The same tree drafted after ``ctx``; it shares every node, the
         mask and the cached paths with this one."""
-        twin = copy.copy(self)
-        object.__setattr__(twin, "ctx", ctx)
+        twin = object.__new__(DraftTree)
+        twin.__dict__.update(self.__dict__, ctx=ctx)
         return twin
 
     def path_ids(self, node_id: int) -> list[int]:
@@ -175,7 +174,7 @@ class DraftTree:
         return out
 
     def path_tokens(self, node_id: int) -> tuple[int, ...]:
-        return self._paths[node_id] if node_id != -1 else ()
+        return self._paths[node_id + 1]
 
     def validate(self) -> None:
         """Re-check structural invariants; raises on violation."""
@@ -207,21 +206,24 @@ def draft_tree(
     """Grow a static draft tree: expand level by level, keep the best.
 
     Each frontier node spawns its ``branch_topk`` most probable children
-    (ties toward the lower token id); generation stops at ``depth``. Each
-    level keeps only its ``budget`` candidates of highest path probability
-    (creation order on ties), which also form the next frontier: a candidate
-    with ``budget`` better ones on its own level can never make the final
-    cut. The final tree keeps the ``budget`` best kept candidates by the
-    same rule (an ancestor-closed set, since a child never outranks its
-    parent). The whole frontier of a level is scored in one flattened
-    drafter pass, so a tree costs one drafter pass per expanded level.
+    (ties toward the lower token id); generation stops at ``depth``. A
+    running pool holds the ``budget`` best candidates so far by path
+    probability (creation order on ties). Each level's candidates merge
+    into it by one stable selection, and only those that survive form the
+    next frontier, best first; the last pool is the tree. That is exact: a
+    child's path probability is at most its parent's and it is created
+    after every pool node, so a candidate that drops out of the pool can
+    have no descendant in it (which also keeps the pool ancestor-closed).
+    The whole frontier of a level is scored in one flattened drafter pass,
+    an empty frontier too, so a tree costs one drafter pass per level.
 
-    A tree depends only on the drafter's ``window`` tail of ``ctx``, so the
-    drafter keeps the first tree of each tail and shape, with the frontier
-    paths of every level, in a memo that its forks share. A repeat makes
-    the same drafter passes, level for level, so every pass is still
-    counted, and returns that tree rebased onto ``ctx``. A drafter whose
-    window is None is not memoised.
+    A frontier path is scored cut to its last ``window`` tokens, all of it
+    the drafter reads, so a tree depends only on the drafter's ``window``
+    tail of ``ctx``. The drafter keeps the first tree of each tail and
+    shape, with the cut paths of every level, in a memo that its forks
+    share. A repeat makes the same drafter passes, level for level, so
+    every pass is still counted, and returns that tree rebased onto
+    ``ctx``. A drafter whose window is None is not memoised.
     """
     if depth < 1 or branch_topk < 1 or budget < 1:
         raise ValueError("depth, branch_topk and budget must all be >= 1")
@@ -232,19 +234,21 @@ def draft_tree(
         hit = drafter._trees.get(key)
         if hit is not None:
             tree, levels = hit
-            for level_paths in levels:
-                drafter.batch_score_paths(base, list(map(tuple, level_paths.tolist())))
+            for paths in levels:
+                drafter.batch_score_paths(base, paths)
             return tree._rebased(base)
-    # Kept candidates, level by level in creation order; parents are pool ids.
-    tokens, parents, depths, probs, path_probs = [], [], [], [], []
-    pool_size = 0
+    # Every candidate's columns, level by level in creation order; parents
+    # are candidate ids.
+    grown = []
+    created = 0
+    # The best ``budget`` so far: candidate ids in creation order, and their
+    # path probabilities.
+    pool, pool_pp = np.empty(0, dtype=np.intp), np.empty(0)
     paths: list[tuple[int, ...]] = [()]
-    levels = []  # each level's frontier paths, packed (paths, level - 1)
-    packed = np.min_scalar_type(drafter.vocab_size - 1)
-    frontier_ids = np.array([-1])
-    frontier_pp = np.ones(1)
+    levels = []  # each level's frontier paths, cut to the window
+    frontier_ids, frontier_pp = np.array([-1]), np.ones(1)
     for level in range(1, depth + 1):
-        levels.append(np.array(paths, dtype=packed).reshape(len(paths), level - 1))
+        levels.append(paths)
         block = drafter.batch_score_paths(base, paths)
         if temperature == 0.0:  # one child per node: the argmax one-hot
             block = np.eye(block.shape[1])[drafter.argmaxes()]
@@ -257,25 +261,21 @@ def draft_tree(
         rows, cols = np.nonzero(top_p > 0.0)
         cand_tok, cand_p = top[rows, cols], top_p[rows, cols]
         cand_pp = frontier_pp[rows] * cand_p
-        ranked = np.argsort(-cand_pp, kind="stable")[:budget]
+        grown.append((cand_tok, frontier_ids[rows], np.full(len(rows), level), cand_p, cand_pp))
+        # Pool ids precede the level's, so the stable sort breaks ties by age.
+        merged_pp = np.concatenate((pool_pp, cand_pp))
+        ranked = np.argsort(-merged_pp, kind="stable")[:budget]
         kept = np.sort(ranked)
-        tokens.append(cand_tok[kept])
-        parents.append(frontier_ids[rows[kept]])
-        depths.append(np.full(len(kept), level))
-        probs.append(cand_p[kept])
-        path_probs.append(cand_pp[kept])
-        paths = [
-            paths[r] + (t,) for r, t in zip(rows[ranked].tolist(), cand_tok[ranked].tolist())
-        ]
-        frontier_ids = pool_size + np.searchsorted(kept, ranked)
-        frontier_pp = cand_pp[ranked]
-        pool_size += len(kept)
+        new = ranked[ranked >= len(pool)] - len(pool)  # the level's survivors, best first
+        pool = np.concatenate((pool, created + np.arange(len(rows))))[kept]
+        pool_pp = merged_pp[kept]
+        grow = zip(rows[new].tolist(), cand_tok[new].tolist())
+        paths = [drafter._tail(paths[r] + (t,)) for r, t in grow]
+        frontier_ids, frontier_pp = created + new, cand_pp[new]
+        created += len(rows)
 
-    # Global selection by the same rule, then creation order: parents first.
-    pool = [np.concatenate(col) for col in (tokens, parents, depths, probs, path_probs)]
-    chosen = np.sort(np.argsort(-pool[4], kind="stable")[:budget])
-    tok, parent, dep, prob, path_prob = (col[chosen] for col in pool)
-    parent = np.where(parent == -1, -1, np.searchsorted(chosen, parent))
+    tok, parent, dep, prob, path_prob = (np.concatenate(col)[pool] for col in zip(*grown))
+    parent = np.where(parent == -1, -1, np.searchsorted(pool, parent))
     columns = (col.tolist() for col in (tok, parent, dep, prob, path_prob))
     nodes = [TreeNode(*fields) for fields in zip(*columns)]
     tree = DraftTree(ctx=base, nodes=nodes, mask=_ancestor_mask(nodes), budget=budget)

@@ -14,13 +14,13 @@ the target oracle as the built-in quality probe.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 from .baselines import RelaxPolicy, RoutingSignal, relaxed_sd_round
 from .core import Vocabulary
@@ -177,8 +177,8 @@ class ExperimentConfig:
             problems.append("k, tree_depth, tree_topk, tree_budget must all be >= 1")
         if min(self.c_d, self.c_p, self.c_t, self.t_o, self.t_o_base) < 0:
             problems.append("cost constants must be >= 0")
-        if self.seed < 0:
-            problems.append("seed must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            problems.append("seed must lie in [0, 2**64)")
         if self.max_new_tokens < 1 or self.num_prompts < 1:
             problems.append("max_new_tokens and num_prompts must be >= 1")
         if not 0.0 < self.prompt_fraction < 1.0:
@@ -272,7 +272,10 @@ def load_corpus(path: str | Path, tokenizer: str) -> tuple[list[int], Vocabulary
     if tokenizer == "byte":
         return list(data), Vocabulary(256)
     if tokenizer == "char":
-        text = data.decode("utf-8")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"corpus file {path} is not UTF-8 at byte {exc.start}") from exc
         symbols = tuple(sorted(set(text)))
         vocab = Vocabulary(len(symbols), symbols)
         index = {ch: i for i, ch in enumerate(symbols)}
@@ -503,19 +506,22 @@ def validate_trace_records(records: Sequence[TraceRecord]) -> None:
             raise ValueError(f"round {rec.round_index}: emitted_count must be >= 1")
 
 
-def _csv_line(cells: Sequence[str]) -> str:
-    # Formatted with a "\r\n" terminator so that a cell holding either
-    # character is quoted (csv quotes only the terminator's characters),
-    # then ended with "\n" alone.
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow(cells)
-    return buf.getvalue()[:-2] + "\n"
+def _write_csv(
+    path: str | Path, schema: str, header: Sequence[str], rows: Iterable[Sequence[str]]
+) -> None:
+    # One writer formats every row with a "\r\n" terminator, so that a cell
+    # holding either character is quoted (csv quotes only the terminator's
+    # characters); each row, one write call, is then ended with "\n" alone.
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = "".join(line[:-2] + "\n" for line in lines)
+    Path(path).write_text(schema + "\n" + text, encoding="utf-8", newline="")
 
 
 def write_trace_csv(records: Sequence[TraceRecord], path: str | Path) -> None:
-    lines = [TRACE_SCHEMA + "\n", _csv_line(TRACE_COLUMNS)]
-    lines.extend(_csv_line(rec.to_csv_row()) for rec in records)
-    Path(path).write_text("".join(lines), encoding="utf-8", newline="")
+    _write_csv(path, TRACE_SCHEMA, TRACE_COLUMNS, (rec.to_csv_row() for rec in records))
 
 
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:
@@ -647,6 +653,8 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
         continuations.append((prompt, emitted_all))
 
     report.continuation_ppl = _ppl_under_target(target, continuations)
+    if not math.isfinite(report.L):
+        raise ConfigError(f"the cost constants overflow the latency ledger: L = {report.L}")
     residual = lemma_check(report)
     if not residual <= 1e-9 * max(report.L, 1.0):  # NaN fails too
         raise AssertionError(f"latency decomposition identity violated: residual {residual}")
@@ -718,6 +726,4 @@ def sweep(
 
 
 def write_sweep_csv(columns: list[str], rows: list[dict[str, str]], path: str | Path) -> None:
-    lines = [SWEEP_SCHEMA + "\n", _csv_line(columns)]
-    lines.extend(_csv_line([row[c] for c in columns]) for row in rows)
-    Path(path).write_text("".join(lines), encoding="utf-8", newline="")
+    _write_csv(path, SWEEP_SCHEMA, columns, ([row[c] for c in columns] for row in rows))

@@ -344,8 +344,7 @@ def verify_tree_greedy(tree: DraftTree, verifier: ModelOracle) -> TreeVerifyResu
     correction is the argmax after the accepted path (which repairs the
     first divergence, or extends a fully accepted path).
     """
-    paths = [()] + [tree.path_tokens(i) for i in range(len(tree))]
-    scored = verifier.batch_score_paths(tree.ctx, paths)
+    scored = verifier.batch_score_paths(tree.ctx, tree._paths)
     best = verifier.argmaxes()  # row 0 is the root, row i+1 node i
 
     path_ids: list[int] = []

@@ -167,3 +167,30 @@ def test_verify_selected_check(capsys):
     assert "[PASS] lossless" in capsys.readouterr().out
     assert main(["verify", "bogus"]) == 2
     assert "unknown check" in capsys.readouterr().err
+
+
+def test_run_refuses_costs_that_overflow_the_ledger(tmp_path, capsys):
+    """Finite costs can still make ``L`` infinite; that is a config error,
+    not a failed identity check."""
+    assert main(["run", "--out", str(tmp_path), "-O", "c_t=1e308", *FAST]) == 2
+    assert "error: the cost constants overflow the latency ledger" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_run_refuses_a_corpus_that_is_not_utf8(tmp_path, capsys):
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes(b"plain ascii line\ncaf\xe9 au lait\n" * 50)
+    assert main(["run", "--out", str(tmp_path / "out"), "-O", f"corpus={corpus}", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert f"error: corpus file {corpus} is not UTF-8 at byte 20" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_takes_seeds_below_2_to_the_64_only(tmp_path, capsys):
+    sampled = ("-O", "temperature=1", *FAST)
+    assert main(["run", "--out", str(tmp_path / "a"), "-O", f"seed={2**64 + 5}", *sampled]) == 2
+    assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    assert main(["run", "--out", str(tmp_path / "b"), "-O", f"seed={2**64 - 1}", *sampled]) == 0
+    capsys.readouterr()
+    assert read_trace_csv(tmp_path / "b" / "trace.csv")

@@ -206,6 +206,14 @@ def test_random_stream_rejects_negative_seed():
         RandomStream(-1)
 
 
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5, 2**70])
+def test_random_stream_rejects_seeds_that_would_alias(seed):
+    # Seeds are 64-bit: a wider one is refused, not folded onto a narrower
+    # seed whose stream it would then replay.
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        RandomStream(seed, "draft")
+
+
 def test_random_stream_uniform_range():
     stream = RandomStream(0, "range")
     for _ in range(100):
@@ -227,7 +235,7 @@ def _eager_uniforms(seed, label, n):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    seed=st.integers(0, 2**70),
+    seed=st.integers(0, 2**64 - 1),
     label=st.text(max_size=12),
     child=st.one_of(st.none(), st.text(min_size=1, max_size=6)),
     n=st.integers(1, 6),

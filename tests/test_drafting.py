@@ -421,6 +421,51 @@ def test_memo_hit_equals_a_fresh_growth(drafter, depth, budget, temperature, dat
     assert got.nodes == want.nodes and got.ctx == other
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    drafter=_drafters(),
+    depth=st.integers(1, 5),
+    budget=st.integers(1, 30),
+    temperature=st.sampled_from([1.0, 0.5, 0.0]),
+    data=st.data(),
+)
+def test_levels_score_the_surviving_frontier_cut_to_the_window(
+    drafter, depth, budget, temperature, data
+):
+    """The running pool scores no more positions per level than the
+    pool-everything reference, each path cut to the drafter's window, and
+    grows the same tree with the same number of passes."""
+    size, window = drafter.vocab.size, drafter.window
+    topk = data.draw(st.integers(1, size), label="topk")
+    ctx = tuple(data.draw(st.lists(st.integers(0, size - 1), max_size=4), label="ctx"))
+    ref = _unmemoised(drafter)
+    ref_calls = _recorded(ref)
+    want_nodes, want_mask = _reference_draft_tree(ref, ctx, depth, topk, budget, temperature)
+    fresh = _unmemoised(drafter)
+    calls = _recorded(fresh)
+    tree = draft_tree(fresh, ctx, depth, topk, budget, temperature)
+
+    assert tree.nodes == tuple(want_nodes)  # exact floats, same order
+    assert np.array_equal(tree.mask, want_mask)
+    assert fresh.invocation_count == ref.invocation_count == len(calls) == depth
+    for (got_ctx, paths), (_, ref_paths) in zip(calls, ref_calls):
+        assert got_ctx == ctx
+        assert len(paths) <= len(ref_paths)
+        assert all(len(path) <= window for path in paths)
+
+
+def test_a_level_with_no_survivors_still_costs_its_pass():
+    """At budget 1 the root's best child outranks every grandchild, so the
+    third level has an empty frontier, and is scored all the same."""
+    model = _last_token_model()
+    calls = _recorded(model)
+    tree = draft_tree(model, (), depth=3, branch_topk=2, budget=1)
+    assert [n.token for n in tree.nodes] == [0]
+    assert [len(paths) for _, paths in calls] == [1, 1, 0]
+    assert calls[1][1] == [(0,)]
+    assert model.invocation_count == 3
+
+
 def test_memo_is_shared_across_forks_and_keyed_by_window_tail():
     model = _last_token_model()  # window 1
     twin = model.fork()

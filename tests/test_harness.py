@@ -1,6 +1,7 @@
 """Config parsing, corpus handling, experiment runs, sweeps, trace IO."""
 
 import csv
+import io
 import math
 from dataclasses import replace
 
@@ -592,6 +593,40 @@ def test_sweep_csv_quotes_grid_values_that_hold_commas(tmp_path):
     assert rows[0]["run_id"] == "a,b"
     # a row without special characters is its cells joined by bare commas
     assert path.read_text().splitlines()[3] == ",".join(rows[1][c] for c in columns)
+
+
+def _csv_line(cells):
+    """The per-row formatter the CSV writers once used, kept as a reference:
+    a fresh writer per row, "\r\n"-terminated, then ended with "\n"."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+_cells = st.text(alphabet=st.sampled_from('a1 ,"\'\r\n\t'), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    width=st.integers(1, 4),
+    cells=st.lists(_cells, max_size=24),
+    records=st.lists(_records, max_size=4),
+)
+def test_csv_writers_format_rows_as_the_per_row_formatter_did(width, cells, records, tmp_path):
+    columns = [f"c{i}" for i in range(width - 1)] + ["x,\"y\"\r\n"]
+    rows = [dict(zip(columns, cells[i : i + width])) for i in range(0, len(cells) - width + 1, width)]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(columns, rows, path)
+    want = [SWEEP_SCHEMA + "\n", _csv_line(columns)]
+    want += [_csv_line([row[c] for c in columns]) for row in rows]
+    assert path.read_bytes() == "".join(want).encode("utf-8")
+
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    want = [TRACE_SCHEMA + "\n", _csv_line(TRACE_COLUMNS)]
+    want += [_csv_line(rec.to_csv_row()) for rec in records]
+    assert path.read_bytes() == "".join(want).encode("utf-8")
 
 
 def test_sweep_rejects_bad_grids():

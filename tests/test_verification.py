@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trispec.core import Distribution, RandomStream, Vocabulary
-from trispec.drafting import DraftChain, draft_tree
+from trispec.drafting import DraftChain, draft_tree, prune_tree_prefix
 from trispec.models import TableModel
 from trispec.suites import first_token_law, mc_first_token_distance
 from trispec.verification import (
@@ -277,6 +279,45 @@ def test_tree_verify_full_path_is_exhausted():
     assert result.correction_token == 2
     assert result.emitted == (0, 0, 2)
     assert result.path_rows[-1].argmax() == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(start=st.integers(0, 4000), lead=st.integers(0, 28), data=st.data())
+def test_tree_verify_scores_every_node_path_after_the_root(ref_family, start, lead, data):
+    """On drafted, rebased (memo-hit) and pruned trees, the one verifier pass
+    is the pass over the root's empty path and then each node's path, and
+    the walk follows that pass's argmaxes."""
+    drafter = ref_family.drafter.fork()
+    ctx = tuple(ref_family.held_tokens[start : start + 8])
+    drafted = draft_tree(drafter, ctx, 6, 10, 60)
+    rebased = draft_tree(drafter, (lead,) + ctx, 6, 10, 60)  # same window tail
+    path = drafted.path_tokens(data.draw(st.integers(0, len(drafted) - 1), label="leaf"))
+    pruned = prune_tree_prefix(drafted, path[: data.draw(st.integers(1, len(path)), label="cut")])
+    assert rebased.nodes is drafted.nodes and rebased.ctx == (lead,) + ctx
+    for tree in (drafted, rebased, pruned):
+        for oracle in (ref_family.proxy, ref_family.target):
+            probe = oracle.fork()
+            want = probe.batch_score_paths(
+                tree.ctx, [()] + [tree.path_tokens(i) for i in range(len(tree))]
+            )
+            best = probe.argmaxes()
+            verifier, scored = oracle.fork(), []
+            score = verifier.batch_score_paths
+            verifier.batch_score_paths = lambda c, p: scored.append(score(c, p)) or scored[-1]
+            result = verify_tree_greedy(tree, verifier)
+            assert verifier.invocation_count == len(scored) == 1
+            assert np.array_equal(scored[0], want) and verifier.argmaxes() == best
+
+            ids, cur = [], -1
+            while True:
+                kids = [c for c in tree.children(cur) if tree.nodes[c].token == best[cur + 1]]
+                if not kids:
+                    break
+                cur = kids[0]
+                ids.append(cur)
+            assert result.path_ids == tuple(ids)
+            assert np.array_equal(result.path_rows, want[[0] + [i + 1 for i in ids]])
+            assert result.correction_token == best[cur + 1]
 
 
 def test_tree_round_with_unit_branching_matches_chain_round(ref_family):
