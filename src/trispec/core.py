@@ -22,6 +22,7 @@ pins down the numeric conventions once:
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 SUM_TOL = 1e-9
+UNIFORM_BLOCK = 64  # uniforms a stream takes from its generator at a time
 
 
 class AllZeroError(ValueError):
@@ -152,6 +154,14 @@ def sample(probs: np.ndarray, stream: "RandomStream") -> int:
     return idx
 
 
+def sample_cdf(cdf: list[float], probs: np.ndarray, stream: "RandomStream") -> int:
+    """``sample`` given the row's CDF kept as a list, ``probs.cumsum().tolist()``:
+    bisection finds the index ``searchsorted`` does, so a uniform draws the
+    same token either way."""
+    idx = bisect_right(cdf, stream.uniform())
+    return idx if idx < len(cdf) else int(np.flatnonzero(probs > 0.0)[-1])
+
+
 def top2_margin(probs: np.ndarray) -> float | np.ndarray:
     """Gap between the largest and second-largest probability.
 
@@ -177,10 +187,12 @@ class RandomStream:
     into the seed via SHA-256, the generator is numpy PCG64). ``draws``
     counts consumed uniforms, which lets tests verify stopping-time claims.
     The generator is seeded on the first draw, so a stream that is never
-    drawn from (every greedy decode) costs no generator.
+    drawn from (every greedy decode) costs no generator. Uniforms are read
+    from a block of ``UNIFORM_BLOCK`` that one ``random`` call fills: the
+    same doubles, in the same order, as one call per draw would give.
     """
 
-    __slots__ = ("seed", "label", "draws", "_gen")
+    __slots__ = ("seed", "label", "draws", "_gen", "_block")
 
     def __init__(self, seed: int, label: str = "") -> None:
         seed = int(seed)
@@ -190,14 +202,18 @@ class RandomStream:
         self.label = label
         self.draws = 0
         self._gen: np.random.Generator | None = None
+        self._block: list[float] = []  # the unread rest of the block, last first
 
     def uniform(self) -> float:
-        gen = self._gen
-        if gen is None:
-            entropy = [self.seed, *_label_entropy(self.label)]
-            gen = self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        block = self._block
+        if not block:
+            gen = self._gen
+            if gen is None:
+                entropy = [self.seed, *_label_entropy(self.label)]
+                gen = self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+            block.extend(reversed(gen.random(UNIFORM_BLOCK).tolist()))
         self.draws += 1
-        return float(gen.random())
+        return block.pop()
 
     def derive(self, label: str) -> "RandomStream":
         child = f"{self.label}/{label}" if self.label else label

@@ -6,7 +6,8 @@ autoregressively from the drafter, recorded together with the exact
 ``(k, V)`` block, because the verification rule needs those probabilities
 later. A greedy chain takes the argmax each drafter pass's state keeps,
 draws no uniform and records the raw rows, as a verifier's greedy block is
-raw.
+raw. At T=1, where shaping is the identity, a token is drawn from the CDF
+the pass's state keeps.
 
 A draft tree generalizes the chain: every frontier node proposes its
 top-``branch_topk`` continuations, and the tree keeps the globally most
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomStream, apply_temperature, sample
+from .core import RandomStream, apply_temperature, sample, sample_cdf
 from .models import ModelOracle
 
 __all__ = [
@@ -79,18 +80,22 @@ def draft_chain(
     """Sample a k-token draft block autoregressively; k drafter passes.
 
     At temperature 0 each token is the argmax kept by the state the pass
-    walked, recorded with its raw row, and no uniform is drawn.
+    walked, recorded with its raw row, and no uniform is drawn. At
+    temperature 1 it is drawn from the CDF that state keeps: the token
+    ``sample`` would draw from the row.
     """
     if k < 1:
         raise ValueError("draft length k must be >= 1")
     base = drafter._tail(ctx)  # each pass reads only the window anyway
-    best = drafter._states.best
+    best, cdf = drafter._states.best, drafter._states.cdf
     tokens: list[int] = []
     rows: list[np.ndarray] = []
     for _ in range(k):
         row = drafter.next_dist(base + tuple(tokens))
         if temperature == 0.0:  # the raw row; shaping would return it as is
             tokens.append(best[drafter.walked[0]])
+        elif temperature == 1.0:  # likewise
+            tokens.append(sample_cdf(cdf(drafter.walked[0]), row, stream))
         else:
             row = apply_temperature(row, temperature)
             tokens.append(sample(row, stream))

@@ -47,8 +47,8 @@ class CostModel:
     t_o: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.c_d, self.c_p, self.c_t, self.t_o) < 0.0:
-            raise ValueError("cost constants must be >= 0")
+        if not all(0.0 <= c < np.inf for c in (self.c_d, self.c_p, self.c_t, self.t_o)):
+            raise ValueError("cost constants must be finite and >= 0")
         if not (self.c_d <= self.c_p <= self.c_t):
             warnings.warn(
                 f"cost ordering c_d <= c_p <= c_t violated: {self.c_d}, {self.c_p}, {self.c_t}",

@@ -21,8 +21,9 @@ every pass trims the committed context to that window once. From there it
 walks window states: every tail with the same key (``_key``) has the same
 row, so a state is computed, validated and stored once, on first use, and
 the state after each next token is filled in as it is first asked for.
-A state keeps its row's argmax and top-2 margin too, and every pass records
-the states it walked, so greedy decisions read those instead of the rows.
+A state keeps its row's argmax and top-2 margin too, and its CDF from its
+first draw on; every pass records the states it walked, so greedy decisions,
+T=1 draft draws and T=1 margins read those instead of the rows.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class NGramSpec:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("n-gram order must be >= 1")
-        if self.alpha < 0.0:
-            raise ValueError("additive smoothing constant must be >= 0")
+        if not 0.0 <= self.alpha < np.inf:  # NaN fails it too
+            raise ValueError("additive smoothing constant must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,12 @@ class _States:
     argmax ``best[s]`` (lowest index on ties) and top-2 ``margin[s]``, taken
     then too, and ``step[s]``, which maps each token asked for so far to the
     state after it. ``of_tail`` and ``of_key`` find a state from a window
-    tail or a key.
+    tail or a key. ``cdf(s)`` is the row's CDF as a list, filled on the
+    first draw from the state, not when it is added: few states are ever
+    drawn from, and a list for every state would cost memory.
     """
 
-    __slots__ = ("of_tail", "of_key", "keys", "step", "table", "best", "margin")
+    __slots__ = ("of_tail", "of_key", "keys", "step", "table", "best", "margin", "cdfs")
 
     def __init__(self, vocab_size: int) -> None:
         self.of_tail: dict[tuple[int, ...], int] = {}
@@ -110,6 +113,7 @@ class _States:
         self.step: list[dict[int, int]] = []
         self.best: list[int] = []
         self.margin: list[float] = []
+        self.cdfs: list[list[float] | None] = []
         self.table = np.empty((16, vocab_size))
         self.table.setflags(write=False)
 
@@ -128,7 +132,14 @@ class _States:
         self.step.append({})
         self.best.append(int(row.argmax()))
         self.margin.append(top2_margin(row))
+        self.cdfs.append(None)
         return s
+
+    def cdf(self, s: int) -> list[float]:
+        cdf = self.cdfs[s]
+        if cdf is None:
+            cdf = self.cdfs[s] = self.table[s].cumsum().tolist()
+        return cdf
 
 
 class ModelOracle:

@@ -132,11 +132,12 @@ def trispec_round(
     The proxy scores the draft as one ``(k+1, V)`` block. The trust signal
     sees its shaped rows at temperature 1 (where shaping is the identity)
     and its raw rows in greedy mode -- an argmax one-hot carries no margin
-    information. Greedy decisions and margins are read from the states the
-    proxy's pass walked, once each. ``margin_on_raw`` forces the raw view
-    at any temperature. ``raw_bonus`` switches the proxy-local correction
-    to a direct draw from the proxy's distribution at the rejected position
-    instead of the residual; a greedy draw there is the argmax either way.
+    information. Greedy decisions, and margins at both temperatures, are
+    read from the states the proxy's pass walked, once each.
+    ``margin_on_raw`` forces the raw view at any other temperature.
+    ``raw_bonus`` switches the proxy-local correction to a direct draw from
+    the proxy's distribution at the rejected position instead of the
+    residual; a greedy draw there is the argmax either way.
     """
     meter = PassMeter(drafter, proxy, target)
 
@@ -144,10 +145,13 @@ def trispec_round(
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     proxy_raw = proxy.batch_score(base, draft.tokens)
     if temperature == 0.0:
-        proxy_scores, margin_view, margins = proxy.argmaxes(), proxy_raw, proxy.margins()
+        proxy_scores, margin_view = proxy.argmaxes(), proxy_raw
     else:
         proxy_scores = apply_temperature(proxy_raw, temperature)
         margin_view = proxy_raw if margin_on_raw else proxy_scores
+    if temperature in (0.0, 1.0):  # the view is the raw rows, whose states keep margins
+        margins = proxy.margins()
+    else:
         margins = tuple(top2_margin(margin_view).tolist())
     coins, tau_a = acceptance_coins(draft, proxy_scores, temperature, streams.proxy_coins)
     tau_m = trusted_prefix_len(margin_view, rule, margins)

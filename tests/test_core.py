@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trispec.core import (
+    UNIFORM_BLOCK,
     AllZeroError,
     Distribution,
     RandomStream,
@@ -13,6 +14,7 @@ from trispec.core import (
     apply_temperature,
     normalize,
     sample,
+    sample_cdf,
     top2_margin,
 )
 
@@ -164,6 +166,27 @@ def test_sample_tail_shortfall_lands_on_last_positive():
     assert sample(d, FixedUniforms([0.99999999999])) == 1
 
 
+def test_cdf_draw_lands_on_the_last_positive_token_on_a_tail_shortfall():
+    row = np.array([0.3, 0.7 - 5e-10, 0.0])
+    assert sample_cdf(row.cumsum().tolist(), row, FixedUniforms([0.99999999999])) == 1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=2, max_size=8)
+    .filter(lambda w: sum(w) > 1e-6),
+    shortfall=st.sampled_from([0.0, 1e-9]),
+    u=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0 - 1e-12)),
+)
+def test_cdf_draw_equals_sample(weights, shortfall, u):
+    """Bisecting the kept CDF list draws ``sample``'s token for the same
+    uniform, zero entries and a CDF that ends below ``u`` included."""
+    row = normalize(weights) * (1.0 - shortfall)
+    stream = FixedUniforms([u])
+    assert sample_cdf(row.cumsum().tolist(), row, stream) == sample(row, FixedUniforms([u]))
+    assert stream.draws == 1
+
+
 def test_sample_consumes_one_draw():
     stream = FixedUniforms([0.1, 0.9])
     sample(np.array([0.5, 0.5]), stream)
@@ -246,6 +269,22 @@ def test_lazy_stream_draws_equal_an_eager_generator(seed, label, child, n):
         stream = stream.derive(child)
     assert (stream.seed, stream.draws) == (seed, 0)
     assert [stream.uniform() for _ in range(n)] == _eager_uniforms(seed, stream.label, n)
+    assert stream.draws == n
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    label=st.text(max_size=8),
+    n=st.integers(3 * UNIFORM_BLOCK + 1, 5 * UNIFORM_BLOCK),
+)
+def test_block_uniforms_equal_one_generator_call_per_draw(seed, label, n):
+    """Uniforms read from blocks, over at least three refills, are the
+    doubles one ``Generator.random()`` call per draw gives, and ``draws``
+    counts those read, not those the blocks hold."""
+    stream = RandomStream(seed, label)
+    assert stream._gen is None  # never drawn from: no generator
+    assert [stream.uniform() for _ in range(n)] == _eager_uniforms(seed, label, n)
     assert stream.draws == n
 
 

@@ -119,6 +119,34 @@ def test_greedy_draft_chain_draws_no_uniform():
     assert np.array_equal(chain.dists, raw)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 5000), k=st.integers(1, 12))
+def test_sampled_draft_chain_draws_from_its_states_cdfs(ref_family, seed, start, k):
+    """At T=1 a warm drafter's chain calls no ``sample``: each token comes
+    from the CDF its state keeps, and is the token ``sample`` draws from
+    the pass's row with the same uniform."""
+    from unittest import mock
+
+    from trispec import core, drafting
+
+    fam = ref_family.fork()
+    ctx = tuple(fam.held_tokens[start : start + 8])
+    draft_chain(fam.drafter, ctx, k, 1.0, RandomStream(seed, "draft"))  # warms the states
+    calls = []
+    counted = lambda row, stream: calls.append(1) or core.sample(row, stream)  # noqa: E731
+    stream = RandomStream(seed, "draft")
+    with mock.patch.object(drafting, "sample", counted):
+        chain = draft_chain(fam.drafter, ctx, k, 1.0, stream)
+    assert calls == []
+    ref_stream, tokens = RandomStream(seed, "draft"), []
+    probe = fam.drafter.fork()
+    for _ in range(k):  # the per-row rule: shape the row, then sample it
+        row = apply_temperature(probe.next_dist(ctx + tuple(tokens)), 1.0)
+        tokens.append(core.sample(row, ref_stream))
+    assert chain.tokens == tuple(tokens) and stream.draws == ref_stream.draws == k
+    assert np.array_equal(chain.dists, [probe.next_dist(ctx + chain.tokens[:i]) for i in range(k)])
+
+
 def test_draft_chain_rejects_bad_k():
     with pytest.raises(ValueError):
         draft_chain(_last_token_model(), (), 0, 1.0, FixedUniforms([]))

@@ -470,14 +470,19 @@ _GREEDY_CASES = [
 def test_warm_greedy_decoding_takes_no_margin_from_rows(family_name, request, monkeypatch):
     """A state takes its row's margin once, when it is added; after that a
     greedy round reads argmaxes and margins from the states its passes
-    walked, so on a warm family no decode path calls ``top2_margin``."""
+    walked, so on a warm family no decode path calls ``top2_margin``. At
+    T=1 shaping is the identity, so a ternary round reads its margins from
+    the states too; only other temperatures take them from rows."""
     import sys
 
     from trispec import core
+    from trispec.router import MarginRule, trispec_round
+    from trispec.verification import DecodeStreams
 
     family = request.getfixturevalue(family_name)
     cfgs = [ExperimentConfig(max_new_tokens=16, num_prompts=2, **case) for case in _GREEDY_CASES]
-    for cfg in cfgs:
+    sampled = replace(cfgs[0], temperature=1.0)
+    for cfg in cfgs + [sampled]:
         run_experiment(cfg, family)  # adds every state these runs walk
     calls = []
     margin = core.top2_margin
@@ -487,8 +492,13 @@ def test_warm_greedy_decoding_takes_no_margin_from_rows(family_name, request, mo
     for cfg in cfgs:
         assert cfg.temperature == 0.0 and run_experiment(cfg, family).report.N > 0
     assert calls == []
-    run_experiment(replace(cfgs[0], temperature=1.0), family)
-    assert calls  # the sampled round still reads its rows' margins, through the patch
+    assert run_experiment(sampled, family).report.N > 0
+    assert calls == []
+    fam = family.fork()
+    ctx = tuple(family.held_tokens[:9])
+    trispec_round(fam.drafter, fam.proxy, fam.target, ctx, 4, MarginRule(0.5), 0.7,
+                  DecodeStreams.from_seed(3))
+    assert calls  # a T=0.7 round reads its shaped rows' margins, through the patch
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ def test_cost_model_validation():
     assert CostModel() == CostModel(1.0, 5.0, 90.0, 0.0)
 
 
+@pytest.mark.parametrize("field", ["c_d", "c_p", "c_t", "t_o"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_cost_model_refuses_non_finite_constants(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        CostModel(**{field: value})
+
+
 def test_round_cost_total():
     assert RoundCost(draft=6.0, verify=95.0, overhead=2.5).total == 103.5
 

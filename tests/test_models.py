@@ -86,6 +86,12 @@ def test_ngram_uses_only_last_order_minus_one_tokens():
     assert np.array_equal(long_ctx, short_ctx)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf"), -0.1])
+def test_ngram_spec_refuses_a_non_finite_or_negative_alpha(alpha):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        NGramSpec(2, alpha=alpha)
+
+
 def test_train_ngram_errors():
     with pytest.raises(CorpusTooShortError):
         train_ngram([0, 1], NGramSpec(order=3), AB)
