@@ -120,6 +120,8 @@ class RoutingSignal:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown routing signal {self.kind!r}; expected one of {self._KINDS}")
+        if self.threshold != self.threshold:  # NaN would fail every bound
+            raise ValueError("routing threshold must not be NaN")
 
     def trusted(self, probs: np.ndarray) -> bool | np.ndarray:
         return routing_signal_eval(probs, self)

@@ -7,7 +7,8 @@ autoregressively from the drafter, recorded together with the exact
 later. A greedy chain takes the argmax each drafter pass's state keeps,
 draws no uniform and records the raw rows, as a verifier's greedy block is
 raw. At T=1, where shaping is the identity, a token is drawn from the CDF
-the pass's state keeps.
+the pass's state keeps. A greedy chain depends only on the drafter's
+window tail, so it is drafted once per tail and length, like a tree.
 
 A draft tree generalizes the chain: every frontier node proposes its
 top-``branch_topk`` continuations, and the tree keeps the globally most
@@ -61,13 +62,25 @@ class DraftChain:
             dists.setflags(write=False)
         object.__setattr__(self, "dists", dists)
 
+    @classmethod
+    def _drawn(cls, tokens: tuple[int, ...], dists: np.ndarray) -> "DraftChain":
+        """A chain of tokens drawn from their own rows of the read-only
+        ``dists``, built without the checks: an argmax, or a token found by
+        inverse CDF in its row, always has positive mass there."""
+        chain = object.__new__(cls)
+        chain.__dict__.update(tokens=tokens, dists=dists)
+        return chain
+
     @property
     def k(self) -> int:
         return len(self.tokens)
 
     def suffix(self, start: int) -> "DraftChain":
         """The sub-chain from position ``start`` (0-based) onward."""
-        return DraftChain(self.tokens[start:], self.dists[start:])
+        tokens = self.tokens[start:]
+        if not tokens:
+            raise ValueError("chain needs one distribution per drafted token")
+        return DraftChain._drawn(tokens, self.dists[start:])
 
 
 def draft_chain(
@@ -83,26 +96,50 @@ def draft_chain(
     walked, recorded with its raw row, and no uniform is drawn. At
     temperature 1 it is drawn from the CDF that state keeps: the token
     ``sample`` would draw from the row.
+
+    A greedy chain depends only on the drafter's ``window`` tail of
+    ``ctx``, so the drafter keeps the first chain of each tail and length,
+    with the window-cut context of each pass, in the memo ``draft_tree``
+    uses. A repeat makes the same k passes on those contexts, so every pass
+    is still counted and ``walked`` is what a fresh draft leaves, and
+    returns the same chain. Sampled chains, and drafters whose window is
+    None, are not memoised.
     """
     if k < 1:
         raise ValueError("draft length k must be >= 1")
     base = drafter._tail(ctx)  # each pass reads only the window anyway
-    best, cdf = drafter._states.best, drafter._states.cdf
+    key = None
+    if temperature == 0.0 and drafter.window is not None:
+        key = (base, k)  # tree keys have five fields, so none collides
+        hit = drafter._drafts.get(key)
+        if hit is not None:
+            chain, contexts = hit
+            for c in contexts:
+                drafter.next_dist(c)
+            return chain
+    states = drafter._states
+    best, cdf = states.best, states.cdf
     tokens: list[int] = []
-    rows: list[np.ndarray] = []
+    walked: list[int] = []
+    shaped: list[np.ndarray] = []  # at T=0 and T=1 the walked states' own rows
     for _ in range(k):
         row = drafter.next_dist(base + tuple(tokens))
+        s = drafter.walked[0]
         if temperature == 0.0:  # the raw row; shaping would return it as is
-            tokens.append(best[drafter.walked[0]])
+            tokens.append(best[s])
         elif temperature == 1.0:  # likewise
-            tokens.append(sample_cdf(cdf(drafter.walked[0]), row, stream))
+            tokens.append(sample_cdf(cdf(s), row, stream))
         else:
-            row = apply_temperature(row, temperature)
-            tokens.append(sample(row, stream))
-        rows.append(row)
-    block = np.array(rows)
+            shaped.append(apply_temperature(row, temperature))
+            tokens.append(sample(shaped[-1], stream))
+        walked.append(s)
+    block = np.array(shaped) if shaped else states.table.take(walked, axis=0)
     block.setflags(write=False)
-    return DraftChain(tuple(tokens), block)
+    chain = DraftChain._drawn(tuple(tokens), block)
+    if key is not None:
+        contexts = tuple(drafter._tail(base + chain.tokens[:i]) for i in range(k))
+        drafter._drafts[key] = (chain, contexts)
+    return chain
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,7 +273,7 @@ def draft_tree(
     key = None
     if drafter.window is not None:
         key = (drafter._tail(base), depth, branch_topk, budget, temperature)
-        hit = drafter._trees.get(key)
+        hit = drafter._drafts.get(key)
         if hit is not None:
             tree, levels = hit
             for paths in levels:
@@ -285,7 +322,7 @@ def draft_tree(
     nodes = [TreeNode(*fields) for fields in zip(*columns)]
     tree = DraftTree(ctx=base, nodes=nodes, mask=_ancestor_mask(nodes), budget=budget)
     if key is not None:
-        drafter._trees[key] = (tree._rebased(key[0]), tuple(levels))
+        drafter._drafts[key] = (tree._rebased(key[0]), tuple(levels))
     return tree
 
 

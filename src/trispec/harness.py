@@ -436,7 +436,7 @@ def margin_eval_contexts(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     """One verification round, flattened for the trace CSV."""
 

@@ -56,7 +56,7 @@ class CostModel:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoundCost:
     """Cost ledger of a single round."""
 

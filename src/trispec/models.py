@@ -154,10 +154,11 @@ class ModelOracle:
         # Every oracle in the package has a finite window: with None, each
         # distinct whole context is a state, so the table grows per context.
         self.window: int | None = None
-        # Window states and draft trees by window tail and shape (kept by
-        # ``draft_tree``); fork() shares both, as it shares every table.
+        # Window states, and drafts by window tail and shape (kept by
+        # ``draft_tree`` and greedy ``draft_chain``); fork() shares both, as
+        # it shares every table.
         self._states = _States(vocab.size)
-        self._trees: dict[tuple, tuple] = {}
+        self._drafts: dict[tuple, tuple] = {}
         # The states the last pass walked, one per row it returned.
         self.walked: list[int] = []
 

@@ -55,11 +55,17 @@ class MarginRule:
     """Trust a row iff its top1-top2 gap reaches ``lam``.
 
     ``lam <= 0`` is the always-trust sentinel (margins are never negative),
-    ``lam > 1`` the never-trust sentinel (margins never exceed 1). Given a
-    block, ``trusted`` answers for every row.
+    ``lam > 1`` the never-trust sentinel (margins never exceed 1); +-inf
+    are both legal. NaN is refused: every comparison with it is False, so
+    it would silently trust nothing. Given a block, ``trusted`` answers for
+    every row.
     """
 
     lam: float
+
+    def __post_init__(self) -> None:
+        if self.lam != self.lam:
+            raise ValueError("margin threshold lam must not be NaN")
 
     def trusted(self, probs: np.ndarray) -> bool | np.ndarray:
         return top2_margin(probs) >= self.lam

@@ -82,7 +82,7 @@ class DecodeStreams:
         raise ValueError(f"unknown verifier role {verifier_role!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AcceptanceTrace:
     """Outcome of verifying one draft block.
 
@@ -119,7 +119,7 @@ class RoundCase(enum.Enum):
     RELAX_TOPK = "Relax:topk"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Round:
     """Everything one decode round did, whatever the method.
 
@@ -130,6 +130,10 @@ class Round:
     forward passes as (drafter, proxy, target), and a role was called iff
     its count is positive. ``coins`` are the first verifier's accept/reject
     indicators.
+
+    A round's records are built once per round and never shared, so they
+    are slotted but not frozen: a frozen ``__init__`` pays an
+    ``object.__setattr__`` per field.
     """
 
     case: RoundCase
@@ -311,7 +315,7 @@ def sd_round(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TreeVerifyResult:
     """Greedy verification of a draft tree in one flattened pass.
 

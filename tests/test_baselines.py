@@ -179,6 +179,18 @@ def test_top1_and_margin_signals():
             RoutingSignal(kind, 0.5)
 
 
+@pytest.mark.parametrize("kind", ["top1_prob", "composite_entropy"])
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_routing_signal_refuses_a_nan_threshold(kind, threshold):
+    if threshold != threshold:
+        with pytest.raises(ValueError):
+            RoutingSignal(kind, threshold)
+        return
+    uniform = np.array([0.25] * 4)  # top-1 0.25, normalized entropy 1
+    trusts = threshold < 0 if kind == "top1_prob" else threshold > 0
+    assert bool(RoutingSignal(kind, threshold).trusted(uniform)) == trusts
+
+
 def test_signals_plug_into_the_router(ref_family):
     from trispec.router import trispec_round
 

@@ -381,7 +381,7 @@ def _drafters(draw):
 
 
 def _unmemoised(drafter):
-    """The same oracle built afresh, with an empty tree memo."""
+    """The same oracle built afresh, with no states and an empty draft memo."""
     if isinstance(drafter, TableModel):
         rows = {key: Distribution(row) for key, row in drafter.rows.items()}
         return TableModel(drafter.vocab, rows, Distribution(drafter.default))
@@ -421,11 +421,11 @@ def test_memo_hit_equals_a_fresh_growth(drafter, depth, budget, temperature, dat
 
     memo = drafter.fork()
     draft_tree(memo, first, depth, topk, budget, temperature)
-    assert len(memo._trees) == 1
+    assert len(memo._drafts) == 1
     hit_calls = _recorded(memo)
     hit_meter = PassMeter(memo)
     hit = draft_tree(memo, second, depth, topk, budget, temperature)
-    assert len(memo._trees) == 1
+    assert len(memo._drafts) == 1
 
     fresh = _unmemoised(drafter)
     miss_calls = _recorded(fresh)
@@ -498,18 +498,18 @@ def test_memo_is_shared_across_forks_and_keyed_by_window_tail():
     model = _last_token_model()  # window 1
     twin = model.fork()
     first = draft_tree(model, (2, 0), depth=3, branch_topk=2, budget=5)
-    assert twin._trees is model._trees and len(model._trees) == 1
+    assert twin._drafts is model._drafts and len(model._drafts) == 1
     again = draft_tree(twin, (1, 1, 0), depth=3, branch_topk=2, budget=5)
-    assert len(model._trees) == 1  # same tail, same shape: a hit from the fork
+    assert len(model._drafts) == 1  # same tail, same shape: a hit from the fork
     assert again.nodes is first.nodes and again.ctx == (1, 1, 0)
     assert twin.invocation_count == model.invocation_count == 3
     for ctx in [(0,), (2, 0), (1, 1, 0)] * 2:  # repeats add no entry
         draft_tree(model, ctx, depth=3, branch_topk=2, budget=5)
-    assert len(model._trees) == 1
+    assert len(model._drafts) == 1
     draft_tree(model, (1,), depth=3, branch_topk=2, budget=5)
     draft_tree(model, (1,), depth=2, branch_topk=2, budget=5)
     draft_tree(model, (1,), depth=2, branch_topk=2, budget=5, temperature=0.0)
-    assert len(model._trees) == 4  # one per tail and shape
+    assert len(model._drafts) == 4  # one per tail and shape
 
 
 class _ParityModel(ModelOracle):
@@ -526,8 +526,151 @@ def test_drafter_without_a_window_is_not_memoised():
     assert model.window is None
     odd = draft_tree(model, (1,), depth=2, branch_topk=1, budget=2)
     even = draft_tree(model, (0, 1), depth=2, branch_topk=1, budget=2)
-    assert not model._trees
+    assert not model._drafts
     assert [n.token for n in odd.nodes] != [n.token for n in even.nodes]
+
+
+# ---------------------------------------------------------------------------
+# the chain memo
+# ---------------------------------------------------------------------------
+
+
+def _recorded_passes(oracle):
+    """Record each pass as (method, the window-cut context it scores)."""
+    calls = []
+    for name in ("next_dist", "batch_score", "batch_score_paths"):
+        method = getattr(oracle, name)
+
+        def record(ctx, *rest, _name=name, _method=method):
+            calls.append((_name, oracle._tail(ctx)))
+            return _method(ctx, *rest)
+
+        setattr(oracle, name, record)
+    return calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drafter=_drafters(), k=st.integers(1, 8), data=st.data())
+def test_chain_memo_hit_on_a_fork_equals_a_fresh_draft(drafter, k, data):
+    size, window = drafter.vocab.size, drafter.window
+    token = st.integers(0, size - 1)
+    tail = tuple(data.draw(st.lists(token, min_size=window, max_size=window), label="tail"))
+    first = tuple(data.draw(st.lists(token, max_size=3), label="first")) + tail
+    second = tuple(data.draw(st.lists(token, min_size=1, max_size=3), label="second")) + tail
+
+    memo = drafter.fork()
+    stored = draft_chain(memo, first, k, 0.0, FixedUniforms([]))
+    assert len(memo._drafts) == 1
+    twin = memo.fork()
+    hit_calls = _recorded_passes(twin)
+    hit = draft_chain(twin, second, k, 0.0, FixedUniforms([]))
+    assert hit is stored and len(memo._drafts) == 1
+
+    fresh = _unmemoised(drafter)
+    miss_calls = _recorded_passes(fresh)
+    miss = draft_chain(fresh, second, k, 0.0, FixedUniforms([]))
+
+    assert hit.tokens == miss.tokens
+    assert hit.dists.tobytes() == miss.dists.tobytes()  # bit for bit
+    assert not hit.dists.flags.writeable
+    assert twin.invocation_count == fresh.invocation_count == k
+    assert hit_calls == miss_calls  # k passes of one position each, same contexts
+    assert [name for name, _ in hit_calls] == ["next_dist"] * k
+    walked_keys = lambda o: [o._states.keys[s] for s in o.walked]  # noqa: E731
+    assert walked_keys(twin) == walked_keys(fresh)
+    assert twin.argmaxes() == fresh.argmaxes() and twin.margins() == fresh.margins()
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_sampled_chains_are_not_memoised_and_draw_as_before(ref_family, temperature):
+    from trispec import core
+
+    drafter = _unmemoised(ref_family.drafter)
+    for seed, start in [(1, 0), (2, 40), (1, 0)]:  # a repeat too
+        ctx = tuple(ref_family.held_tokens[start : start + 8])
+        stream = RandomStream(seed, "draft")
+        chain = draft_chain(drafter, ctx, 6, temperature, stream)
+        ref_stream, tokens, rows = RandomStream(seed, "draft"), [], []
+        probe = _unmemoised(drafter)
+        for _ in range(6):  # the per-row rule: shape the row, then sample it
+            rows.append(apply_temperature(probe.next_dist(ctx + tuple(tokens)), temperature))
+            tokens.append(core.sample(rows[-1], ref_stream))
+        assert chain.tokens == tuple(tokens) and stream.draws == ref_stream.draws == 6
+        assert chain.dists.tobytes() == np.array(rows).tobytes()
+    assert not drafter._drafts
+
+
+def test_chains_of_a_drafter_without_a_window_are_not_memoised():
+    model = _ParityModel(Vocabulary(2))
+    odd = draft_chain(model, (1,), 2, 0.0, FixedUniforms([]))
+    even = draft_chain(model, (0, 1), 2, 0.0, FixedUniforms([]))
+    assert not model._drafts
+    assert (odd.tokens, even.tokens) == ((0, 1), (1, 0))
+    assert model.invocation_count == 4
+
+
+def test_chain_memo_is_keyed_by_window_tail_and_length():
+    model = _last_token_model()  # window 1
+    first = draft_chain(model, (2, 0), 3, 0.0, FixedUniforms([]))
+    assert draft_chain(model.fork(), (1, 0), 3, 0.0, FixedUniforms([])) is first
+    assert draft_chain(model, (0,), 2, 0.0, FixedUniforms([])) is not first
+    draft_chain(model, (1,), 3, 0.0, FixedUniforms([]))
+    draft_tree(model, (0,), depth=3, branch_topk=1, budget=3, temperature=0.0)
+    assert len(model._drafts) == 4  # three chains and a tree share the memo
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    model=_tied_tables(),
+    k=st.integers(1, 6),
+    temperature=st.sampled_from([0.0, 1.0, 0.7]),
+    data=st.data(),
+)
+def test_every_drawn_token_has_mass_in_its_own_row(model, k, temperature, data):
+    """Chains skip the per-token check; an argmax, or a token drawn by
+    inverse CDF (its fall-back included), never lands on a zero cell."""
+    ctx = tuple(data.draw(st.lists(st.integers(0, model.vocab.size - 1), max_size=3)))
+    uniforms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.just(1 - 2**-53),
+                                  min_size=k, max_size=k))
+    chain = draft_chain(model, ctx, k, temperature, FixedUniforms(uniforms))
+    assert all(chain.dists[i, t] > 0.0 for i, t in enumerate(chain.tokens))
+    assert not chain.dists.flags.writeable
+    for start in range(k):
+        tail = chain.suffix(start)
+        assert tail.tokens == chain.tokens[start:]
+        assert np.array_equal(tail.dists, chain.dists[start:])
+        assert not tail.dists.flags.writeable
+    with pytest.raises(ValueError):
+        chain.suffix(k)
+    with pytest.raises(ValueError):  # a chain built by hand is still checked
+        DraftChain((0,) + chain.tokens[1:], np.vstack([np.eye(2, model.vocab.size)[1],
+                                                       chain.dists[1:]]))
+
+
+def test_shared_drafts_stay_frozen_and_round_records_are_slotted():
+    from trispec.harness import TraceRecord
+    from trispec.metrics import RoundCost
+    from trispec.verification import AcceptanceTrace, Round, RoundCase, TreeVerifyResult
+
+    records = [
+        Round(case=RoundCase.SD, emitted=(0,), passes=(1, 1, 0)),
+        AcceptanceTrace(coins=(), tau=0, correction_token=0, correction_is_bonus=True,
+                        emitted=(0,)),
+        TreeVerifyResult((), (), np.ones((1, 2)) / 2, 0, True),
+        RoundCost(draft=1.0, verify=5.0, overhead=0.0),
+        TraceRecord("r", 0, "SD", 0, None, None, 1, False, True, 6.0),
+    ]
+    for rec in records:
+        assert "__slots__" in vars(type(rec)) and not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+    model = _last_token_model()
+    chain = draft_chain(model, (0,), 2, 0.0, FixedUniforms([]))
+    tree = draft_tree(model, (0,), depth=2, branch_topk=2, budget=4)
+    for shared, name in [(chain, "tokens"), (chain.suffix(1), "dists"), (tree, "ctx"),
+                         (tree.nodes[0], "token")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(shared, name, getattr(shared, name))
 
 
 # ---------------------------------------------------------------------------

@@ -501,6 +501,27 @@ def test_warm_greedy_decoding_takes_no_margin_from_rows(family_name, request, mo
     assert calls  # a T=0.7 round reads its shaped rows' margins, through the patch
 
 
+def test_warm_greedy_decoding_builds_no_draft_chain(monkeypatch):
+    """A greedy chain is drafted once per drafter window tail and length;
+    a warm greedy run takes every chain from the drafter's memo."""
+    from trispec.drafting import DraftChain
+
+    family = build_family(ExperimentConfig())  # its own memo, cold
+    built = []
+    init, drawn = DraftChain.__init__, DraftChain._drawn
+    monkeypatch.setattr(DraftChain, "__init__", lambda *a, **kw: built.append(1) or init(*a, **kw))
+    monkeypatch.setattr(DraftChain, "_drawn", lambda *a: built.append(1) or drawn(*a))
+    cfgs = [ExperimentConfig(max_new_tokens=16, num_prompts=2, method=m)
+            for m in ("trispec", "sd", "relax")]
+    cold = [run_experiment(cfg, family) for cfg in cfgs]
+    assert built  # the patch sees every chain built
+    built.clear()
+    warm = [run_experiment(cfg, family) for cfg in cfgs]
+    assert built == []
+    for a, b in zip(cold, warm):
+        assert a.to_dict() == b.to_dict() and a.records == b.records
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 # ---------------------------------------------------------------------------

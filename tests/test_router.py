@@ -67,6 +67,18 @@ def test_margin_rule_boundary_cases():
     assert MarginRule(0.5).trusted(np.array([0.75, 0.25]))
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_margin_rule_refuses_nan_and_keeps_the_infinite_sentinels(lam):
+    """NaN fails every comparison, so it would silently trust nothing; the
+    infinities are the never- and always-trust sentinels."""
+    if lam != lam:
+        with pytest.raises(ValueError):
+            MarginRule(lam)
+        return
+    one_hot = np.array([1.0, 0.0])
+    assert bool(MarginRule(lam).trusted(one_hot)) == (lam < 0)
+
+
 # ---------------------------------------------------------------------------
 # case I: the proxy resolves the round locally
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@
 
 Run it from the repository root. It sets the workload up as the benchmark
 does, runs one untimed pass to fill the oracles' state tables and the
-drafter's tree memo, then profiles one more pass of every request
-(``run_experiment`` plus writing ``report.json`` and ``trace.csv``) and
-prints the top functions. The
-benchmark code under ``perfbench/`` is imported, never changed, and every
-file a request writes goes to a temporary directory that is removed
-afterwards.
+drafter's memo of greedy chains and trees, then profiles one more pass of
+every request (``run_experiment`` plus writing ``report.json`` and
+``trace.csv``) and prints the top functions. C builtins such as
+``dict.get`` are not profiled on their own: their time is charged to the
+Python function that calls them, which keeps the profiler's per-call cost
+from swamping the cheap calls. The benchmark code under ``perfbench/`` is
+imported, never changed, and every file a request writes goes to a
+temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -55,13 +57,13 @@ def main(argv: list[str] | None = None) -> int:
         bench.set_up(keep=True)
         if workload.base_config().temperature != 0.0:
             bench.sentinel_references()
-        bench.run_pass(timed=False)  # fills the state tables and checks every request
+        bench.run_pass(timed=False)  # fills the states and the memo, checks every request
         if bench.problems:
             for problem in bench.problems[:20]:
                 print(problem, file=sys.stderr)
             return 1
 
-        profiler = cProfile.Profile()
+        profiler = cProfile.Profile(builtins=False)
         start = time.perf_counter()
         profiler.enable()
         for req in bench.requests:
