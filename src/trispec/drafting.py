@@ -102,14 +102,13 @@ def draft_chain(
     with the window-cut context of each pass, in the memo ``draft_tree``
     uses. A repeat makes the same k passes on those contexts, so every pass
     is still counted and ``walked`` is what a fresh draft leaves, and
-    returns the same chain. Sampled chains, and drafters whose window is
-    None, are not memoised.
+    returns the same chain. Sampled chains are not memoised.
     """
     if k < 1:
         raise ValueError("draft length k must be >= 1")
     base = drafter._tail(ctx)  # each pass reads only the window anyway
     key = None
-    if temperature == 0.0 and drafter.window is not None:
+    if temperature == 0.0:
         key = (base, k)  # tree keys have five fields, so none collides
         hit = drafter._drafts.get(key)
         if hit is not None:
@@ -265,20 +264,18 @@ def draft_tree(
     shape, with the cut paths of every level, in a memo that its forks
     share. A repeat makes the same drafter passes, level for level, so
     every pass is still counted, and returns that tree rebased onto
-    ``ctx``. A drafter whose window is None is not memoised.
+    ``ctx``.
     """
     if depth < 1 or branch_topk < 1 or budget < 1:
         raise ValueError("depth, branch_topk and budget must all be >= 1")
     base = tuple(ctx)
-    key = None
-    if drafter.window is not None:
-        key = (drafter._tail(base), depth, branch_topk, budget, temperature)
-        hit = drafter._drafts.get(key)
-        if hit is not None:
-            tree, levels = hit
-            for paths in levels:
-                drafter.batch_score_paths(base, paths)
-            return tree._rebased(base)
+    key = (drafter._tail(base), depth, branch_topk, budget, temperature)
+    hit = drafter._drafts.get(key)
+    if hit is not None:
+        tree, levels = hit
+        for paths in levels:
+            drafter.batch_score_paths(base, paths)
+        return tree._rebased(base)
     # Every candidate's columns, level by level in creation order; parents
     # are candidate ids.
     grown = []
@@ -321,8 +318,7 @@ def draft_tree(
     columns = (col.tolist() for col in (tok, parent, dep, prob, path_prob))
     nodes = [TreeNode(*fields) for fields in zip(*columns)]
     tree = DraftTree(ctx=base, nodes=nodes, mask=_ancestor_mask(nodes), budget=budget)
-    if key is not None:
-        drafter._drafts[key] = (tree._rebased(key[0]), tuple(levels))
+    drafter._drafts[key] = (tree._rebased(key[0]), tuple(levels))
     return tree
 
 

@@ -22,6 +22,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .baselines import RelaxPolicy, RoutingSignal, relaxed_sd_round
 from .core import Vocabulary
 from .metrics import CostModel, RoundCost, RunReport, accumulate, lemma_check
@@ -264,13 +266,14 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
 # ---------------------------------------------------------------------------
 
 
-def load_corpus(path: str | Path, tokenizer: str) -> tuple[list[int], Vocabulary]:
-    """Tokenize a text file: bytes (fixed V=256) or sorted distinct chars."""
+def load_corpus(path: str | Path, tokenizer: str) -> tuple[np.ndarray, Vocabulary]:
+    """Tokenize a text file: bytes (fixed V=256) or sorted distinct chars,
+    into one array of the narrowest unsigned dtype that holds the ids."""
     data = Path(path).read_bytes()
     if not data:
         raise EmptyCorpusError(f"corpus file {path} is empty")
     if tokenizer == "byte":
-        return list(data), Vocabulary(256)
+        return np.frombuffer(data, dtype=np.uint8), Vocabulary(256)
     if tokenizer == "char":
         try:
             text = data.decode("utf-8")
@@ -279,7 +282,8 @@ def load_corpus(path: str | Path, tokenizer: str) -> tuple[list[int], Vocabulary
         symbols = tuple(sorted(set(text)))
         vocab = Vocabulary(len(symbols), symbols)
         index = {ch: i for i, ch in enumerate(symbols)}
-        return [index[ch] for ch in text], vocab
+        dtype = np.min_scalar_type(len(symbols) - 1)
+        return np.fromiter(map(index.__getitem__, text), dtype, len(text)), vocab
     raise ConfigError(f"unknown tokenizer {tokenizer!r}")
 
 
@@ -291,7 +295,7 @@ class Family:
     proxy: ModelOracle
     target: ModelOracle
     vocab: Vocabulary
-    train_tokens: list[int]
+    train_tokens: np.ndarray
     held_tokens: list[int]
 
     def fork(self) -> "Family":
@@ -321,9 +325,8 @@ def build_family(cfg: ExperimentConfig) -> Family:
     corpus_path = Path(cfg.corpus) if cfg.corpus else reference_corpus_path()
     tokens, vocab = load_corpus(corpus_path, cfg.tokenizer)
     split = int(len(tokens) * cfg.train_fraction)
-    train, held = tokens[:split], tokens[split:]
-    del tokens  # the split copies it; training need not hold it twice
-    if not train or not held:
+    train, held = tokens[:split], tokens[split:].tolist()
+    if not len(train) or not held:
         raise ConfigError("train/held-out split left one side empty; adjust train_fraction")
 
     if cfg.model_dir is not None:
@@ -348,7 +351,7 @@ def build_family(cfg: ExperimentConfig) -> Family:
     return Family(drafter, proxy, target, vocab, train, held)
 
 
-def _check_loaded(role: str, oracle: ModelOracle, vocab: Vocabulary, train: list[int]) -> None:
+def _check_loaded(role: str, oracle: ModelOracle, vocab: Vocabulary, train: np.ndarray) -> None:
     """A loaded oracle must speak the corpus vocabulary and, where it is an
     n-gram (a mixture's base included), carry the fingerprint of training
     on this corpus's training split."""

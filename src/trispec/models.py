@@ -16,14 +16,15 @@ source for target-call accounting downstream. ``next_dist`` returns one
 read-only row, and a batched call one read-only ``(positions, V)`` block,
 a row per scored position.
 
-Each oracle reads only its ``window`` of most recent context tokens, so
-every pass trims the committed context to that window once. From there it
-walks window states: every tail with the same key (``_key``) has the same
-row, so a state is computed, validated and stored once, on first use, and
-the state after each next token is filled in as it is first asked for.
-A state keeps its row's argmax and top-2 margin too, and its CDF from its
-first draw on; every pass records the states it walked, so greedy decisions,
-T=1 draft draws and T=1 margins read those instead of the rows.
+Each oracle reads only its ``window`` of most recent context tokens. It is
+finite-state: its states are an Aho-Corasick automaton over its keys (the
+seen contexts of an n-gram, the row keys of a table; a mixture shares its
+base's), built whole with the oracle. A pass walks from the root over the
+context's last ``window`` tokens, then over the drafted tokens or each
+path, and returns the rows of the states it reached. A state keeps its
+row's argmax and top-2 margin too, and its CDF from its first draw on;
+every pass records the states it walked, so greedy decisions, T=1 draft
+draws and T=1 margins read those instead of the rows.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -92,48 +94,31 @@ class ProxyDerivation:
 
 
 class _States:
-    """An oracle's window states, each added on first use.
+    """An oracle's window states: an Aho-Corasick automaton over its keys
+    (Aho & Corasick 1975), built whole with the oracle by ``_automaton``.
 
-    State ``s`` holds ``keys[s]``, its row ``table[s]`` (checked once, when
-    the state is added, so a broken row raises and adds no state), its
-    argmax ``best[s]`` (lowest index on ties) and top-2 ``margin[s]``, taken
-    then too, and ``step[s]``, which maps each token asked for so far to the
-    state after it. ``of_tail`` and ``of_key`` find a state from a window
-    tail or a key. ``cdf(s)`` is the row's CDF as a list, filled on the
-    first draw from the state, not when it is added: few states are ever
+    State ``s`` stands for ``keys[s]``, a prefix of some key, and ``root``
+    for ``()``. ``step[s][t]`` is the state after token ``t``: the longest
+    suffix of ``keys[s] + (t,)`` that is a state. ``table[s]`` is the row of
+    the longest key among the suffixes of ``keys[s]``, else the default row;
+    states with neither are numbered after the rows, so a pass that reaches
+    one raises ``IndexError``, a ``LookupError``. ``best[s]`` is the row's
+    argmax (lowest index on ties) and ``margin[s]`` its top-2 margin, both
+    taken over the whole table at once. ``cdf(s)`` is the row's CDF as a
+    list, filled on the first draw from the state: few states are ever
     drawn from, and a list for every state would cost memory.
     """
 
-    __slots__ = ("of_tail", "of_key", "keys", "step", "table", "best", "margin", "cdfs")
+    __slots__ = ("keys", "step", "root", "table", "best", "margin", "cdfs")
 
-    def __init__(self, vocab_size: int) -> None:
-        self.of_tail: dict[tuple[int, ...], int] = {}
-        self.of_key: dict[tuple[int, ...], int] = {}
-        self.keys: list[tuple[int, ...]] = []
-        self.step: list[dict[int, int]] = []
-        self.best: list[int] = []
-        self.margin: list[float] = []
-        self.cdfs: list[list[float] | None] = []
-        self.table = np.empty((16, vocab_size))
-        self.table.setflags(write=False)
-
-    def add(self, key: tuple[int, ...], row: np.ndarray) -> int:
-        check_rows(row)
-        s = len(self.keys)
-        if s == len(self.table):
-            grown = np.empty((2 * s, self.table.shape[1]))
-            grown[:s] = self.table
-            self.table = grown
-        self.table.setflags(write=True)
-        self.table[s] = row
-        self.table.setflags(write=False)
-        self.of_key[key] = s
-        self.keys.append(key)
-        self.step.append({})
-        self.best.append(int(row.argmax()))
-        self.margin.append(top2_margin(row))
-        self.cdfs.append(None)
-        return s
+    def __init__(
+        self, keys: list[tuple[int, ...]], step: list[list[int]], root: int, table: np.ndarray
+    ) -> None:
+        table.setflags(write=False)
+        self.keys, self.step, self.root, self.table = keys, step, root, table
+        self.best: list[int] = table.argmax(axis=1).tolist()
+        self.margin: list[float] = top2_margin(table).tolist()
+        self.cdfs: list[list[float] | None] = [None] * len(table)
 
     def cdf(self, s: int) -> list[float]:
         cdf = self.cdfs[s]
@@ -142,22 +127,63 @@ class _States:
         return cdf
 
 
+def _automaton(
+    size: int,
+    keys: Collection[tuple[int, ...]],
+    rows_of: Callable[[list[tuple[int, ...]]], Sequence[np.ndarray]],
+) -> _States:
+    """The window states of ``keys``, whose ids lie in ``[0, size)``.
+
+    The states are the trie of the keys' prefix closure, breadth-first,
+    with the states that have no row last. In breadth-first order a
+    state's failure state, the longest proper suffix of its key that is a
+    state, comes first, so ``step[s]`` is the failure state's ``step`` row
+    with ``s``'s children written over it. Every entry naming one state is
+    one ``int`` object. A state's row is its key's, else its failure
+    state's; ``rows_of`` gives the rows of a list of keys at once.
+    """
+    trie = {()} | {key[:i] for key in keys for i in range(1, len(key) + 1)}
+    trie = sorted(trie, key=lambda k: (len(k), k))
+    rowless = set()
+    if () not in keys:
+        rowless = {node for node in trie if not any(node[i:] in keys for i in range(len(node)))}
+    nodes = sorted(trie, key=rowless.__contains__)  # stable: breadth-first in each part
+    ids = {node: s for s, node in enumerate(nodes)}
+    root = ids[()]
+    kids: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for node in trie[1:]:
+        kids.setdefault(node[:-1], []).append(node)
+    step: list[list[int]] = [[]] * len(nodes)
+    fail = {(): root}
+    source = {(): ()}  # the key whose row a state takes
+    for node in trie:
+        row = list(step[fail[node]]) if node else [root] * size
+        for kid in kids.get(node, ()):
+            fail[kid] = row[kid[-1]] if node else root
+            row[kid[-1]] = ids[kid]
+        step[ids[node]] = row
+        if node:
+            source[node] = node if node in keys else source[nodes[fail[node]]]
+    rows = rows_of([source[node] for node in nodes[: len(nodes) - len(rowless)]])
+    return _States(nodes, step, root, np.array(rows, dtype=np.float64).reshape(len(rows), size))
+
+
 class ModelOracle:
-    """Base class: deterministic context -> next-token distribution."""
+    """Base class: deterministic context -> next-token distribution.
+
+    It reads the last ``window`` context tokens; each subclass builds its
+    window states, ``_states``, whole in its constructor.
+    """
 
     kind = "abstract"
+    _states: _States
 
-    def __init__(self, vocab: Vocabulary) -> None:
+    def __init__(self, vocab: Vocabulary, window: int) -> None:
         self.vocab = vocab
         self._passes = 0
-        # How many trailing context tokens the oracle reads; None is all.
-        # Every oracle in the package has a finite window: with None, each
-        # distinct whole context is a state, so the table grows per context.
-        self.window: int | None = None
-        # Window states, and drafts by window tail and shape (kept by
-        # ``draft_tree`` and greedy ``draft_chain``); fork() shares both, as
-        # it shares every table.
-        self._states = _States(vocab.size)
+        self.window = window
+        # Drafts by window tail and shape (kept by ``draft_tree`` and greedy
+        # ``draft_chain``); fork() shares them, as it shares the states.
         self._drafts: dict[tuple, tuple] = {}
         # The states the last pass walked, one per row it returned.
         self.walked: list[int] = []
@@ -171,41 +197,25 @@ class ModelOracle:
         """Total forward passes so far (batched calls count once)."""
         return self._passes
 
-    def _dist(self, ctx: tuple[int, ...]) -> np.ndarray:
-        raise NotImplementedError
-
     def _tail(self, ctx: Sequence[int]) -> tuple[int, ...]:
-        w = self.window
-        return tuple(ctx if w is None or len(ctx) <= w else ctx[len(ctx) - w :])
+        """The last ``window`` tokens of ``ctx``: all of it the oracle reads."""
+        return tuple(ctx[len(ctx) - self.window :] if len(ctx) > self.window else ctx)
 
-    def _key(self, tail: tuple[int, ...]) -> tuple[int, ...]:
-        """The state key of a window tail: tails of one key share a row, and
-        the key plus a token has the same next state as the tail plus it."""
-        return tail
-
-    def _state(self, tail: tuple[int, ...]) -> int:
-        states = self._states
-        s = states.of_tail.get(tail)
-        if s is None:
-            key = self._key(tail)
-            s = states.of_key.get(key)
-            if s is None:
-                s = states.add(key, self._dist(key))
-            states.of_tail[tail] = s
+    def _enter(self, ctx: Sequence[int]) -> int:
+        """The state after ``ctx``, walked from the root over its tail. An id
+        outside the vocabulary steps to the root, as no key holds one."""
+        states, w = self._states, self.window
+        step, root, size = states.step, states.root, self.vocab.size
+        s = root
+        for t in ctx[len(ctx) - w :] if len(ctx) > w else ctx:  # ``_tail``, uncopied
+            s = step[s][t] if 0 <= t < size else root
         return s
-
-    def _fill(self, s: int, token: int) -> int:
-        """Fill in and return the state after state ``s`` and ``token``."""
-        states = self._states
-        nxt = self._state(self._tail(states.keys[s] + (token,)))
-        states.step[s][token] = nxt
-        return nxt
 
     def _gather(self, states: list[int]) -> np.ndarray:
         """The read-only rows of ``states``, which the pass records as walked."""
-        self.walked = states
         block = self._states.table.take(states, axis=0)
         block.setflags(write=False)
+        self.walked = states
         return block
 
     def argmaxes(self) -> list[int]:
@@ -220,9 +230,10 @@ class ModelOracle:
         """Score one position: the read-only row after ``ctx``. One forward
         pass."""
         self._passes += 1
-        s = self._state(self._tail(ctx))  # may grow the table: index it after
+        s = self._enter(ctx)
+        row = self._states.table[s]
         self.walked = [s]
-        return self._states.table[s]
+        return row
 
     def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> np.ndarray:
         """Score positions 1..k+1 of a drafted block in one forward pass.
@@ -233,12 +244,12 @@ class ModelOracle:
         would return for that prefix.
         """
         self._passes += 1
-        step = self._states.step
-        s = self._state(self._tail(ctx))
+        states = self._states
+        step, root, size = states.step, states.root, self.vocab.size
+        s = self._enter(ctx)
         walked = [s]
         for t in drafted:
-            nxt = step[s].get(t)
-            s = self._fill(s, t) if nxt is None else nxt
+            s = step[s][t] if 0 <= t < size else root
             walked.append(s)
         return self._gather(walked)
 
@@ -251,14 +262,14 @@ class ModelOracle:
         conditioned on ``ctx + path``, a single counter bump for all.
         """
         self._passes += 1
-        step = self._states.step
-        root = self._state(self._tail(ctx))
+        states = self._states
+        step, root, size = states.step, states.root, self.vocab.size
+        start = self._enter(ctx)
         ends = []
         for path in paths:
-            s = root
+            s = start
             for t in path:
-                nxt = step[s].get(t)
-                s = self._fill(s, t) if nxt is None else nxt
+                s = step[s][t] if 0 <= t < size else root
             ends.append(s)
         return self._gather(ends)
 
@@ -312,24 +323,19 @@ class TableModel(ModelOracle):
         rows: dict[tuple[int, ...], Distribution],
         default: Distribution | None = None,
     ) -> None:
-        super().__init__(vocab)
         for key, dist in rows.items():
             if len(dist) != vocab.size:
                 raise ValueError(f"row {key!r} has wrong vocabulary size")
+            if not all(0 <= t < vocab.size for t in key):
+                raise ValueError(f"row key {key!r} holds a token id outside the vocabulary")
         if default is not None and len(default) != vocab.size:
             raise ValueError("default row has wrong vocabulary size")
         self.rows = {key: dist.probs for key, dist in rows.items()}
         self.default = None if default is None else default.probs
-        self.window = max((len(k) for k in rows), default=0)
-
-    def _dist(self, ctx: tuple[int, ...]) -> np.ndarray:
-        for n in range(min(self.window, len(ctx)), -1, -1):
-            row = self.rows.get(ctx[len(ctx) - n :])
-            if row is not None:
-                return row
-        if self.default is None:
-            raise LookupError(f"no table row matches context {ctx!r} and no default row set")
-        return self.default
+        super().__init__(vocab, max((len(k) for k in rows), default=0))
+        # the default row is the row of the empty suffix, tried last
+        keyed = self.rows if default is None else {(): self.default, **self.rows}
+        self._states = _automaton(vocab.size, keyed, lambda keys: [keyed[k] for k in keys])
 
 
 class NgramModel(ModelOracle):
@@ -340,6 +346,10 @@ class NgramModel(ModelOracle):
     some order backs off to the next shorter order, bottoming out at the
     unigram. ``alpha = 0`` is allowed (pure relative frequencies) but then
     unseen continuations of a seen context get probability zero.
+
+    The seen contexts are the keys of its states. They are prefix-closed,
+    so each state is a seen context, and the longest seen suffix of a
+    context, its backoff key, is the state a pass walks to.
     """
 
     kind = "ngram"
@@ -350,53 +360,46 @@ class NgramModel(ModelOracle):
         spec: NGramSpec,
         counts: dict[int, dict[tuple[int, ...], dict[int, int]]],
     ) -> None:
-        super().__init__(vocab)
         if set(counts) != set(range(1, spec.order + 1)):
             raise ValueError("counts must cover every order 1..n")
+        if () not in counts[1]:
+            raise ValueError("counts hold no unigram row")
+        size = vocab.size
+        for j, table in counts.items():
+            for ctx, row in table.items():
+                if j > 1 and ctx[:-1] not in counts[j - 1]:
+                    raise ValueError(f"order-{j} contexts are not prefix-closed")
+                if not row or min(row.values()) < 1:  # so every smoothed row is a law
+                    raise ValueError(f"order-{j} counts must be positive")
+                ids = (*ctx[-1:], *row)  # a context's other ids are its prefixes'
+                if not (0 <= min(ids) and max(ids) < size):
+                    raise ValueError(f"order-{j} counts hold token ids outside the vocabulary")
+        super().__init__(vocab, spec.order - 1)
         self.spec = spec
         self._counts = counts
-        self._totals = {
-            j: {ctx: sum(table.values()) for ctx, table in counts[j].items()}
-            for j in counts
-        }
-        for j in range(2, spec.order + 1):
-            if any(ctx[:-1] not in counts[j - 1] for ctx in counts[j]):
-                raise ValueError(f"order-{j} contexts are not prefix-closed")
-        self.window = spec.order - 1
+        keys = {ctx for table in counts.values() for ctx in table}
+        self._states = _automaton(size, keys, self._smoothed)
 
     @property
     def order(self) -> int:
         return self.spec.order
 
     def unigram(self) -> np.ndarray:
-        return self._smoothed((), 1)
+        return self._states.table[self._states.root]
 
     def trained_on(self, corpus: Sequence[int]) -> bool:
         """Whether the stored fingerprint is that of training on ``corpus``."""
         return self.spec.fingerprint == _fingerprint(corpus, self.order, self.spec.alpha)
 
-    def _smoothed(self, key: tuple[int, ...], j: int) -> np.ndarray:
-        table = self._counts[j][key]
-        total = self._totals[j][key]
-        weights = np.full(self.vocab.size, self.spec.alpha, dtype=np.float64)
-        for token, count in table.items():
-            weights[token] += count
-        return weights / (total + self.spec.alpha * self.vocab.size)
-
-    def _key(self, tail: tuple[int, ...]) -> tuple[int, ...]:
-        """The backoff key: the longest suffix of ``tail``, at most
-        ``order - 1`` tokens, seen as a context in training. Seen contexts
-        are prefix-closed, so the key plus a token backs off to the same
-        key as the tail plus it."""
-        for n in range(min(len(tail), self.window), 0, -1):
-            key = tail[len(tail) - n :]
-            if key in self._counts[n + 1]:
-                return key
-        return ()
-
-    def _dist(self, ctx: tuple[int, ...]) -> np.ndarray:
-        key = self._key(ctx)
-        return self._smoothed(key, len(key) + 1)
+    def _smoothed(self, keys: list[tuple[int, ...]]) -> np.ndarray:
+        """The smoothed rows of seen contexts, one per key."""
+        tables = [self._counts[len(key) + 1][key] for key in keys]
+        at = np.repeat(np.arange(len(tables)), list(map(len, tables)))
+        tokens = list(chain.from_iterable(tables))
+        counts = np.zeros((len(tables), self.vocab.size))
+        counts[at, tokens] = list(chain.from_iterable(map(dict.values, tables)))
+        alpha = self.spec.alpha
+        return (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha * self.vocab.size)
 
 
 class MixtureProxy(ModelOracle):
@@ -404,27 +407,23 @@ class MixtureProxy(ModelOracle):
 
     ``dist(ctx) = (1 - eps) * base(ctx) + eps * noise``. Scoring through the
     proxy does not touch the base oracle's invocation counter: the proxy is
-    its own model that merely shares the base's tables. The noise is a row;
-    every mixed row is checked once, when its state is added.
+    its own model that merely shares the base's states and steps. The noise
+    is a row; the base's whole table is mixed and checked once, here.
     """
 
     kind = "mixture"
 
     def __init__(self, base: ModelOracle, deriv: ProxyDerivation, noise: np.ndarray) -> None:
-        super().__init__(base.vocab)
         if len(noise) != base.vocab_size:
             raise ValueError("noise distribution has wrong vocabulary size")
+        super().__init__(base.vocab, base.window)
         self.base = base
         self.deriv = deriv
         self.noise = noise
-        self.window = base.window
-
-    def _key(self, tail: tuple[int, ...]) -> tuple[int, ...]:
-        return self.base._key(tail)
-
-    def _dist(self, ctx: tuple[int, ...]) -> np.ndarray:
-        eps = self.deriv.epsilon
-        return (1.0 - eps) * self.base._dist(ctx) + eps * self.noise
+        own = base._states
+        table = (1.0 - deriv.epsilon) * own.table + deriv.epsilon * noise
+        check_rows(table)
+        self._states = _States(own.keys, own.step, own.root, table)
 
 
 def _fingerprint(corpus: Sequence[int], order: int, alpha: float) -> str:
@@ -452,9 +451,10 @@ def train_ngram(corpus: Sequence[int], spec: NGramSpec, vocab: Vocabulary) -> Ng
             f"corpus of {len(corpus)} tokens cannot train order {spec.order}"
         )
     size = vocab.size
-    if min(corpus) < 0 or max(corpus) >= size:
+    tokens = np.asarray(corpus)
+    if tokens.min() < 0 or tokens.max() >= size:
         raise ValueError("corpus contains token ids outside the vocabulary")
-    tokens = np.asarray(corpus, dtype=np.min_scalar_type(size - 1))
+    tokens = tokens.astype(np.min_scalar_type(size - 1), copy=False)
     counts: dict[int, dict[tuple[int, ...], dict[int, int]]] = {}
     grams: list[tuple[int, ...]] = [()]  # the (j-1)-grams, by rank
     rank = np.zeros(len(tokens) + 1, dtype=np.uint8)  # of the (j-1)-gram at i

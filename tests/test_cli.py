@@ -132,6 +132,21 @@ def test_run_refuses_unreadable_model_files(tmp_path, capsys, text):
     assert "error: cannot load the drafter from" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [-1, 29])  # the bundled corpus has 29 symbols
+def test_run_refuses_a_model_with_counts_outside_the_vocabulary(tmp_path, capsys, bad):
+    models = tmp_path / "models"
+    assert main(["train", "--out", str(models)]) == 0
+    target = models / "target.json"
+    doc = json.loads(target.read_text())
+    doc["model"]["counts"]["1"][""][str(bad)] = 5  # unigram mass on an id no token has
+    target.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "--out", str(tmp_path / "out"), "-O", f"model_dir={models}", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot load the target from" in err and "outside the vocabulary" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_sweep_cli_writes_one_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--grid", "lambda=0.0,1.01", "--out", str(out), *FAST])

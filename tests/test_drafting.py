@@ -19,7 +19,6 @@ from trispec.drafting import (
 )
 from trispec.models import (
     MixtureProxy,
-    ModelOracle,
     NgramModel,
     NGramSpec,
     PassMeter,
@@ -381,7 +380,7 @@ def _drafters(draw):
 
 
 def _unmemoised(drafter):
-    """The same oracle built afresh, with no states and an empty draft memo."""
+    """The same oracle built afresh, with its own states and an empty draft memo."""
     if isinstance(drafter, TableModel):
         rows = {key: Distribution(row) for key, row in drafter.rows.items()}
         return TableModel(drafter.vocab, rows, Distribution(drafter.default))
@@ -512,24 +511,6 @@ def test_memo_is_shared_across_forks_and_keyed_by_window_tail():
     assert len(model._drafts) == 4  # one per tail and shape
 
 
-class _ParityModel(ModelOracle):
-    """Reads the whole context: the row depends on its length's parity."""
-
-    kind = "parity"
-
-    def _dist(self, ctx):
-        return np.array([0.7, 0.3] if len(ctx) % 2 else [0.2, 0.8])
-
-
-def test_drafter_without_a_window_is_not_memoised():
-    model = _ParityModel(Vocabulary(2))
-    assert model.window is None
-    odd = draft_tree(model, (1,), depth=2, branch_topk=1, budget=2)
-    even = draft_tree(model, (0, 1), depth=2, branch_topk=1, budget=2)
-    assert not model._drafts
-    assert [n.token for n in odd.nodes] != [n.token for n in even.nodes]
-
-
 # ---------------------------------------------------------------------------
 # the chain memo
 # ---------------------------------------------------------------------------
@@ -598,15 +579,6 @@ def test_sampled_chains_are_not_memoised_and_draw_as_before(ref_family, temperat
         assert chain.tokens == tuple(tokens) and stream.draws == ref_stream.draws == 6
         assert chain.dists.tobytes() == np.array(rows).tobytes()
     assert not drafter._drafts
-
-
-def test_chains_of_a_drafter_without_a_window_are_not_memoised():
-    model = _ParityModel(Vocabulary(2))
-    odd = draft_chain(model, (1,), 2, 0.0, FixedUniforms([]))
-    even = draft_chain(model, (0, 1), 2, 0.0, FixedUniforms([]))
-    assert not model._drafts
-    assert (odd.tokens, even.tokens) == ((0, 1), (1, 0))
-    assert model.invocation_count == 4
 
 
 def test_chain_memo_is_keyed_by_window_tail_and_length():

@@ -52,7 +52,7 @@ def test_char_tokenizer_builds_sorted_symbol_vocab(tmp_path):
     p.write_text("abca\n")
     tokens, vocab = load_corpus(p, "char")
     assert vocab.symbols == ("\n", "a", "b", "c")
-    assert tokens == [1, 2, 3, 1, 0]
+    assert tokens.tolist() == [1, 2, 3, 1, 0]
 
 
 def test_byte_tokenizer_is_fixed_width(tmp_path):
@@ -60,7 +60,7 @@ def test_byte_tokenizer_is_fixed_width(tmp_path):
     p.write_bytes(b"\x00ab\xff")
     tokens, vocab = load_corpus(p, "byte")
     assert vocab.size == 256
-    assert tokens == [0, 97, 98, 255]
+    assert tokens.tolist() == [0, 97, 98, 255]
 
 
 def test_corpus_error_cases(tmp_path):

@@ -136,19 +136,22 @@ def test_accumulate_returns_the_round_cost():
 
 
 def _histogram_fixture():
+    def row(*head):  # the vocabulary holds the context ids; later tokens get no mass
+        return Distribution(list(head) + [0.0] * 8)
+
     proxy = TableModel(
-        Vocabulary(2),
+        Vocabulary(10),
         {
-            (0,): Distribution([0.61, 0.39]),       # margin 0.22  -> bin 4
-            (1,): Distribution([0.5625, 0.4375]),   # margin 0.125 -> bin 2
-            (9,): Distribution([1.0, 0.0]),         # margin 1.0   -> clamped to bin 19
+            (0,): row(0.61, 0.39),       # margin 0.22  -> bin 4
+            (1,): row(0.5625, 0.4375),   # margin 0.125 -> bin 2
+            (9,): row(1.0, 0.0),         # margin 1.0   -> clamped to bin 19
         },
-        default=Distribution([0.75, 0.25]),          # margin 0.5   -> bin 10
+        default=row(0.75, 0.25),          # margin 0.5   -> bin 10
     )
     target = TableModel(
-        Vocabulary(2),
-        {(1,): Distribution([0.1, 0.9])},            # disagrees only after a 1
-        default=Distribution([0.8, 0.2]),
+        Vocabulary(10),
+        {(1,): row(0.1, 0.9)},            # disagrees only after a 1
+        default=row(0.8, 0.2),
     )
     contexts = [(0,), (1,), (7,), (8,), (9,)]
     return proxy, target, contexts

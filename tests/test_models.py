@@ -1,5 +1,6 @@
 """Oracle behavior: table lookup, n-gram training/backoff, mixtures, JSON."""
 
+import functools
 import hashlib
 import json
 
@@ -161,6 +162,16 @@ def test_train_ngram_matches_the_counting_loop_on_the_bundled_corpus(ref_family)
 def test_ngram_counts_must_cover_all_orders():
     with pytest.raises(ValueError):
         NgramModel(AB, NGramSpec(order=2), {1: {(): {0: 1}}})  # order 2 missing
+    with pytest.raises(ValueError, match="no unigram row"):
+        NgramModel(AB, NGramSpec(order=2), {1: {}, 2: {}})
+
+
+@pytest.mark.parametrize("row", [{}, {0: 2, 1: 0}, {0: 3, 1: -1}])
+def test_ngram_counts_must_be_positive(row):
+    """Loaded counts are checked where they enter, not row by row later: an
+    empty or non-positive count row could smooth to no law at alpha 0."""
+    with pytest.raises(ValueError, match="counts must be positive"):
+        NgramModel(AB, NGramSpec(order=2, alpha=0.0), {1: {(): {0: 2, 1: 1}}, 2: {(0,): row}})
 
 
 def test_fingerprint_stamped_and_stable():
@@ -400,7 +411,7 @@ def test_load_rejects_foreign_and_versioned_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# window states: every pass against the generic per-context ``_dist``
+# window states: every pass against per-context reference rows
 # ---------------------------------------------------------------------------
 
 
@@ -428,31 +439,41 @@ def _state_oracles(draw):
     return oracle
 
 
+def _smoothed_row(model, key):
+    """The additive-smoothed row of a seen context, token by token."""
+    table = model._counts[len(key) + 1][key]
+    alpha, size = model.spec.alpha, model.vocab_size
+    weights = np.full(size, alpha, dtype=np.float64)
+    for token, count in table.items():
+        weights[token] += count
+    return weights / (sum(table.values()) + alpha * size)
+
+
 def _backoff_row(oracle, ctx):
-    """An n-gram row by the backoff loop the oracle ran per context before
-    it had states (a mixture mixes its base's); other oracles' ``_dist``."""
+    """The row after ``ctx`` by per-context lookups: an n-gram's backoff
+    loop, a table's longest matching suffix, a mixture of its base's."""
     if isinstance(oracle, MixtureProxy):
         eps = oracle.deriv.epsilon
         return (1.0 - eps) * _backoff_row(oracle.base, ctx) + eps * oracle.noise
-    if not isinstance(oracle, NgramModel):
-        return oracle._dist(ctx)
+    if isinstance(oracle, TableModel):
+        for n in range(min(oracle.window, len(ctx)), -1, -1):
+            row = oracle.rows.get(ctx[len(ctx) - n :])
+            if row is not None:
+                return row
+        return oracle.default
     for j in range(oracle.order, 0, -1):
         if len(ctx) >= j - 1:
             key = ctx[len(ctx) - (j - 1) :] if j > 1 else ()
             if key in oracle._counts[j]:
-                return oracle._smoothed(key, j)
+                return _smoothed_row(oracle, key)
     raise AssertionError("no unigram row")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(oracle=_state_oracles(), data=st.data())
 def test_every_pass_equals_the_dist_of_each_untrimmed_context(oracle, data):
-    def row(ctx):
-        want = oracle._dist(ctx)
-        assert np.array_equal(want, _backoff_row(oracle, ctx))
-        return want
-
-    # ids outside the vocabulary too: a state steps on them as _dist reads them
+    row = functools.partial(_backoff_row, oracle)
+    # ids outside the vocabulary too: they step to the root, as no key holds one
     token = st.integers(-1, oracle.vocab_size)
     window = oracle.window
     scorer, twin = oracle.fork(), oracle.fork()
@@ -486,12 +507,12 @@ def test_every_pass_equals_the_dist_of_each_untrimmed_context(oracle, data):
     assert oracle.invocation_count == 0
 
     states = oracle._states
-    assert len(states.keys) == len(states.of_key) <= len(states.table)
+    assert len(states.keys) == len(states.step) == len(states.table)  # every row is set
     for s, key in enumerate(states.keys):
-        assert states.of_key[key] == s and np.array_equal(states.table[s], row(key))
+        assert np.array_equal(states.table[s], row(key))
     base = oracle.base if isinstance(oracle, MixtureProxy) else oracle
-    if isinstance(base, NgramModel):  # one state per seen context, at most
-        assert all(key in base._counts[len(key) + 1] for key in states.keys)
+    if isinstance(base, NgramModel):  # one state per seen context
+        assert sorted(states.keys) == sorted(k for table in base._counts.values() for k in table)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -531,31 +552,67 @@ def test_states_keep_their_rows_argmax_and_margin_and_passes_record_their_states
     assert fresh.walked == twin.walked and len(states.keys) == len(table)
 
 
-def test_states_are_filled_on_first_use_and_shared_by_forks():
-    model = train_ngram([0, 1, 1, 0, 1, 1, 0], NGramSpec(order=3), AB)
-    assert not model._states.keys  # nothing is compiled up front
-    twin = model.fork()
-    twin.batch_score((0, 0, 0), [1, 1])
-    # the context (0, 0) was never seen: the tail backs off to (0,)
-    assert model._states.keys == [(0,), (0, 1), (1, 1)]
-    assert model._states.step[0][1] == 1 and model._states.step[1][1] == 2
-    assert 0 not in model._states.step[0]  # never asked for
-    assert model.invocation_count == 0 and twin.invocation_count == 1
-    model.next_dist((1, 1))
-    assert len(model._states.keys) == 3  # a hit from the other fork
-
-
 def test_a_broken_mixture_row_raises_and_adds_no_state():
+    """The mixed table is checked whole when the proxy is built."""
     base = TableModel(
         Vocabulary(2), {(1,): Distribution([0.2, 0.8])}, default=Distribution([0.5, 0.5])
     )
-    mix = MixtureProxy(base, ProxyDerivation(0.5), np.array([0.5, 0.5]))
-    ok = mix.batch_score((0,), ())
-    mix.noise = np.array([0.9, 0.9])  # new rows sum to 1.4
     with pytest.raises(ValueError, match="sums to"):
-        mix.batch_score((0,), (1,))
-    assert mix._states.keys == [(0,)] and not mix._states.step[0]
-    assert np.array_equal(mix.batch_score((0,), ()), ok)  # a known state still reads
+        MixtureProxy(base, ProxyDerivation(0.5), np.array([0.9, 0.9]))  # rows sum to 1.4
+    assert base.batch_score((0,), (1,)).tolist() == [[0.5, 0.5], [0.2, 0.8]]
+
+
+def _longest_suffix_in(trie, string):
+    return next(string[i:] for i in range(len(string) + 1) if string[i:] in trie)
+
+
+@pytest.mark.parametrize("role, size", [("drafter", 30), ("proxy", 187), ("target", 603),
+                                        ("mixture", 603)])
+def test_the_automaton_of_each_default_oracle_is_exact(ref_family, perturbed_family, role, size):
+    """Every transition, every row and the steps on ids outside the
+    vocabulary of the bundled family's oracles, the mixture proxy too."""
+    oracle = perturbed_family.proxy if role == "mixture" else getattr(ref_family, role)
+    base = oracle.base if role == "mixture" else oracle
+    states = oracle._states
+    if role == "mixture":
+        assert states.keys is base._states.keys and states.step is base._states.step
+    keys = {key for table in base._counts.values() for key in table}
+    trie = {key[:i] for key in keys for i in range(len(key) + 1)}
+    assert trie == keys == set(states.keys) and len(states.keys) == size
+    assert [len(k) for k in states.keys] == sorted(len(k) for k in keys)  # breadth-first
+    index = {key: s for s, key in enumerate(states.keys)}
+    root, vocab = index[()], oracle.vocab_size
+    assert states.root == root
+    for s, key in enumerate(states.keys):
+        want = [index[_longest_suffix_in(trie, key + (t,))] for t in range(vocab)]
+        assert states.step[s] == want, key
+        assert states.table[s].tobytes() == _backoff_row(oracle, key).tobytes(), key
+    # every entry that names a state is that state's one int object
+    entries = [entry for row in states.step for entry in row]
+    assert len(set(map(id, entries))) == len(set(entries))
+    assert len(states.table) == size and not states.table.flags.writeable
+    scorer = oracle.fork()
+    for s, key in enumerate(states.keys):
+        for bad in (-1, vocab):
+            scorer.batch_score(key, (bad, 0))
+            assert scorer.walked == [s, root, states.step[root][0]]
+            scorer.batch_score_paths(key + (bad,), [(), (1,)])
+            assert scorer.walked == [root, states.step[root][1]]
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_oracles_refuse_token_ids_outside_the_vocabulary(bad):
+    v3 = Vocabulary(3)
+    cases = [
+        {1: {(): {0: 2, bad: 1}}, 2: {(0,): {1: 1}}},  # a next token
+        {1: {(): {0: 2, 1: 1}}, 2: {(bad,): {1: 1}}},  # a context
+    ]
+    for counts in cases:
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            NgramModel(v3, NGramSpec(order=2), counts)
+    row = Distribution([0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        TableModel(v3, {(0, bad): row}, default=row)
 
 
 def test_ngram_counts_must_be_prefix_closed():

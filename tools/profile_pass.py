@@ -3,7 +3,7 @@
     python tools/profile_pass.py --workload greedy-chain --seed 1 [--sort cumtime]
 
 Run it from the repository root. It sets the workload up as the benchmark
-does, runs one untimed pass to fill the oracles' state tables and the
+does, which builds the oracles' states, runs one untimed pass to fill the
 drafter's memo of greedy chains and trees, then profiles one more pass of
 every request (``run_experiment`` plus writing ``report.json`` and
 ``trace.csv``) and prints the top functions. C builtins such as
@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
         bench.set_up(keep=True)
         if workload.base_config().temperature != 0.0:
             bench.sentinel_references()
-        bench.run_pass(timed=False)  # fills the states and the memo, checks every request
+        bench.run_pass(timed=False)  # fills the draft memo, checks every request
         if bench.problems:
             for problem in bench.problems[:20]:
                 print(problem, file=sys.stderr)
