@@ -33,6 +33,13 @@ from .suites import verify_suite
 
 __all__ = ["cli", "main"]
 
+# Upper bounds of the ``hist`` options: far above any useful value (an
+# oracle reads a few tokens of context), and small enough that the
+# contexts and bins of any values in range fit in memory together.
+MAX_POSITIONS = 100_000
+MAX_BINS = 10_000
+MAX_WINDOW = 64
+
 
 def _overrides(pairs: tuple[str, ...]) -> dict[str, str]:
     out: dict[str, str] = {}
@@ -133,6 +140,8 @@ def sweep_cmd(
         key = key.strip()
         if key in ("orders",):
             raise ConfigError("orders cannot be swept from the command line")
+        if key in grid:
+            raise ConfigError(f"grid key {key!r} is given twice; list its values once")
         grid[key] = [v.strip() for v in values.split(",") if v.strip()]
     columns, rows = run_sweep(cfg, grid)
     write_sweep_csv(columns, rows, out)
@@ -142,9 +151,11 @@ def sweep_cmd(
 @cli.command()
 @_config_options
 @click.option("--out", default="hist.dat", type=click.Path(dir_okay=False))
-@click.option("--positions", default=2000, show_default=True, help="Corpus contexts to score.")
-@click.option("--bins", default=20, show_default=True)
-@click.option("--window", default=8, show_default=True, help="Context width in tokens.")
+@click.option("--positions", default=2000, show_default=True, type=click.IntRange(1, MAX_POSITIONS),
+              help="Corpus contexts to score.")
+@click.option("--bins", default=20, show_default=True, type=click.IntRange(1, MAX_BINS))
+@click.option("--window", default=8, show_default=True, type=click.IntRange(1, MAX_WINDOW),
+              help="Context width in tokens.")
 def hist(
     config_path: str | None,
     sets: tuple[str, ...],

@@ -22,7 +22,6 @@ pins down the numeric conventions once:
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -152,14 +151,6 @@ def sample(probs: np.ndarray, stream: "RandomStream") -> int:
         # Float shortfall in the CDF tail: land on the last positive token.
         idx = int(np.flatnonzero(probs > 0.0)[-1])
     return idx
-
-
-def sample_cdf(cdf: list[float], probs: np.ndarray, stream: "RandomStream") -> int:
-    """``sample`` given the row's CDF kept as a list, ``probs.cumsum().tolist()``:
-    bisection finds the index ``searchsorted`` does, so a uniform draws the
-    same token either way."""
-    idx = bisect_right(cdf, stream.uniform())
-    return idx if idx < len(cdf) else int(np.flatnonzero(probs > 0.0)[-1])
 
 
 def top2_margin(probs: np.ndarray) -> float | np.ndarray:

@@ -2,12 +2,15 @@
 
 A draft chain is the classic speculative block: k tokens sampled
 autoregressively from the drafter, recorded together with the exact
-(temperature-shaped) rows they were sampled from, as one read-only
-``(k, V)`` block, because the verification rule needs those probabilities
-later. A greedy chain takes the argmax each drafter pass's state keeps,
-draws no uniform and records the raw rows, as a verifier's greedy block is
-raw. At T=1, where shaping is the identity, a token is drawn from the CDF
-the pass's state keeps. A greedy chain depends only on the drafter's
+(temperature-shaped) rows they were sampled from, because the verification
+rule needs those probabilities later. Each drafter pass scores the context
+cut to the drafter's window, extended by one token per pass. A greedy chain
+takes the argmax each pass's state keeps, draws no uniform and records the
+raw rows, as a verifier's greedy block is raw. At T=1, where shaping is
+the identity, a token is drawn from the CDF the pass's state keeps. At
+both, the chain records the drafter states it drew from (its ``walk``),
+which the acceptance rule reads, and takes its ``(k, V)`` block of rows
+from them only when asked. A greedy chain depends only on the drafter's
 window tail, so it is drafted once per tail and length, like a tree.
 
 A draft tree generalizes the chain: every frontier node proposes its
@@ -24,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomStream, apply_temperature, sample, sample_cdf
-from .models import ModelOracle
+from .core import RandomStream, apply_temperature, sample
+from .models import ModelOracle, Walk
 
 __all__ = [
     "DraftChain",
@@ -46,10 +49,23 @@ class PathNotInTreeError(ValueError):
 class DraftChain:
     """k drafted tokens plus the ``(k, V)`` block of rows they were drawn
     from, shaped as ``apply_temperature`` leaves them; kept read-only.
+    ``walk`` addresses the same rows: the drafter's states a chain drafted
+    at T=0 or T=1 was drawn from, else one state per row of ``dists``.
     Chains compare and hash by identity, as an array field cannot."""
 
     tokens: tuple[int, ...]
     dists: np.ndarray
+    walk: Walk = field(init=False, repr=False)
+
+    def __getattr__(self, name: str):
+        """A drawn chain's ``dists``, taken from its walk on the first read:
+        most rounds read the walk alone."""
+        if name != "dists":
+            raise AttributeError(name)
+        states, ids = self.walk
+        dists = self.__dict__["dists"] = states.table.take(ids, axis=0)
+        dists.setflags(write=False)
+        return dists
 
     def __post_init__(self) -> None:
         dists = np.asarray(self.dists, dtype=np.float64)
@@ -61,26 +77,20 @@ class DraftChain:
             dists = dists.copy()
             dists.setflags(write=False)
         object.__setattr__(self, "dists", dists)
+        object.__setattr__(self, "walk", Walk.of_rows(dists))
 
     @classmethod
-    def _drawn(cls, tokens: tuple[int, ...], dists: np.ndarray) -> "DraftChain":
-        """A chain of tokens drawn from their own rows of the read-only
-        ``dists``, built without the checks: an argmax, or a token found by
-        inverse CDF in its row, always has positive mass there."""
+    def _drawn(cls, tokens: tuple[int, ...], walk: Walk) -> "DraftChain":
+        """A chain of tokens drawn from their own rows of ``walk``, built
+        without the checks: an argmax, or a token found by inverse CDF in
+        its row, always has positive mass there."""
         chain = object.__new__(cls)
-        chain.__dict__.update(tokens=tokens, dists=dists)
+        chain.__dict__.update(tokens=tokens, walk=walk)
         return chain
 
     @property
     def k(self) -> int:
         return len(self.tokens)
-
-    def suffix(self, start: int) -> "DraftChain":
-        """The sub-chain from position ``start`` (0-based) onward."""
-        tokens = self.tokens[start:]
-        if not tokens:
-            raise ValueError("chain needs one distribution per drafted token")
-        return DraftChain._drawn(tokens, self.dists[start:])
 
 
 def draft_chain(
@@ -92,7 +102,9 @@ def draft_chain(
 ) -> DraftChain:
     """Sample a k-token draft block autoregressively; k drafter passes.
 
-    At temperature 0 each token is the argmax kept by the state the pass
+    Each pass scores the context cut to the drafter's ``window``, all of
+    it the drafter reads, extended by one drafted token per pass. At
+    temperature 0 each token is the argmax kept by the state the pass
     walked, recorded with its raw row, and no uniform is drawn. At
     temperature 1 it is drawn from the CDF that state keeps: the token
     ``sample`` would draw from the row.
@@ -106,38 +118,49 @@ def draft_chain(
     """
     if k < 1:
         raise ValueError("draft length k must be >= 1")
-    base = drafter._tail(ctx)  # each pass reads only the window anyway
+    w, cut = drafter.window, list(drafter._tail(ctx))
     key = None
     if temperature == 0.0:
-        key = (base, k)  # tree keys have five fields, so none collides
+        key = (tuple(cut), k)  # tree keys have five fields, so none collides
         hit = drafter._drafts.get(key)
         if hit is not None:
             chain, contexts = hit
             for c in contexts:
                 drafter.next_dist(c)
             return chain
-    states = drafter._states
-    best, cdf = states.best, states.cdf
+    states, next_dist = drafter._states, drafter.next_dist
+    best, draw = states.best, states.draw
     tokens: list[int] = []
     walked: list[int] = []
-    shaped: list[np.ndarray] = []  # at T=0 and T=1 the walked states' own rows
+    contexts: list[tuple[int, ...]] = []
+    shaped: list[np.ndarray] = []
     for _ in range(k):
-        row = drafter.next_dist(base + tuple(tokens))
+        if key is not None:
+            contexts.append(tuple(cut))
+        row = next_dist(cut)
         s = drafter.walked[0]
         if temperature == 0.0:  # the raw row; shaping would return it as is
-            tokens.append(best[s])
+            token = best[s]
         elif temperature == 1.0:  # likewise
-            tokens.append(sample_cdf(cdf(s), row, stream))
+            token = draw(s, stream)
         else:
             shaped.append(apply_temperature(row, temperature))
-            tokens.append(sample(shaped[-1], stream))
+            token = sample(shaped[-1], stream)
+        tokens.append(token)
         walked.append(s)
-    block = np.array(shaped) if shaped else states.table.take(walked, axis=0)
-    block.setflags(write=False)
-    chain = DraftChain._drawn(tuple(tokens), block)
+        if w:
+            cut.append(token)
+            if len(cut) > w:
+                del cut[0]
+    if shaped:  # the shaped rows are the chain's own
+        block = np.array(shaped)
+        block.setflags(write=False)
+        walk = Walk.of_rows(block)
+    else:
+        walk = Walk(states, walked)
+    chain = DraftChain._drawn(tuple(tokens), walk)
     if key is not None:
-        contexts = tuple(drafter._tail(base + chain.tokens[:i]) for i in range(k))
-        drafter._drafts[key] = (chain, contexts)
+        drafter._drafts[key] = (chain, tuple(contexts))
     return chain
 
 

@@ -245,7 +245,10 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
     """Read a flat key=value config file and apply overrides on top."""
     items: dict[str, str] = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 at byte {exc.start}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -685,15 +688,20 @@ def sweep(
     """
     if not grid:
         raise ConfigError("sweep needs at least one grid key")
+    named: dict[str, str] = {}  # config field -> the grid key naming it
     for key in grid:
         canonical = _KEY_ALIASES.get(key, key)
         if canonical not in _FIELD_PARSERS:
             raise ConfigError(f"unknown sweep key {key!r}")
+        if canonical in named:
+            raise ConfigError(f"sweep keys {named[canonical]!r} and {key!r} name one config key")
+        named[canonical] = key
         if not grid[key]:
             raise ConfigError(f"sweep key {key!r} has no values")
 
     grid_keys = list(grid)
-    columns = grid_keys + list(SWEEP_METRIC_COLUMNS)
+    # a grid key that is also a metric column is written once, where the key is
+    columns = grid_keys + [c for c in SWEEP_METRIC_COLUMNS if c not in grid]
     families: dict[tuple, Family] = {}
     rows: list[dict[str, str]] = []
     for values in itertools.product(*(grid[k] for k in grid_keys)):

@@ -22,9 +22,11 @@ seen contexts of an n-gram, the row keys of a table; a mixture shares its
 base's), built whole with the oracle. A pass walks from the root over the
 context's last ``window`` tokens, then over the drafted tokens or each
 path, and returns the rows of the states it reached. A state keeps its
-row's argmax and top-2 margin too, and its CDF from its first draw on;
-every pass records the states it walked, so greedy decisions, T=1 draft
-draws and T=1 margins read those instead of the rows.
+row's argmax and top-2 margin too, and its CDF from its first draw on; a
+verifier's states keep the CDFs of the rejection residuals drawn against
+them. Every pass records the states it walked (``walk()``), so greedy
+decisions, T=1 draws, acceptance ratios and margins read those instead of
+the rows.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Distribution, Vocabulary, check_rows, top2_margin
+from .core import Distribution, RandomStream, Vocabulary, check_rows, top2_margin
 
 __all__ = [
     "CorpusTooShortError",
@@ -50,6 +54,7 @@ __all__ = [
     "PassMeter",
     "ProxyDerivation",
     "TableModel",
+    "Walk",
     "derive_proxy",
     "load_oracle",
     "save_oracle",
@@ -104,12 +109,17 @@ class _States:
     states with neither are numbered after the rows, so a pass that reaches
     one raises ``IndexError``, a ``LookupError``. ``best[s]`` is the row's
     argmax (lowest index on ties) and ``margin[s]`` its top-2 margin, both
-    taken over the whole table at once. ``cdf(s)`` is the row's CDF as a
-    list, filled on the first draw from the state: few states are ever
-    drawn from, and a list for every state would cost memory.
+    taken over the whole table at once. ``cdf(s)`` is the row's CDF,
+    ``row.cumsum()`` as an ``array('d')``, kept from the first draw from
+    the state on: few states are ever drawn from, and a CDF for every state
+    would cost memory. ``residuals`` keeps the CDFs of rejection residuals
+    against this verifier's rows (``verification.draw_correction``).
+
+    ``of_rows`` makes one state per row of a block, with no automaton, so
+    that a block's rows are drawn from the same way; it keeps no residuals.
     """
 
-    __slots__ = ("keys", "step", "root", "table", "best", "margin", "cdfs")
+    __slots__ = ("keys", "step", "root", "table", "best", "margin", "cdfs", "residuals")
 
     def __init__(
         self, keys: list[tuple[int, ...]], step: list[list[int]], root: int, table: np.ndarray
@@ -118,13 +128,47 @@ class _States:
         self.keys, self.step, self.root, self.table = keys, step, root, table
         self.best: list[int] = table.argmax(axis=1).tolist()
         self.margin: list[float] = top2_margin(table).tolist()
-        self.cdfs: list[list[float] | None] = [None] * len(table)
+        self.cdfs: list[array | None] = [None] * len(table)
+        # Residual stores (``verification._Residuals``) by the drafter's
+        # states: a strong reference, so that no other states take their id.
+        self.residuals: dict[_States, object] | None = {}
 
-    def cdf(self, s: int) -> list[float]:
+    @classmethod
+    def of_rows(cls, rows: np.ndarray) -> "_States":
+        states = cls.__new__(cls)
+        states.table, states.cdfs, states.residuals = rows, [None] * len(rows), None
+        return states
+
+    def cdf(self, s: int) -> array:
         cdf = self.cdfs[s]
         if cdf is None:
-            cdf = self.cdfs[s] = self.table[s].cumsum().tolist()
+            cdf = self.cdfs[s] = array("d", self.table[s].cumsum().tolist())
         return cdf
+
+    def draw(self, s: int, stream: RandomStream) -> int:
+        """``sample`` from row ``s``: bisecting its CDF finds the index
+        ``searchsorted`` does, so a uniform draws the same token."""
+        cdf = self.cdfs[s]
+        if cdf is None:
+            cdf = self.cdf(s)
+        idx = bisect_right(cdf, stream.uniform())
+        # on a float shortfall in the CDF's tail, the last positive token
+        return idx if idx < len(cdf) else int(np.flatnonzero(self.table[s] > 0.0)[-1])
+
+
+class Walk(NamedTuple):
+    """Rows addressed by state: row ``i`` is ``states.table[ids[i]]``.
+
+    A pass's walk is the oracle's states and the ids it walked; a block's
+    is one state per row (``Walk.of_rows``).
+    """
+
+    states: _States
+    ids: Sequence[int]
+
+    @classmethod
+    def of_rows(cls, rows: np.ndarray) -> "Walk":
+        return cls(_States.of_rows(rows), range(len(rows)))
 
 
 def _automaton(
@@ -226,6 +270,10 @@ class ModelOracle:
         """The top-2 margin of each row the last pass returned, likewise."""
         return tuple(map(self._states.margin.__getitem__, self.walked))
 
+    def walk(self) -> Walk:
+        """The rows the last pass returned, as the states it walked."""
+        return Walk(self._states, self.walked)
+
     def next_dist(self, ctx: Sequence[int]) -> np.ndarray:
         """Score one position: the read-only row after ``ctx``. One forward
         pass."""
@@ -288,19 +336,21 @@ class PassMeter:
     pass counts come straight from the invocation counters.
     """
 
+    __slots__ = ("_drafter", "_proxy", "_target", "_start")
+
     def __init__(
         self,
         drafter: ModelOracle | None = None,
         proxy: ModelOracle | None = None,
         target: ModelOracle | None = None,
     ) -> None:
-        self._oracles = drafter, proxy, target
+        self._drafter, self._proxy, self._target = drafter, proxy, target
         self._start = self._counts()
 
     def _counts(self) -> tuple[int, int, int]:
-        d, p, t = self._oracles
-        return (0 if d is None else d.invocation_count, 0 if p is None else p.invocation_count,
-                0 if t is None else t.invocation_count)
+        d, p, t = self._drafter, self._proxy, self._target
+        return (0 if d is None else d._passes, 0 if p is None else p._passes,
+                0 if t is None else t._passes)
 
     def passes(self) -> tuple[int, int, int]:
         (d, p, t), (d0, p0, t0) = self._counts(), self._start

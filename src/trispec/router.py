@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import apply_temperature, sample, top2_margin
+from .core import top2_margin
 from .drafting import DraftChain, draft_chain, draft_tree, prune_tree_prefix
 from .models import ModelOracle, PassMeter
 from .verification import (
@@ -36,7 +36,8 @@ from .verification import (
     RoundCase,
     acceptance_coins,
     draw_correction,
-    verify_chain,
+    draw_from,
+    verifier_scores,
     verify_tree_greedy,
 )
 
@@ -100,8 +101,10 @@ def pruned_target_verify(
     The target conditions on the committed prefix and scores only positions
     ``tau_m+1..k`` (one batched pass). With ``tau_m == k`` there is nothing
     left to verify and the pass purely produces the bonus distribution at
-    position k+1. In greedy mode the suffix is compared with the argmaxes
-    of the states the pass walked, and no sub-chain is built.
+    position k+1. The suffix is verified in place, from draft position
+    ``tau_m`` on, and no sub-chain is built: in greedy mode against the
+    argmaxes of the states the pass walked, else against what
+    ``verifier_scores`` reads of the pass.
     """
     if not 0 <= tau_m <= draft.k:
         raise ValueError("tau_m must lie in [0, k]")
@@ -113,12 +116,12 @@ def pruned_target_verify(
         tau = next((i for i, token in enumerate(rest) if best[i] != token), len(rest))
         coins = (1,) * tau + (0,) * (tau < len(rest))
         return AcceptanceTrace(coins, tau, best[tau], tau == len(rest), rest[:tau] + (best[tau],))
-    if not rest:
-        token = sample(apply_temperature(rows[0], temperature), correction_stream)
-        return AcceptanceTrace(
-            coins=(), tau=0, correction_token=token, correction_is_bonus=True, emitted=(token,)
-        )
-    return verify_chain(draft.suffix(tau_m), rows, temperature, coin_stream, correction_stream)
+    scores = verifier_scores(target, rows, temperature)
+    coins, tau = acceptance_coins(draft, scores, temperature, coin_stream, start=tau_m)
+    token, is_bonus = draw_correction(
+        draft, scores, tau, temperature, correction_stream, start=tau_m
+    )
+    return AcceptanceTrace(coins, tau, token, is_bonus, rest[:tau] + (token,))
 
 
 def trispec_round(
@@ -138,33 +141,31 @@ def trispec_round(
     The proxy scores the draft as one ``(k+1, V)`` block. The trust signal
     sees its shaped rows at temperature 1 (where shaping is the identity)
     and its raw rows in greedy mode -- an argmax one-hot carries no margin
-    information. Greedy decisions, and margins at both temperatures, are
-    read from the states the proxy's pass walked, once each.
-    ``margin_on_raw`` forces the raw view at any other temperature.
-    ``raw_bonus`` switches the proxy-local correction to a direct draw from
-    the proxy's distribution at the rejected position instead of the
-    residual; a greedy draw there is the argmax either way.
+    information. Acceptance and corrections read what ``verifier_scores``
+    reads of the pass: at both temperatures the states the proxy's pass
+    walked, as are the margins. ``margin_on_raw`` forces the raw view at
+    any other temperature. ``raw_bonus`` switches the proxy-local
+    correction to a direct draw from the proxy's distribution at the
+    rejected position instead of the residual; a greedy draw there is the
+    argmax either way.
     """
     meter = PassMeter(drafter, proxy, target)
 
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     proxy_raw = proxy.batch_score(base, draft.tokens)
-    if temperature == 0.0:
-        proxy_scores, margin_view = proxy.argmaxes(), proxy_raw
-    else:
-        proxy_scores = apply_temperature(proxy_raw, temperature)
-        margin_view = proxy_raw if margin_on_raw else proxy_scores
+    proxy_scores = verifier_scores(proxy, proxy_raw, temperature)
     if temperature in (0.0, 1.0):  # the view is the raw rows, whose states keep margins
-        margins = proxy.margins()
+        margin_view, margins = proxy_raw, proxy.margins()
     else:
+        margin_view = proxy_raw if margin_on_raw else proxy_scores
         margins = tuple(top2_margin(margin_view).tolist())
     coins, tau_a = acceptance_coins(draft, proxy_scores, temperature, streams.proxy_coins)
     tau_m = trusted_prefix_len(margin_view, rule, margins)
 
     if tau_a < tau_m:
         if raw_bonus and tau_a < k and temperature != 0.0:
-            token, is_bonus = sample(proxy_scores[tau_a], streams.correction), False
+            token, is_bonus = draw_from(proxy_scores, tau_a, streams.correction), False
         else:
             token, is_bonus = draw_correction(
                 draft, proxy_scores, tau_a, temperature, streams.correction

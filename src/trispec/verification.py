@@ -8,11 +8,17 @@ from the verifier's distribution at position k+1. That combination makes
 the output distribution of a round exactly the verifier's own -- the
 property the acceptance tests enumerate.
 
-A verifier's scores arrive as one ``(k+1, V)`` block per pass, and the
-sampled rule reads its rows. Greedy mode (temperature 0) reads instead the
-argmaxes of the states the pass walked (``ModelOracle.argmaxes``), builds
-no one-hots, and consumes no randomness at all: drafts, coins and
-corrections alike.
+A verifier's scores arrive as one ``(k+1, V)`` block per pass, but the
+rule reads the states the pass walked (``verifier_scores``). Greedy mode
+(temperature 0) reads their argmaxes (``ModelOracle.argmaxes``), builds no
+one-hots, and consumes no randomness at all: drafts, coins and corrections
+alike. At temperature 1 the rule reads ``p_v(x)`` and ``p_d(x)`` as floats
+from the tables of the verifier's and the drafter's walked states, draws a
+bonus from the CDF the verifier's state keeps, and a residual correction
+from the CDF the verifier's states keep for the pair of states, computed by
+``residual_dist`` at the pair's first rejection. Every draw bisects a kept
+CDF into the index ``sample`` would find for the same uniform. Other
+temperatures read the shaped rows, one state per row (``Walk.of_rows``).
 
 Randomness is split across named streams (draft sampling, proxy coins,
 target coins, corrections) so that structurally different protocols remain
@@ -24,6 +30,8 @@ draw.
 from __future__ import annotations
 
 import enum
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,7 +39,7 @@ import numpy as np
 
 from .core import RandomStream, apply_temperature, sample
 from .drafting import DraftChain, DraftTree, draft_chain, draft_tree
-from .models import ModelOracle, PassMeter
+from .models import ModelOracle, PassMeter, Walk, _States
 
 __all__ = [
     "AcceptanceTrace",
@@ -42,10 +50,12 @@ __all__ = [
     "TreeVerifyResult",
     "acceptance_coins",
     "draw_correction",
+    "draw_from",
     "residual_dist",
     "sd_round",
     "sd_tree_round",
     "target_only_round",
+    "verifier_scores",
     "verify_chain",
     "verify_tree_greedy",
 ]
@@ -176,35 +186,67 @@ class Round:
                 raise ValueError("escalated round emits tau_m + tau_t + 1 tokens")
 
 
+def verifier_scores(verifier: ModelOracle, rows: np.ndarray, temperature: float):
+    """What the acceptance rule reads of the verifier's last pass, which
+    returned ``rows``: its argmaxes at temperature 0, the states it walked
+    at temperature 1 (where shaping is the identity), else the rows as
+    ``apply_temperature`` shapes them."""
+    if temperature == 0.0:
+        return verifier.argmaxes()
+    if temperature == 1.0:
+        return verifier.walk()
+    return apply_temperature(rows, temperature)
+
+
 def acceptance_coins(
     draft: DraftChain,
-    scores: np.ndarray | Sequence[int],
+    scores: Walk | np.ndarray | Sequence[int],
     temperature: float,
     coin_stream: RandomStream,
     decide: Callable[[int, int], bool | None] | None = None,
+    start: int = 0,
 ) -> tuple[tuple[int, ...], int]:
     """Left-to-right acceptance test; stops at the first rejection.
 
-    ``scores`` is the verifier's block as ``apply_temperature`` leaves it,
-    like the draft's stored rows, and one uniform is drawn per examined
-    position. At temperature 0 it is the verifier's argmax at each
-    position instead, the test is exact agreement and no uniform is
-    consumed. ``decide(i, token)``, when given, rules on a position first:
-    True or False is final, None defers to the test.
+    ``scores`` is the verifier's walk (``verifier_scores``), or its block
+    as ``apply_temperature`` leaves it, like the draft's stored rows: one
+    uniform is drawn per examined position, against ``p_v(x) / p_d(x)``
+    read as floats from the two tables. At temperature 0 it is the
+    verifier's argmax at each position instead, the test is exact
+    agreement and no uniform is consumed. The draft is examined from
+    position ``start`` on, its position ``start + i`` against score ``i``,
+    and the length returned counts from ``start``. ``decide(i, token)``,
+    when given, rules on a position first: True or False is final, None
+    defers to the test.
     """
     coins: list[int] = []
-    for i, token in enumerate(draft.tokens):
+    tokens = draft.tokens[start:] if start else draft.tokens
+    if temperature != 0.0:
+        (v_states, v_ids), (d_states, d_ids) = _as_walk(scores), draft.walk
+        v_item, d_item = v_states.table.item, d_states.table.item
+    for i, token in enumerate(tokens):
         accept = None if decide is None else decide(i, token)
         if accept is None:
             if temperature == 0.0:
                 accept = scores[i] == token
             else:
-                ratio = min(1.0, float(scores[i, token]) / float(draft.dists[i, token]))
+                ratio = min(1.0, v_item(v_ids[i], token) / d_item(d_ids[start + i], token))
                 accept = coin_stream.uniform() < ratio
         coins.append(1 if accept else 0)
         if not accept:
             return tuple(coins), i
-    return tuple(coins), draft.k
+    return tuple(coins), len(tokens)
+
+
+def _as_walk(scores: Walk | np.ndarray) -> Walk:
+    return scores if isinstance(scores, Walk) else Walk.of_rows(np.asarray(scores, np.float64))
+
+
+def draw_from(scores: Walk | np.ndarray, i: int, stream: RandomStream) -> int:
+    """``sample`` from the verifier's row ``i`` (a walk's or a shaped
+    block's), by bisection into the CDF its state keeps."""
+    states, ids = _as_walk(scores)
+    return states.draw(ids[i], stream)
 
 
 def residual_dist(draft_row: np.ndarray, verifier_row: np.ndarray) -> np.ndarray:
@@ -220,44 +262,87 @@ def residual_dist(draft_row: np.ndarray, verifier_row: np.ndarray) -> np.ndarray
     return residual / total
 
 
+class _Residuals:
+    """The rejection residuals of one drafter's states against one
+    verifier's, their CDFs kept end to end in one flat array: pair ``i`` is
+    ``cdf[lo:lo + V]`` with ``lo = at[i]``, the floats ``sample`` computes
+    for it."""
+
+    __slots__ = ("index", "cdf", "size")
+
+    def __init__(self, size: int) -> None:
+        self.index: dict[int, int] = {}  # drafter state * verifier states + verifier state -> lo
+        self.cdf = array("d")
+        self.size = size
+
+    def draw(self, key: int, residual: Callable[[], np.ndarray], stream: RandomStream) -> int:
+        lo = self.index.get(key)
+        if lo is None:
+            lo = self.index[key] = len(self.cdf)
+            self.cdf.frombytes(residual().cumsum().tobytes())
+        j = bisect_right(self.cdf, stream.uniform(), lo, lo + self.size) - lo
+        # on a float shortfall in the CDF's tail, the last positive token
+        return j if j < self.size else int(np.flatnonzero(residual() > 0.0)[-1])
+
+
+def _draw_residual(drafted: _States, d: int, verifier: _States, v: int, stream: RandomStream) -> int:
+    """``sample(residual_dist(...))`` of drafter row ``d`` and verifier row
+    ``v``. The verifier's states keep the residual's CDF against the
+    drafter's states from the pair's first rejection on; a block's rows
+    (``Walk.of_rows``) live for one round, so theirs is not kept."""
+    store = verifier.residuals
+    if store is None or drafted.residuals is None:
+        return sample(residual_dist(drafted.table[d], verifier.table[v]), stream)
+    kept = store.get(drafted)
+    if kept is None:
+        kept = store[drafted] = _Residuals(verifier.table.shape[1])
+    residual = lambda: residual_dist(drafted.table[d], verifier.table[v])  # noqa: E731
+    return kept.draw(d * len(verifier.table) + v, residual, stream)
+
+
 def draw_correction(
     draft: DraftChain,
-    scores: np.ndarray | Sequence[int],
+    scores: Walk | np.ndarray | Sequence[int],
     tau: int,
     temperature: float,
     correction_stream: RandomStream,
+    start: int = 0,
 ) -> tuple[int, bool]:
     """Draw the single correction token a verification round emits.
 
-    After a rejection at position ``tau`` the token comes from the residual
-    there; after full acceptance it is the verifier's bonus at position
-    k+1. In greedy mode ``scores`` are argmaxes and the token is the one at
-    that position, with no draw: the residual of two distinct one-hots is
-    the verifier's own one-hot.
+    After a rejection at draft position ``start + tau`` the token comes
+    from the residual there; after full acceptance it is the verifier's
+    bonus at score ``tau``, position k+1. Both are drawn by bisection into
+    a kept CDF: the bonus from the verifier's state, the residual from the
+    one the verifier's states keep for the pair (``_draw_residual``). In
+    greedy mode ``scores`` are argmaxes and the token is the one at that
+    position, with no draw: the residual of two distinct one-hots is the
+    verifier's own one-hot.
     """
-    is_bonus = tau >= draft.k
-    score = scores[min(tau, draft.k)]
+    is_bonus = start + tau >= draft.k
     if temperature == 0.0:
-        return score, is_bonus
-    if not is_bonus:
-        score = residual_dist(draft.dists[tau], score)
-    return sample(score, correction_stream), is_bonus
+        return scores[min(tau, draft.k - start)], is_bonus
+    if is_bonus:
+        return draw_from(scores, tau, correction_stream), True
+    (v_states, v_ids), (d_states, d_ids) = _as_walk(scores), draft.walk
+    token = _draw_residual(d_states, d_ids[start + tau], v_states, v_ids[tau], correction_stream)
+    return token, False
 
 
 def verify_chain(
     draft: DraftChain,
-    scores: np.ndarray | Sequence[int],
+    scores: Walk | np.ndarray | Sequence[int],
     temperature: float,
     coin_stream: RandomStream,
     correction_stream: RandomStream,
 ) -> AcceptanceTrace:
-    """Verify a draft chain against the verifier's raw ``(k+1, V)`` block,
-    or at temperature 0 against its k+1 argmaxes."""
-    if len(scores) != draft.k + 1:
+    """Verify a draft chain against what ``verifier_scores`` reads of the
+    verifier's pass over it: its k+1 argmaxes at temperature 0, its walk,
+    or its ``(k+1, V)`` block as ``apply_temperature`` shapes it."""
+    if len(scores.ids if isinstance(scores, Walk) else scores) != draft.k + 1:
         raise ValueError("need k+1 verifier rows for a k-token draft")
-    shaped = apply_temperature(scores, temperature)  # argmaxes pass as they are
-    coins, tau = acceptance_coins(draft, shaped, temperature, coin_stream)
-    token, is_bonus = draw_correction(draft, shaped, tau, temperature, correction_stream)
+    coins, tau = acceptance_coins(draft, scores, temperature, coin_stream)
+    token, is_bonus = draw_correction(draft, scores, tau, temperature, correction_stream)
     return AcceptanceTrace(
         coins=coins,
         tau=tau,
@@ -302,7 +387,7 @@ def sd_round(
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     rows = verifier.batch_score(base, draft.tokens)
-    scores = verifier.argmaxes() if temperature == 0.0 else rows
+    scores = verifier_scores(verifier, rows, temperature)
     trace = verify_chain(draft, scores, temperature, coin_stream, streams.correction)
     return Round(
         case=RoundCase.SD,

@@ -1,11 +1,13 @@
 """End-to-end CLI runs through main(argv)."""
 
+import csv
 import json
 from dataclasses import fields
 
+import click
 import pytest
 
-from trispec.cli import main
+from trispec.cli import MAX_BINS, MAX_POSITIONS, MAX_WINDOW, cli, main
 from trispec.harness import (
     HIST_SCHEMA,
     SWEEP_SCHEMA,
@@ -161,6 +163,65 @@ def test_sweep_cli_writes_one_csv(tmp_path, capsys):
 def test_sweep_refuses_orders_axis(capsys):
     assert main(["sweep", "--grid", "orders=2,3"]) == 2
     assert "orders cannot be swept" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_repeated_grid_key(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid", "seed=1", "--grid", "seed=2", "--out", str(out), *FAST]) == 2
+    assert "error: grid key 'seed' is given twice" in capsys.readouterr().err
+    # an alias and its key name one config key too
+    argv = ["sweep", "--grid", "lambda=0.5", "--grid", "lam=1.01", "--out", str(out), *FAST]
+    assert main(argv) == 2
+    assert "error: sweep keys 'lambda' and 'lam' name one config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_csv_writes_a_grid_key_that_is_a_metric_column_once(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid", "seed=1,2", "--grid", "method=sd", "--out", str(out),
+                 *FAST]) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8", newline="") as fh:
+        assert fh.readline() == SWEEP_SCHEMA + "\n"
+        header, *body = csv.reader(fh)
+    assert header[:3] == ["seed", "method", "temperature"]
+    assert len(header) == len(set(header))
+    assert [row[:2] for row in body] == [["1", "sd"], ["2", "sd"]]
+
+
+def _hist_params(*argv):
+    """The ``hist`` options as click parses them, without running ``hist``."""
+    return cli.commands["hist"].make_context("hist", list(argv)).params
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--bins", "0"), ("--bins", "-3"), ("--positions", "0"), ("--window", "0"),
+    ("--window", "-2"), ("--bins", str(MAX_BINS + 1)),
+    ("--positions", str(MAX_POSITIONS + 1)), ("--window", str(MAX_WINDOW + 1)),
+])
+def test_hist_refuses_option_values_out_of_range(option, value, tmp_path, capsys):
+    with pytest.raises(click.BadParameter):
+        _hist_params(option, value)
+    out = tmp_path / "hist.dat"
+    assert main(["hist", "--out", str(out), option, value]) == 2
+    assert "Invalid value for" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hist_takes_option_values_up_to_their_bounds():
+    params = _hist_params("--bins", str(MAX_BINS), "--positions", str(MAX_POSITIONS),
+                          "--window", str(MAX_WINDOW))
+    assert (params["bins"], params["positions"], params["window"]) == (
+        MAX_BINS, MAX_POSITIONS, MAX_WINDOW)
+    assert _hist_params("--bins", "1", "--positions", "1", "--window", "1")["bins"] == 1
+
+
+def test_run_refuses_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"method = trispec\n# caf\xe9\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"), *FAST]) == 2
+    assert f"error: config file {config} is not UTF-8 at byte 22" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_hist_cli_dumps_normalized_masses(tmp_path, capsys):

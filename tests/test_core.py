@@ -14,9 +14,9 @@ from trispec.core import (
     apply_temperature,
     normalize,
     sample,
-    sample_cdf,
     top2_margin,
 )
+from trispec.models import _States
 
 
 class FixedUniforms:
@@ -166,9 +166,14 @@ def test_sample_tail_shortfall_lands_on_last_positive():
     assert sample(d, FixedUniforms([0.99999999999])) == 1
 
 
+def _cdf_draw(row, stream):
+    """A draw from the CDF a state keeps for ``row``."""
+    return _States.of_rows(row[None]).draw(0, stream)
+
+
 def test_cdf_draw_lands_on_the_last_positive_token_on_a_tail_shortfall():
     row = np.array([0.3, 0.7 - 5e-10, 0.0])
-    assert sample_cdf(row.cumsum().tolist(), row, FixedUniforms([0.99999999999])) == 1
+    assert _cdf_draw(row, FixedUniforms([0.99999999999])) == 1
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -179,11 +184,11 @@ def test_cdf_draw_lands_on_the_last_positive_token_on_a_tail_shortfall():
     u=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0 - 1e-12)),
 )
 def test_cdf_draw_equals_sample(weights, shortfall, u):
-    """Bisecting the kept CDF list draws ``sample``'s token for the same
+    """Bisecting the kept CDF draws ``sample``'s token for the same
     uniform, zero entries and a CDF that ends below ``u`` included."""
     row = normalize(weights) * (1.0 - shortfall)
     stream = FixedUniforms([u])
-    assert sample_cdf(row.cumsum().tolist(), row, stream) == sample(row, FixedUniforms([u]))
+    assert _cdf_draw(row, stream) == sample(row, FixedUniforms([u]))
     assert stream.draws == 1
 
 

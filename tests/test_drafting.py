@@ -72,16 +72,6 @@ def test_chain_rejects_zero_probability_token():
         DraftChain((1,), np.array([[1.0, 0.0]]))
 
 
-def test_chain_suffix():
-    d = [0.5, 0.5]
-    chain = DraftChain((0, 1, 0), np.array([d, d, d]))
-    tail = chain.suffix(1)
-    assert tail.tokens == (1, 0)
-    assert tail.k == 2
-    with pytest.raises(ValueError):
-        chain.suffix(3)  # empty chains are not representable
-
-
 def test_draft_chain_greedy_matches_argmax_walk(ref_family):
     fam = ref_family.fork()
     ctx = tuple(fam.train_tokens[:8])
@@ -607,13 +597,8 @@ def test_every_drawn_token_has_mass_in_its_own_row(model, k, temperature, data):
     chain = draft_chain(model, ctx, k, temperature, FixedUniforms(uniforms))
     assert all(chain.dists[i, t] > 0.0 for i, t in enumerate(chain.tokens))
     assert not chain.dists.flags.writeable
-    for start in range(k):
-        tail = chain.suffix(start)
-        assert tail.tokens == chain.tokens[start:]
-        assert np.array_equal(tail.dists, chain.dists[start:])
-        assert not tail.dists.flags.writeable
-    with pytest.raises(ValueError):
-        chain.suffix(k)
+    states, ids = chain.walk  # the rows the acceptance rule reads are the chain's own
+    assert len(ids) == k and np.array_equal(states.table[list(ids)], chain.dists)
     with pytest.raises(ValueError):  # a chain built by hand is still checked
         DraftChain((0,) + chain.tokens[1:], np.vstack([np.eye(2, model.vocab.size)[1],
                                                        chain.dists[1:]]))
@@ -639,7 +624,7 @@ def test_shared_drafts_stay_frozen_and_round_records_are_slotted():
     model = _last_token_model()
     chain = draft_chain(model, (0,), 2, 0.0, FixedUniforms([]))
     tree = draft_tree(model, (0,), depth=2, branch_topk=2, budget=4)
-    for shared, name in [(chain, "tokens"), (chain.suffix(1), "dists"), (tree, "ctx"),
+    for shared, name in [(chain, "tokens"), (chain, "dists"), (tree, "ctx"),
                          (tree.nodes[0], "token")]:
         with pytest.raises(FrozenInstanceError):
             setattr(shared, name, getattr(shared, name))

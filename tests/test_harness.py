@@ -593,7 +593,8 @@ def test_sweep_runs_the_cartesian_grid(tmp_path):
     base = ExperimentConfig(method="trispec", max_new_tokens=8, num_prompts=2)
     columns, rows = sweep(base, {"lambda": ["0.0", "1.01"], "seed": ["0", "1"]})
     assert columns[:2] == ["lambda", "seed"]
-    assert columns[2:] == list(SWEEP_METRIC_COLUMNS)
+    # a grid key that is also a metric column is written once
+    assert columns[2:] == [c for c in SWEEP_METRIC_COLUMNS if c != "seed"]
     assert [(r["lambda"], r["seed"]) for r in rows] == [
         ("0.0", "0"), ("0.0", "1"), ("1.01", "0"), ("1.01", "1"),
     ]

@@ -27,7 +27,12 @@ for name, base in list(workloads.WORKLOADS.items()):
         groups=1, lams=(0.5,), decode_seeds=1,
     )
 bench.SETUP_REF_SECONDS = 0.002  # time the set-up against short loops
-sys.exit(profile_pass.main({argv!r}))
+setups = []
+fresh = workloads.setup  # bench.Run binds its own name, so only profile_pass calls this one
+workloads.setup = lambda *args: setups.append(1) or fresh(*args)
+rc = profile_pass.main({argv!r})
+print(f"fresh set-ups: {{len(setups)}}")
+sys.exit(rc)
 """
 
 
@@ -44,9 +49,21 @@ def _profile(argv, workdir):
 def test_profile_pass_prints_a_profile_of_every_request(name, tmp_path):
     proc = _profile(["--workload", name, "--seed", "3", "--sort", "cumtime"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert f"{name} seed 3: 1 requests" in proc.stdout
+    assert f"{name} seed 3: 1 requests, " in proc.stdout
     assert "function calls" in proc.stdout and "run_experiment" in proc.stdout
+    assert "fresh set-ups: 0" in proc.stdout
     assert list(tmp_path.iterdir()) == []  # every file a request wrote is gone
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_profile_pass_cold_profiles_each_request_on_a_fresh_family(name, tmp_path):
+    proc = _profile(["--workload", name, "--seed", "3", "--cold"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert f"{name} seed 3: 1 requests, cold, " in proc.stdout
+    assert "run_experiment" in proc.stdout
+    assert "build_family" not in proc.stdout  # set up outside the profile
+    assert "fresh set-ups: 1" in proc.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_profile_pass_rejects_an_unknown_workload(tmp_path):
