@@ -1,4 +1,4 @@
-"""Profile one warm pass of a benchmark workload under cProfile.
+"""Profile one pass of a benchmark workload under cProfile, warm or cold.
 
     python tools/profile_pass.py --workload greedy-chain --seed 1 [--sort cumtime] [--cold]
 
