@@ -19,6 +19,7 @@ import pytest
 from trispec.harness import (
     ExperimentConfig,
     build_family,
+    family_signature,
     run_experiment,
     write_report_json,
     write_trace_csv,
@@ -32,9 +33,14 @@ CONFIGS = {
     "sd-target-chain-T1": dict(method="sd", temperature=1.0),
     "sd-proxy-chain-T1": dict(method="sd", sd_verifier="proxy", temperature=1.0),
     "sd-target-tree": dict(method="sd", use_tree=True),
+    "sd-target-byte-T1": dict(method="sd", tokenizer="byte", temperature=1.0),
     "relax-chow-T1": dict(method="relax", relax_policy="chow", temperature=1.0),
+    "relax-token_specific-T0": dict(method="relax", relax_policy="token_specific"),
+    "relax-topk-T1": dict(method="relax", relax_policy="topk", temperature=1.0),
     "trispec-chain-T0": dict(method="trispec"),
     "trispec-chain-T1": dict(method="trispec", temperature=1.0),
+    "trispec-chain-T1-raw_bonus": dict(method="trispec", temperature=1.0, raw_bonus=True, lam=0.25),
+    "trispec-perturbed-T1": dict(method="trispec", family="perturbed", temperature=1.0),
     "trispec-tree": dict(method="trispec", use_tree=True),
     "trispec-top1_prob": dict(method="trispec", signal="top1_prob", lam=0.6),
 }
@@ -45,10 +51,25 @@ GOLDENS = {
         "report.json": "f8918da1b2aa006bbad325104d4a9254e2b51e5faedf7d0228f28370ae6b1eee",
         "continuations": "28a03203bf58f219d84c8b2cecee22b65933070f87fe6f5faa2c9842420c2275",
     },
+    "relax-token_specific-T0": {
+        "trace.csv": "fcd7ba62f9a6fe316ab602fb7a445af2fa641e4ac4e837db92adfb43284f4994",
+        "report.json": "94360433b2912a522d15c2edbd81ae49d896babde8ffc89476b2dcf7fb91ec28",
+        "continuations": "bc5382bb6ed4b553c7de8d5c64bd5f7aa0c84170272dba68482803d989050eb8",
+    },
+    "relax-topk-T1": {
+        "trace.csv": "cbe1186a5afd51b2c66ec353c2a4fd07a0a638aed0b5f91fb87f701cbfee86f0",
+        "report.json": "ef9f823e5aaf8b4d58ad2816a9118f3c2d6f8d273fbf2ab08ebfc6e1b818ddd5",
+        "continuations": "63da31cb92e7df822e9fe281b51b9ba76c96a8d7a9e0271d63589f815724e43a",
+    },
     "sd-proxy-chain-T1": {
         "trace.csv": "6d46cb25ec6a169e61764d4cc37b9a44cb5b95e9181de4ccceca9807b7f14a5e",
         "report.json": "ca142af5ccb2e034bd0e999a5698f3bc4aedd7b40a89139dc23d618a8d65931e",
         "continuations": "5a437cdb02a6c880c638cc3579a74ebf5c2b91bf61f9abb0469535996fddce1f",
+    },
+    "sd-target-byte-T1": {
+        "trace.csv": "6e3aa30cea410ca4722b182203e272fe3398f4540f27ea6a4068e9a335b42325",
+        "report.json": "c6214b02c3d89c6366a43e5dc7b4931de15aed449a5a74037200b12661c3b76b",
+        "continuations": "e20351910c0d6d1a4c7b85919e176d85c0b7820ae1f02e839a841195cf0e01fc",
     },
     "sd-target-chain-T1": {
         "trace.csv": "967d8f3fca986eeef8dc17e1972f156449cfcd3d33c0f8f944e7c724d9316db2",
@@ -80,6 +101,16 @@ GOLDENS = {
         "report.json": "c1c8a1e296901f257ec19a038d9efcb6dcf31f113d78b1333021adc3fd75ca67",
         "continuations": "91f6570795babb1dacca699250e44968416e713b33a02f6d0dd818d2e52bc6f4",
     },
+    "trispec-chain-T1-raw_bonus": {
+        "trace.csv": "f3080914a2a852310cd33dba6c12f6ddec3dd712e01ad36498b05f825e185d3c",
+        "report.json": "ea9a8615e32f6361bd040e862a6238eb80951cc6b011c99447ac604b045e3b26",
+        "continuations": "78662bf9eb82cb64ffbd02af1c4c61fdfa251f317f2e2c2fd8adb09b6761ab91",
+    },
+    "trispec-perturbed-T1": {
+        "trace.csv": "87ac04a035fa14babe7488fb66606620b74ffb35d35f785a921a5bf4ededaf70",
+        "report.json": "cd3374d2167bc0e448668561bd3a5629825078b0851c11a27036beb236c2b35a",
+        "continuations": "8eb1503f8add55001ed3f5613ef15a3dbaa35801a53f6f601637988e9dbfc5d9",
+    },
     "trispec-top1_prob": {
         "trace.csv": "7ef2dba6843e7b26163c57eec29fb37cf4843f3b77ad96fe2ba483677ca6333e",
         "report.json": "4ff31edb372f5613988d4a5318eaddeafa9e79027eac922c7888afe22651bd92",
@@ -97,10 +128,17 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(name: str, family, outdir: Path) -> dict[str, str]:
-    """sha256 of the trace, the report and the continuations of one run."""
+def digests(name: str, families: dict, outdir: Path) -> dict[str, str]:
+    """sha256 of the trace, the report and the continuations of one run.
+
+    ``families`` holds the trained families by ``family_signature``; one
+    that is missing is built and kept there.
+    """
     cfg = replace(ExperimentConfig(), **SMALL, **CONFIGS[name])
-    result = run_experiment(cfg, family)
+    sig = family_signature(cfg)
+    if sig not in families:
+        families[sig] = build_family(cfg)
+    result = run_experiment(cfg, families[sig])
     write_report_json(result, outdir / "report.json")
     write_trace_csv(result.records, outdir / "trace.csv")
     continuations = json.dumps([[list(p), list(t)] for p, t in result.continuations])
@@ -111,14 +149,22 @@ def digests(name: str, family, outdir: Path) -> dict[str, str]:
     }
 
 
+@pytest.fixture(scope="module")
+def families(ref_family, perturbed_family):
+    return {
+        family_signature(ExperimentConfig()): ref_family,
+        family_signature(ExperimentConfig(family="perturbed")): perturbed_family,
+    }
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_decode_path_output_is_pinned(name, ref_family, tmp_path):
-    assert digests(name, ref_family, tmp_path) == GOLDENS[name]
+def test_decode_path_output_is_pinned(name, families, tmp_path):
+    assert digests(name, families, tmp_path) == GOLDENS[name]
 
 
 if __name__ == "__main__":
-    family = build_family(ExperimentConfig())
+    families = {}
     with tempfile.TemporaryDirectory() as tmp:
-        out = {name: digests(name, family, Path(tmp)) for name in sorted(CONFIGS)}
+        out = {name: digests(name, families, Path(tmp)) for name in sorted(CONFIGS)}
     json.dump(out, sys.stdout, indent=4, sort_keys=True)
     print()
