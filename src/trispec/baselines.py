@@ -23,10 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import apply_temperature, sample
+from .core import apply_temperature
 from .drafting import draft_chain
 from .models import ModelOracle, PassMeter
-from .verification import DecodeStreams, Round, RoundCase, acceptance_coins
+from .verification import (
+    DecodeStreams, Round, RoundCase, acceptance_coins, draw_from, verifier_scores,
+)
 
 __all__ = [
     "RelaxPolicy",
@@ -155,17 +157,21 @@ def relaxed_sd_round(
 
     The target still scores the whole draft every round (these baselines
     stretch the acceptance length, they do not skip verification passes).
-    On rejection the correction comes from the target's shaped distribution
-    at that position; relaxed rules void the residual construction's
-    guarantees, so this is the deferral semantics instead.
+    On rejection the correction comes from the target's own law at that
+    position, its argmax or a draw from its row; relaxed rules void the
+    residual construction's guarantees, so this is the deferral semantics
+    instead. The rules judge the raw rows when sampling and the argmax
+    one-hots of both sides in greedy mode; the standard test and the
+    correction read what ``verifier_scores`` reads of the target's pass.
     """
+    apply_temperature(None, temperature)
     meter = PassMeter(drafter, target=target)
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     rows = target.batch_score(base, draft.tokens)
-    scores = target.argmaxes() if temperature == 0.0 else apply_temperature(rows, temperature)
-    drafted, judged = draft.dists, scores
-    if temperature == 0.0:  # the rules judge the shaped laws: the argmax one-hots
+    scores = verifier_scores(target, temperature)
+    drafted, judged = draft.dists, rows
+    if temperature == 0.0:  # the greedy laws: the argmax one-hots
         hot = np.eye(rows.shape[1])
         drafted, judged = hot[list(draft.tokens)], hot[scores]
 
@@ -173,7 +179,7 @@ def relaxed_sd_round(
         draft, scores, temperature, streams.target_coins,
         decide=lambda i, token: policy.decide(drafted[i], judged[i], token),
     )
-    token = scores[tau] if temperature == 0.0 else sample(scores[tau], streams.correction)
+    token = scores[tau] if temperature == 0.0 else draw_from(scores, tau, streams.correction)
     return Round(
         case=RoundCase(f"Relax:{policy.kind}"),
         emitted=draft.tokens[:tau] + (token,),

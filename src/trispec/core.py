@@ -9,9 +9,10 @@ pins down the numeric conventions once:
   scored position, and the functions below read a row or a block.
   ``Distribution`` is only the checked type for rows that come from
   outside the decode path (hand-built tables, model files);
-* temperature acts on probabilities directly, ``p ** (1/T)`` renormalized;
-  T=0 means exact argmax (lowest index wins ties); greedy decisions read
-  each raw row's argmax as its window state keeps it, and build no one-hot;
+* there are two temperatures, and both read the raw rows: T=0 is exact
+  argmax (lowest index wins ties), read as each row's window state keeps
+  it, with no one-hot built; T=1 samples the row itself. Every function
+  that takes a temperature refuses any other (``apply_temperature``);
 * sampling is inverse-CDF over ascending token index and consumes exactly
   one uniform draw;
 * randomness comes from named streams addressed by (seed, label), so
@@ -122,23 +123,18 @@ def normalize(weights: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr / total
 
 
-def apply_temperature(rows: np.ndarray, temperature: float) -> np.ndarray:
-    """Reshape a row, or every row of a block, as ``p ** (1/T)`` renormalized.
+def apply_temperature(rows: np.ndarray | None, temperature: float) -> np.ndarray | None:
+    """The one temperature check: ``rows``, as they are, at T=0 and T=1.
 
-    T=1 and T=0 return ``rows`` itself: greedy decisions read only the raw
-    argmax (lowest index on ties), which is the hot index of the argmax
-    one-hot. Computed in log space so small temperatures do not underflow;
-    the argmax is preserved for every T > 0.
+    Greedy decisions read each raw row's argmax (lowest index on ties) and
+    sampling draws from the raw row, so neither reshapes anything. Any
+    other temperature, NaN included, raises ValueError. Every public
+    function that takes a temperature calls this once on entry, with no
+    rows (``None``), before it makes a pass or draws a uniform.
     """
-    if temperature < 0.0:
-        raise ValueError("temperature must be >= 0")
-    if temperature in (0.0, 1.0):
-        return rows
-    with np.errstate(divide="ignore"):
-        scaled = np.log(rows) / temperature
-    scaled -= scaled.max(axis=-1, keepdims=True)
-    weights = np.exp(scaled)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    if temperature not in (0.0, 1.0):
+        raise ValueError(f"temperature must be 0 (greedy) or 1 (sampling), got {temperature!r}")
+    return rows
 
 
 def sample(probs: np.ndarray, stream: "RandomStream") -> int:

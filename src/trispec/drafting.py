@@ -1,24 +1,24 @@
 """Draft proposal structures: linear chains and budgeted token trees.
 
-A draft chain is the classic speculative block: k tokens sampled
-autoregressively from the drafter, recorded together with the exact
-(temperature-shaped) rows they were sampled from, because the verification
-rule needs those probabilities later. Each drafter pass scores the context
-cut to the drafter's window, extended by one token per pass. A greedy chain
-takes the argmax each pass's state keeps, draws no uniform and records the
-raw rows, as a verifier's greedy block is raw. At T=1, where shaping is
-the identity, a token is drawn from the CDF the pass's state keeps. At
-both, the chain records the drafter states it drew from (its ``walk``),
+A draft chain is the classic speculative block: k tokens drafted
+autoregressively from the drafter, recorded together with the exact raw
+rows they came from, because the verification rule needs those
+probabilities later. Each drafter pass scores the context cut to the
+drafter's window, extended by one token per pass. A greedy chain (T=0)
+takes the argmax each pass's state keeps and draws no uniform; a sampled
+one (T=1) draws each token from the CDF the pass's state keeps. Either
+way the chain records the drafter states it drew from (its ``walk``),
 which the acceptance rule reads, and takes its ``(k, V)`` block of rows
 from them only when asked. A greedy chain depends only on the drafter's
 window tail, so it is drafted once per tail and length, like a tree.
 
 A draft tree generalizes the chain: every frontier node proposes its
-top-``branch_topk`` continuations, and the tree keeps the globally most
-probable nodes (by drafter path probability) within a fixed token budget.
-Trees verify greedily downstream, and carry the boolean ancestor mask a
-tree-attention pass would use, so masks are part of the contract here.
-A tree is immutable, so one tree may be shared by many rounds.
+top-``branch_topk`` continuations under the drafter's raw row, and the
+tree keeps the globally most probable nodes (by drafter path probability)
+within a fixed token budget. Trees verify greedily downstream, and carry
+the boolean ancestor mask a tree-attention pass would use, so masks are
+part of the contract here. A tree is immutable, so one tree may be shared
+by many rounds.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomStream, apply_temperature, sample
+from .core import RandomStream, apply_temperature
 from .models import ModelOracle, Walk
 
 __all__ = [
@@ -47,11 +47,11 @@ class PathNotInTreeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DraftChain:
-    """k drafted tokens plus the ``(k, V)`` block of rows they were drawn
-    from, shaped as ``apply_temperature`` leaves them; kept read-only.
-    ``walk`` addresses the same rows: the drafter's states a chain drafted
-    at T=0 or T=1 was drawn from, else one state per row of ``dists``.
-    Chains compare and hash by identity, as an array field cannot."""
+    """k drafted tokens plus the ``(k, V)`` block of raw rows they were
+    drawn from; kept read-only. ``walk`` addresses the same rows: the
+    drafter's states a drafted chain was drawn from, or one state per row
+    of ``dists`` for a chain built from its rows. Chains compare and hash
+    by identity, as an array field cannot."""
 
     tokens: tuple[int, ...]
     dists: np.ndarray
@@ -100,14 +100,13 @@ def draft_chain(
     temperature: float,
     stream: RandomStream,
 ) -> DraftChain:
-    """Sample a k-token draft block autoregressively; k drafter passes.
+    """Draft a k-token block autoregressively; k drafter passes.
 
     Each pass scores the context cut to the drafter's ``window``, all of
     it the drafter reads, extended by one drafted token per pass. At
     temperature 0 each token is the argmax kept by the state the pass
-    walked, recorded with its raw row, and no uniform is drawn. At
-    temperature 1 it is drawn from the CDF that state keeps: the token
-    ``sample`` would draw from the row.
+    walked, and no uniform is drawn. At temperature 1 it is drawn from the
+    CDF that state keeps: the token ``sample`` would draw from the row.
 
     A greedy chain depends only on the drafter's ``window`` tail of
     ``ctx``, so the drafter keeps the first chain of each tail and length,
@@ -116,12 +115,13 @@ def draft_chain(
     is still counted and ``walked`` is what a fresh draft leaves, and
     returns the same chain. Sampled chains are not memoised.
     """
+    apply_temperature(None, temperature)
     if k < 1:
         raise ValueError("draft length k must be >= 1")
     w, cut = drafter.window, list(drafter._tail(ctx))
     key = None
     if temperature == 0.0:
-        key = (tuple(cut), k)  # tree keys have five fields, so none collides
+        key = (tuple(cut), k)  # tree keys have four fields, so none collides
         hit = drafter._drafts.get(key)
         if hit is not None:
             chain, contexts = hit
@@ -133,32 +133,19 @@ def draft_chain(
     tokens: list[int] = []
     walked: list[int] = []
     contexts: list[tuple[int, ...]] = []
-    shaped: list[np.ndarray] = []
     for _ in range(k):
         if key is not None:
             contexts.append(tuple(cut))
-        row = next_dist(cut)
+        next_dist(cut)
         s = drafter.walked[0]
-        if temperature == 0.0:  # the raw row; shaping would return it as is
-            token = best[s]
-        elif temperature == 1.0:  # likewise
-            token = draw(s, stream)
-        else:
-            shaped.append(apply_temperature(row, temperature))
-            token = sample(shaped[-1], stream)
+        token = best[s] if temperature == 0.0 else draw(s, stream)
         tokens.append(token)
         walked.append(s)
         if w:
             cut.append(token)
             if len(cut) > w:
                 del cut[0]
-    if shaped:  # the shaped rows are the chain's own
-        block = np.array(shaped)
-        block.setflags(write=False)
-        walk = Walk.of_rows(block)
-    else:
-        walk = Walk(states, walked)
-    chain = DraftChain._drawn(tuple(tokens), walk)
+    chain = DraftChain._drawn(tuple(tokens), Walk(states, walked))
     if key is not None:
         drafter._drafts[key] = (chain, tuple(contexts))
     return chain
@@ -171,7 +158,7 @@ class TreeNode:
     token: int
     parent: int
     depth: int
-    prob: float       # shaped drafter probability of token given its path
+    prob: float       # drafter probability of token given its path
     path_prob: float  # product of probs along the path from the root
 
 
@@ -265,21 +252,22 @@ def draft_tree(
     depth: int,
     branch_topk: int,
     budget: int,
-    temperature: float = 1.0,
 ) -> DraftTree:
     """Grow a static draft tree: expand level by level, keep the best.
 
     Each frontier node spawns its ``branch_topk`` most probable children
-    (ties toward the lower token id); generation stops at ``depth``. A
-    running pool holds the ``budget`` best candidates so far by path
-    probability (creation order on ties). Each level's candidates merge
-    into it by one stable selection, and only those that survive form the
-    next frontier, best first; the last pool is the tree. That is exact: a
-    child's path probability is at most its parent's and it is created
-    after every pool node, so a candidate that drops out of the pool can
-    have no descendant in it (which also keeps the pool ancestor-closed).
-    The whole frontier of a level is scored in one flattened drafter pass,
-    an empty frontier too, so a tree costs one drafter pass per level.
+    under the drafter's raw row (ties toward the lower token id); a greedy
+    one-hot would leave nothing to branch on. Generation stops at
+    ``depth``. A running pool holds the ``budget`` best candidates so far
+    by path probability (creation order on ties). Each level's candidates
+    merge into it by one stable selection, and only those that survive
+    form the next frontier, best first; the last pool is the tree. That is
+    exact: a child's path probability is at most its parent's and it is
+    created after every pool node, so a candidate that drops out of the
+    pool can have no descendant in it (which also keeps the pool
+    ancestor-closed). The whole frontier of a level is scored in one
+    flattened drafter pass, an empty frontier too, so a tree costs one
+    drafter pass per level.
 
     A frontier path is scored cut to its last ``window`` tokens, all of it
     the drafter reads, so a tree depends only on the drafter's ``window``
@@ -292,7 +280,7 @@ def draft_tree(
     if depth < 1 or branch_topk < 1 or budget < 1:
         raise ValueError("depth, branch_topk and budget must all be >= 1")
     base = tuple(ctx)
-    key = (drafter._tail(base), depth, branch_topk, budget, temperature)
+    key = (drafter._tail(base), depth, branch_topk, budget)
     hit = drafter._drafts.get(key)
     if hit is not None:
         tree, levels = hit
@@ -312,10 +300,6 @@ def draft_tree(
     for level in range(1, depth + 1):
         levels.append(paths)
         block = drafter.batch_score_paths(base, paths)
-        if temperature == 0.0:  # one child per node: the argmax one-hot
-            block = np.eye(block.shape[1])[drafter.argmaxes()]
-        else:
-            block = apply_temperature(block, temperature)
         top = np.argsort(-block, axis=1, kind="stable")[:, :branch_topk]
         top_p = np.take_along_axis(block, top, axis=1)
         # Row-major order is creation order; a drafter cannot propose

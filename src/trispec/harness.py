@@ -138,7 +138,6 @@ class ExperimentConfig:
     prompt_fraction: float = 0.5
     train_fraction: float = 0.9
     raw_bonus: bool = False
-    margin_on_raw: bool = False
     model_dir: str | None = None
     run_id: str = ""
 
@@ -638,7 +637,7 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
         ),
         "trispec": lambda base, streams: trispec_round(
             drafter, proxy, target, base, cfg.k, rule, cfg.temperature, streams,
-            raw_bonus=cfg.raw_bonus, margin_on_raw=cfg.margin_on_raw,
+            raw_bonus=cfg.raw_bonus,
         ),
         "trispec_tree": lambda base, streams: trispec_tree_round(
             drafter, proxy, target, base, tree_params, rule
@@ -692,7 +691,7 @@ def sweep(
     for key in grid:
         canonical = _KEY_ALIASES.get(key, key)
         if canonical not in _FIELD_PARSERS:
-            raise ConfigError(f"unknown sweep key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         if canonical in named:
             raise ConfigError(f"sweep keys {named[canonical]!r} and {key!r} name one config key")
         named[canonical] = key

@@ -14,6 +14,9 @@ is emitted with a proxy-drawn correction and the target is never called.
 Otherwise the first ``tau_m`` tokens are committed outright, the draft is
 pruned to the remainder, and the target verifies only the suffix.
 
+Rounds run greedy (temperature 0) or sampled (temperature 1), and the
+trust signal reads the proxy's raw rows at both.
+
 The threshold is a dial: ``lam <= 0`` trusts the proxy everywhere (the run
 degrades to proxy-verified decoding), ``lam > 1`` trusts it nowhere (the
 run is exactly standard target-verified decoding, coin for coin).
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import top2_margin
+from .core import apply_temperature, top2_margin
 from .drafting import DraftChain, draft_chain, draft_tree, prune_tree_prefix
 from .models import ModelOracle, PassMeter
 from .verification import (
@@ -103,20 +106,21 @@ def pruned_target_verify(
     left to verify and the pass purely produces the bonus distribution at
     position k+1. The suffix is verified in place, from draft position
     ``tau_m`` on, and no sub-chain is built: in greedy mode against the
-    argmaxes of the states the pass walked, else against what
-    ``verifier_scores`` reads of the pass.
+    argmaxes of the states the pass walked, when sampling against the
+    states themselves (``verifier_scores``).
     """
+    apply_temperature(None, temperature)
     if not 0 <= tau_m <= draft.k:
         raise ValueError("tau_m must lie in [0, k]")
     base = tuple(ctx) + draft.tokens[:tau_m]
     rest = draft.tokens[tau_m:]
-    rows = target.batch_score(base, rest)
+    target.batch_score(base, rest)
     if temperature == 0.0:
         best = target.argmaxes()
         tau = next((i for i, token in enumerate(rest) if best[i] != token), len(rest))
         coins = (1,) * tau + (0,) * (tau < len(rest))
         return AcceptanceTrace(coins, tau, best[tau], tau == len(rest), rest[:tau] + (best[tau],))
-    scores = verifier_scores(target, rows, temperature)
+    scores = verifier_scores(target, temperature)
     coins, tau = acceptance_coins(draft, scores, temperature, coin_stream, start=tau_m)
     token, is_bonus = draw_correction(
         draft, scores, tau, temperature, correction_stream, start=tau_m
@@ -134,34 +138,28 @@ def trispec_round(
     temperature: float,
     streams: DecodeStreams,
     raw_bonus: bool = False,
-    margin_on_raw: bool = False,
 ) -> Round:
     """One ternary round over a k-token draft chain.
 
-    The proxy scores the draft as one ``(k+1, V)`` block. The trust signal
-    sees its shaped rows at temperature 1 (where shaping is the identity)
-    and its raw rows in greedy mode -- an argmax one-hot carries no margin
-    information. Acceptance and corrections read what ``verifier_scores``
-    reads of the pass: at both temperatures the states the proxy's pass
-    walked, as are the margins. ``margin_on_raw`` forces the raw view at
-    any other temperature. ``raw_bonus`` switches the proxy-local
-    correction to a direct draw from the proxy's distribution at the
-    rejected position instead of the residual; a greedy draw there is the
-    argmax either way.
+    The proxy scores the draft as one ``(k+1, V)`` block. Acceptance and
+    corrections read what ``verifier_scores`` reads of that pass: the
+    argmaxes of the states it walked at temperature 0, the states
+    themselves at temperature 1. The trust signal reads the raw rows at
+    both, and the margins come from the same states. ``raw_bonus`` makes
+    the proxy-local correction after a rejection a direct draw from the
+    proxy's row at the rejected position instead of the residual; at
+    temperature 0 both are the proxy's argmax, so it has no effect there.
     """
+    apply_temperature(None, temperature)
     meter = PassMeter(drafter, proxy, target)
 
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
-    proxy_raw = proxy.batch_score(base, draft.tokens)
-    proxy_scores = verifier_scores(proxy, proxy_raw, temperature)
-    if temperature in (0.0, 1.0):  # the view is the raw rows, whose states keep margins
-        margin_view, margins = proxy_raw, proxy.margins()
-    else:
-        margin_view = proxy_raw if margin_on_raw else proxy_scores
-        margins = tuple(top2_margin(margin_view).tolist())
+    proxy_rows = proxy.batch_score(base, draft.tokens)
+    proxy_scores = verifier_scores(proxy, temperature)
+    margins = proxy.margins()
     coins, tau_a = acceptance_coins(draft, proxy_scores, temperature, streams.proxy_coins)
-    tau_m = trusted_prefix_len(margin_view, rule, margins)
+    tau_m = trusted_prefix_len(proxy_rows, rule, margins)
 
     if tau_a < tau_m:
         if raw_bonus and tau_a < k and temperature != 0.0:
@@ -220,8 +218,8 @@ def trispec_tree_round(
     commits the trusted prefix, prunes the tree below it, and hands every
     surviving branch to the target for greedy verification. Margins come
     from the states the proxy's pass walked. The tree itself is expanded
-    from the drafter's unshaped probabilities: collapsing them to argmax
-    one-hots would leave nothing to branch on.
+    from the drafter's raw rows: collapsing them to argmax one-hots would
+    leave nothing to branch on.
     """
     meter = PassMeter(drafter, proxy, target)
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import normalize, sample
+from .core import apply_temperature, normalize, sample
 from .drafting import DraftChain, draft_tree
 from .harness import (
     ConfigError,
@@ -140,6 +140,7 @@ def paired_equivalence(
     proxy-verified rounds. Identical labeled streams make the comparison
     exact, not statistical.
     """
+    apply_temperature(None, temperature)
     fam_a = family.fork()
     fam_b = family.fork()
     rule = MarginRule(lam)

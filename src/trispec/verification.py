@@ -12,13 +12,14 @@ A verifier's scores arrive as one ``(k+1, V)`` block per pass, but the
 rule reads the states the pass walked (``verifier_scores``). Greedy mode
 (temperature 0) reads their argmaxes (``ModelOracle.argmaxes``), builds no
 one-hots, and consumes no randomness at all: drafts, coins and corrections
-alike. At temperature 1 the rule reads ``p_v(x)`` and ``p_d(x)`` as floats
+alike. Sampling (temperature 1) reads ``p_v(x)`` and ``p_d(x)`` as floats
 from the tables of the verifier's and the drafter's walked states, draws a
 bonus from the CDF the verifier's state keeps, and a residual correction
 from the CDF the verifier's states keep for the pair of states, computed by
 ``residual_dist`` at the pair's first rejection. Every draw bisects a kept
-CDF into the index ``sample`` would find for the same uniform. Other
-temperatures read the shaped rows, one state per row (``Walk.of_rows``).
+CDF into the index ``sample`` would find for the same uniform. There is no
+other temperature: each function that takes one refuses any other
+(``core.apply_temperature``).
 
 Randomness is split across named streams (draft sampling, proxy coins,
 target coins, corrections) so that structurally different protocols remain
@@ -186,16 +187,11 @@ class Round:
                 raise ValueError("escalated round emits tau_m + tau_t + 1 tokens")
 
 
-def verifier_scores(verifier: ModelOracle, rows: np.ndarray, temperature: float):
-    """What the acceptance rule reads of the verifier's last pass, which
-    returned ``rows``: its argmaxes at temperature 0, the states it walked
-    at temperature 1 (where shaping is the identity), else the rows as
-    ``apply_temperature`` shapes them."""
-    if temperature == 0.0:
-        return verifier.argmaxes()
-    if temperature == 1.0:
-        return verifier.walk()
-    return apply_temperature(rows, temperature)
+def verifier_scores(verifier: ModelOracle, temperature: float) -> Walk | list[int]:
+    """What the acceptance rule reads of the verifier's last pass: its
+    argmaxes at temperature 0, the states it walked at temperature 1."""
+    apply_temperature(None, temperature)
+    return verifier.argmaxes() if temperature == 0.0 else verifier.walk()
 
 
 def acceptance_coins(
@@ -208,17 +204,17 @@ def acceptance_coins(
 ) -> tuple[tuple[int, ...], int]:
     """Left-to-right acceptance test; stops at the first rejection.
 
-    ``scores`` is the verifier's walk (``verifier_scores``), or its block
-    as ``apply_temperature`` leaves it, like the draft's stored rows: one
-    uniform is drawn per examined position, against ``p_v(x) / p_d(x)``
-    read as floats from the two tables. At temperature 0 it is the
-    verifier's argmax at each position instead, the test is exact
-    agreement and no uniform is consumed. The draft is examined from
-    position ``start`` on, its position ``start + i`` against score ``i``,
-    and the length returned counts from ``start``. ``decide(i, token)``,
-    when given, rules on a position first: True or False is final, None
-    defers to the test.
+    ``scores`` is the verifier's walk (``verifier_scores``), or a block of
+    its rows: one uniform is drawn per examined position, against
+    ``p_v(x) / p_d(x)`` read as floats from the verifier's and the draft's
+    tables. At temperature 0 it is the verifier's argmax at each position
+    instead, the test is exact agreement and no uniform is consumed. The
+    draft is examined from position ``start`` on, its position
+    ``start + i`` against score ``i``, and the length returned counts from
+    ``start``. ``decide(i, token)``, when given, rules on a position first:
+    True or False is final, None defers to the test.
     """
+    apply_temperature(None, temperature)
     coins: list[int] = []
     tokens = draft.tokens[start:] if start else draft.tokens
     if temperature != 0.0:
@@ -243,8 +239,8 @@ def _as_walk(scores: Walk | np.ndarray) -> Walk:
 
 
 def draw_from(scores: Walk | np.ndarray, i: int, stream: RandomStream) -> int:
-    """``sample`` from the verifier's row ``i`` (a walk's or a shaped
-    block's), by bisection into the CDF its state keeps."""
+    """``sample`` from the verifier's row ``i`` (a walk's or a block's),
+    by bisection into the CDF its state keeps."""
     states, ids = _as_walk(scores)
     return states.draw(ids[i], stream)
 
@@ -264,9 +260,18 @@ def residual_dist(draft_row: np.ndarray, verifier_row: np.ndarray) -> np.ndarray
 
 class _Residuals:
     """The rejection residuals of one drafter's states against one
-    verifier's, their CDFs kept end to end in one flat array: pair ``i`` is
-    ``cdf[lo:lo + V]`` with ``lo = at[i]``, the floats ``sample`` computes
-    for it."""
+    verifier's, their CDFs kept end to end in one flat array: a pair is
+    ``cdf[lo:lo + V]`` with ``lo = index[key]``, the floats ``sample``
+    computes for it.
+
+    Nothing is evicted, but the store is bounded: each oracle's automaton
+    fixes its state count when it is built, so the store holds at most
+    drafter states x verifier states x V floats, and it is freed with the
+    verifier's states. With the default orders on the bundled corpus the
+    drafter has 30 states, the proxy 187 and the target 603, so the two verifiers' stores hold at
+    most 5.5 MB at V = 29 (char tokenizer) and 48.5 MB at V = 256 (byte
+    tokenizer); a perturbed family's proxy has the target's 603 states,
+    which makes 8.4 and 74.1 MB."""
 
     __slots__ = ("index", "cdf", "size")
 
@@ -319,6 +324,7 @@ def draw_correction(
     position, with no draw: the residual of two distinct one-hots is the
     verifier's own one-hot.
     """
+    apply_temperature(None, temperature)
     is_bonus = start + tau >= draft.k
     if temperature == 0.0:
         return scores[min(tau, draft.k - start)], is_bonus
@@ -337,8 +343,9 @@ def verify_chain(
     correction_stream: RandomStream,
 ) -> AcceptanceTrace:
     """Verify a draft chain against what ``verifier_scores`` reads of the
-    verifier's pass over it: its k+1 argmaxes at temperature 0, its walk,
-    or its ``(k+1, V)`` block as ``apply_temperature`` shapes it."""
+    verifier's pass over it: its k+1 argmaxes at temperature 0, its walk
+    at temperature 1 (or its ``(k+1, V)`` block of rows)."""
+    apply_temperature(None, temperature)
     if len(scores.ids if isinstance(scores, Walk) else scores) != draft.k + 1:
         raise ValueError("need k+1 verifier rows for a k-token draft")
     coins, tau = acceptance_coins(draft, scores, temperature, coin_stream)
@@ -356,9 +363,11 @@ def target_only_round(
     target: ModelOracle, ctx: Sequence[int], temperature: float, streams: DecodeStreams
 ) -> Round:
     """Plain decoding: one target pass, one token drawn from its own law."""
+    apply_temperature(None, temperature)
     meter = PassMeter(target=target)
-    row = apply_temperature(target.next_dist(ctx), temperature)
-    token = target.argmaxes()[0] if temperature == 0.0 else sample(row, streams.draft)
+    target.next_dist(ctx)
+    scores = verifier_scores(target, temperature)
+    token = scores[0] if temperature == 0.0 else draw_from(scores, 0, streams.draft)
     return Round(
         case=RoundCase.TARGET_ONLY,
         emitted=(token,),
@@ -382,12 +391,13 @@ def sd_round(
     a proxy-verified run and the proxy phase of a ternary round stay
     coin-for-coin identical; the verifier's passes count under that role.
     """
+    apply_temperature(None, temperature)
     coin_stream = streams.coins_for(verifier_role)
     meter = PassMeter(drafter, **{verifier_role: verifier})
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
-    rows = verifier.batch_score(base, draft.tokens)
-    scores = verifier_scores(verifier, rows, temperature)
+    verifier.batch_score(base, draft.tokens)
+    scores = verifier_scores(verifier, temperature)
     trace = verify_chain(draft, scores, temperature, coin_stream, streams.correction)
     return Round(
         case=RoundCase.SD,

@@ -57,6 +57,26 @@ def test_run_rejects_bad_overrides(capsys):
     assert "error:" in err
 
 
+def _margin_on_raw_boundaries(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("margin_on_raw = false\n", encoding="utf-8")
+    return {
+        "override": ["run", "--out", str(tmp_path), "-O", "margin_on_raw=true", *FAST],
+        "config": ["run", "--out", str(tmp_path), "--config", str(config), *FAST],
+        "sweep": ["sweep", "--out", str(tmp_path / "sweep.csv"),
+                  "--grid", "margin_on_raw=true,false", *FAST],
+    }
+
+
+@pytest.mark.parametrize("boundary", ["override", "config", "sweep"])
+def test_unknown_config_keys_are_refused_at_every_input(boundary, tmp_path, capsys):
+    """``margin_on_raw`` acted only at temperatures no run admits, and is
+    gone: an override, a config file and a sweep axis all refuse it."""
+    assert main(_margin_on_raw_boundaries(tmp_path)[boundary]) == 2
+    assert "error: unknown config key 'margin_on_raw'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize(
     "override",
     ["relax_alpha=2", "relax_threshold=-0.5", "relax_k=0", "relax_alpha=nan"],

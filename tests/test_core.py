@@ -1,4 +1,4 @@
-"""Distribution primitives: shaping, sampling, margins, seeded streams."""
+"""Distribution primitives: the temperature check, sampling, margins, seeded streams."""
 
 import numpy as np
 import pytest
@@ -73,7 +73,6 @@ def test_distribution_is_immutable():
 def test_argmax_tie_breaks_to_lowest_index():
     assert np.array([0.4, 0.4, 0.2]).argmax() == 0
     assert np.array([0.2, 0.4, 0.4]).argmax() == 1
-    assert apply_temperature(np.array([0.2, 0.4, 0.4]), 0.5).argmax() == 1
 
 
 def test_normalize_basic_and_errors():
@@ -110,27 +109,6 @@ def test_temperature_zero_is_argmax_onehot():
     assert np.eye(2)[block.argmax(axis=1)].tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
-def test_temperature_half_squares_probabilities():
-    # p ** (1/T) with T=0.5: [0.64, 0.04] renormalized = [16/17, 1/17]
-    shaped = apply_temperature(np.array([0.8, 0.2]), 0.5)
-    assert np.allclose(shaped, [16.0 / 17.0, 1.0 / 17.0], atol=1e-12)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    shape=st.tuples(st.integers(1, 8), st.integers(2, 300)),
-    temperature=st.sampled_from([0.0005, 0.05, 0.3, 0.5, 0.9, 1.7, 4.0]),
-)
-def test_apply_temperature_shapes_a_block_row_by_row(seed, shape, temperature):
-    rows = np.random.default_rng(seed).dirichlet(np.ones(shape[1]), size=shape[0])
-    rows[:, ::7] = 0.0  # zero cells exercise log(0)
-    rows /= rows.sum(axis=1, keepdims=True)
-    block = apply_temperature(rows, temperature)
-    for row, shaped in zip(rows, block):
-        assert np.array_equal(shaped, apply_temperature(row, temperature))
-
-
 def test_top2_margin_of_a_block_is_per_row():
     block = np.array([[0.6, 0.3, 0.1], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0]])
     margins = top2_margin(block)
@@ -140,16 +118,6 @@ def test_top2_margin_of_a_block_is_per_row():
 def test_temperature_rejects_negative():
     with pytest.raises(ValueError):
         apply_temperature(np.array([1.0, 0.0]), -0.5)
-
-
-@given(positive_weights, st.floats(0.05, 0.95))
-@settings(max_examples=60)
-def test_temperature_sharpening_concentrates_on_argmax(weights, temperature):
-    d = normalize(weights)
-    shaped = apply_temperature(d, temperature)
-    assert abs(float(shaped.sum()) - 1.0) < 1e-9
-    assert shaped.argmax() == d.argmax()
-    assert shaped[d.argmax()] >= d[d.argmax()] - 1e-12
 
 
 def test_sample_inverse_cdf():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trispec.core import Distribution, RandomStream, Vocabulary, apply_temperature
+from trispec.core import Distribution, RandomStream, Vocabulary
 from trispec.drafting import (
     DraftChain,
     DraftTree,
@@ -111,27 +111,22 @@ def test_greedy_draft_chain_draws_no_uniform():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 5000), k=st.integers(1, 12))
 def test_sampled_draft_chain_draws_from_its_states_cdfs(ref_family, seed, start, k):
-    """At T=1 a warm drafter's chain calls no ``sample``: each token comes
-    from the CDF its state keeps, and is the token ``sample`` draws from
-    the pass's row with the same uniform."""
-    from unittest import mock
-
+    """At T=1 a warm drafter's chain calls no ``sample`` (``drafting``
+    holds none to call): each token comes from the CDF its state keeps,
+    and is the token ``sample`` draws from the pass's row with the same
+    uniform."""
     from trispec import core, drafting
 
+    assert not hasattr(drafting, "sample")
     fam = ref_family.fork()
     ctx = tuple(fam.held_tokens[start : start + 8])
     draft_chain(fam.drafter, ctx, k, 1.0, RandomStream(seed, "draft"))  # warms the states
-    calls = []
-    counted = lambda row, stream: calls.append(1) or core.sample(row, stream)  # noqa: E731
     stream = RandomStream(seed, "draft")
-    with mock.patch.object(drafting, "sample", counted):
-        chain = draft_chain(fam.drafter, ctx, k, 1.0, stream)
-    assert calls == []
+    chain = draft_chain(fam.drafter, ctx, k, 1.0, stream)
     ref_stream, tokens = RandomStream(seed, "draft"), []
     probe = fam.drafter.fork()
-    for _ in range(k):  # the per-row rule: shape the row, then sample it
-        row = apply_temperature(probe.next_dist(ctx + tuple(tokens)), 1.0)
-        tokens.append(core.sample(row, ref_stream))
+    for _ in range(k):  # the per-row rule: sample the row
+        tokens.append(core.sample(probe.next_dist(ctx + tuple(tokens)), ref_stream))
     assert chain.tokens == tuple(tokens) and stream.draws == ref_stream.draws == k
     assert np.array_equal(chain.dists, [probe.next_dist(ctx + chain.tokens[:i]) for i in range(k)])
 
@@ -226,7 +221,7 @@ def test_tree_rejects_child_before_parent():
         DraftTree(ctx=(), nodes=nodes, mask=np.eye(2, dtype=bool), budget=2)
 
 
-def _reference_draft_tree(drafter, ctx, depth, branch_topk, budget, temperature=1.0):
+def _reference_draft_tree(drafter, ctx, depth, branch_topk, budget):
     """The original pool-everything tree drafter, kept as an oracle.
 
     Per-node lexsort top-k, every candidate in the pool, the frontier cut to
@@ -238,10 +233,7 @@ def _reference_draft_tree(drafter, ctx, depth, branch_topk, budget, temperature=
     for level in range(1, depth + 1):
         grown = []
         block = drafter.batch_score_paths(tuple(ctx), [path for _, path, _ in frontier])
-        for (parent_id, path, path_prob), raw in zip(frontier, block):
-            dist = apply_temperature(raw, temperature)
-            if temperature == 0.0:  # greedy shaping: the argmax one-hot
-                dist = np.eye(len(raw))[raw.argmax()]
+        for (parent_id, path, path_prob), dist in zip(frontier, block):
             order = np.lexsort((np.arange(len(dist)), -dist))
             for tok in (int(t) for t in order[:branch_topk]):
                 p = float(dist[tok])
@@ -295,16 +287,15 @@ def _tied_tables(draw):
     model=_tied_tables(),
     depth=st.integers(1, 5),
     budget=st.integers(1, 40),
-    temperature=st.sampled_from([1.0, 0.5, 0.0]),
     data=st.data(),
 )
-def test_tree_matches_the_pool_everything_reference(model, depth, budget, temperature, data):
+def test_tree_matches_the_pool_everything_reference(model, depth, budget, data):
     topk = data.draw(st.integers(1, model.vocab.size), label="topk")
     ctx = data.draw(st.lists(st.integers(0, model.vocab.size - 1), max_size=2), label="ctx")
     ref = model.fork()
-    want_nodes, want_mask = _reference_draft_tree(ref, ctx, depth, topk, budget, temperature)
+    want_nodes, want_mask = _reference_draft_tree(ref, ctx, depth, topk, budget)
     fresh = model.fork()
-    tree = draft_tree(fresh, ctx, depth, topk, budget, temperature)
+    tree = draft_tree(fresh, ctx, depth, topk, budget)
     assert tree.nodes == tuple(want_nodes)  # exact floats, same order
     assert np.array_equal(tree.mask, want_mask)
     assert fresh.invocation_count == ref.invocation_count == depth
@@ -397,10 +388,9 @@ def _recorded(drafter):
     drafter=_drafters(),
     depth=st.integers(1, 5),
     budget=st.integers(1, 30),
-    temperature=st.sampled_from([1.0, 0.5, 0.0]),
     data=st.data(),
 )
-def test_memo_hit_equals_a_fresh_growth(drafter, depth, budget, temperature, data):
+def test_memo_hit_equals_a_fresh_growth(drafter, depth, budget, data):
     size, window = drafter.vocab.size, drafter.window
     topk = data.draw(st.integers(1, size), label="topk")
     token = st.integers(0, size - 1)
@@ -409,17 +399,17 @@ def test_memo_hit_equals_a_fresh_growth(drafter, depth, budget, temperature, dat
     second = tuple(data.draw(st.lists(token, min_size=1, max_size=3), label="second")) + tail
 
     memo = drafter.fork()
-    draft_tree(memo, first, depth, topk, budget, temperature)
+    draft_tree(memo, first, depth, topk, budget)
     assert len(memo._drafts) == 1
     hit_calls = _recorded(memo)
     hit_meter = PassMeter(memo)
-    hit = draft_tree(memo, second, depth, topk, budget, temperature)
+    hit = draft_tree(memo, second, depth, topk, budget)
     assert len(memo._drafts) == 1
 
     fresh = _unmemoised(drafter)
     miss_calls = _recorded(fresh)
     miss_meter = PassMeter(fresh)
-    miss = draft_tree(fresh, second, depth, topk, budget, temperature)
+    miss = draft_tree(fresh, second, depth, topk, budget)
 
     assert hit.ctx == miss.ctx == second
     assert hit.nodes == miss.nodes  # exact floats, same order
@@ -433,8 +423,8 @@ def test_memo_hit_equals_a_fresh_growth(drafter, depth, budget, temperature, dat
 
     # Any other context, whatever its tail, gets the tree grown afresh.
     other = tuple(data.draw(st.lists(token, max_size=window + 2), label="other"))
-    got = draft_tree(memo, other, depth, topk, budget, temperature)
-    want = draft_tree(_unmemoised(drafter), other, depth, topk, budget, temperature)
+    got = draft_tree(memo, other, depth, topk, budget)
+    want = draft_tree(_unmemoised(drafter), other, depth, topk, budget)
     assert got.nodes == want.nodes and got.ctx == other
 
 
@@ -443,12 +433,9 @@ def test_memo_hit_equals_a_fresh_growth(drafter, depth, budget, temperature, dat
     drafter=_drafters(),
     depth=st.integers(1, 5),
     budget=st.integers(1, 30),
-    temperature=st.sampled_from([1.0, 0.5, 0.0]),
     data=st.data(),
 )
-def test_levels_score_the_surviving_frontier_cut_to_the_window(
-    drafter, depth, budget, temperature, data
-):
+def test_levels_score_the_surviving_frontier_cut_to_the_window(drafter, depth, budget, data):
     """The running pool scores no more positions per level than the
     pool-everything reference, each path cut to the drafter's window, and
     grows the same tree with the same number of passes."""
@@ -457,10 +444,10 @@ def test_levels_score_the_surviving_frontier_cut_to_the_window(
     ctx = tuple(data.draw(st.lists(st.integers(0, size - 1), max_size=4), label="ctx"))
     ref = _unmemoised(drafter)
     ref_calls = _recorded(ref)
-    want_nodes, want_mask = _reference_draft_tree(ref, ctx, depth, topk, budget, temperature)
+    want_nodes, want_mask = _reference_draft_tree(ref, ctx, depth, topk, budget)
     fresh = _unmemoised(drafter)
     calls = _recorded(fresh)
-    tree = draft_tree(fresh, ctx, depth, topk, budget, temperature)
+    tree = draft_tree(fresh, ctx, depth, topk, budget)
 
     assert tree.nodes == tuple(want_nodes)  # exact floats, same order
     assert np.array_equal(tree.mask, want_mask)
@@ -497,7 +484,7 @@ def test_memo_is_shared_across_forks_and_keyed_by_window_tail():
     assert len(model._drafts) == 1
     draft_tree(model, (1,), depth=3, branch_topk=2, budget=5)
     draft_tree(model, (1,), depth=2, branch_topk=2, budget=5)
-    draft_tree(model, (1,), depth=2, branch_topk=2, budget=5, temperature=0.0)
+    draft_tree(model, (1,), depth=2, branch_topk=1, budget=5)
     assert len(model._drafts) == 4  # one per tail and shape
 
 
@@ -552,19 +539,18 @@ def test_chain_memo_hit_on_a_fork_equals_a_fresh_draft(drafter, k, data):
     assert twin.argmaxes() == fresh.argmaxes() and twin.margins() == fresh.margins()
 
 
-@pytest.mark.parametrize("temperature", [1.0, 0.7])
-def test_sampled_chains_are_not_memoised_and_draw_as_before(ref_family, temperature):
+def test_sampled_chains_are_not_memoised_and_draw_as_before(ref_family):
     from trispec import core
 
     drafter = _unmemoised(ref_family.drafter)
     for seed, start in [(1, 0), (2, 40), (1, 0)]:  # a repeat too
         ctx = tuple(ref_family.held_tokens[start : start + 8])
         stream = RandomStream(seed, "draft")
-        chain = draft_chain(drafter, ctx, 6, temperature, stream)
+        chain = draft_chain(drafter, ctx, 6, 1.0, stream)
         ref_stream, tokens, rows = RandomStream(seed, "draft"), [], []
         probe = _unmemoised(drafter)
-        for _ in range(6):  # the per-row rule: shape the row, then sample it
-            rows.append(apply_temperature(probe.next_dist(ctx + tuple(tokens)), temperature))
+        for _ in range(6):  # the per-row rule: sample the row
+            rows.append(probe.next_dist(ctx + tuple(tokens)))
             tokens.append(core.sample(rows[-1], ref_stream))
         assert chain.tokens == tuple(tokens) and stream.draws == ref_stream.draws == 6
         assert chain.dists.tobytes() == np.array(rows).tobytes()
@@ -577,7 +563,7 @@ def test_chain_memo_is_keyed_by_window_tail_and_length():
     assert draft_chain(model.fork(), (1, 0), 3, 0.0, FixedUniforms([])) is first
     assert draft_chain(model, (0,), 2, 0.0, FixedUniforms([])) is not first
     draft_chain(model, (1,), 3, 0.0, FixedUniforms([]))
-    draft_tree(model, (0,), depth=3, branch_topk=1, budget=3, temperature=0.0)
+    draft_tree(model, (0,), depth=3, branch_topk=1, budget=3)
     assert len(model._drafts) == 4  # three chains and a tree share the memo
 
 
@@ -585,7 +571,7 @@ def test_chain_memo_is_keyed_by_window_tail_and_length():
 @given(
     model=_tied_tables(),
     k=st.integers(1, 6),
-    temperature=st.sampled_from([0.0, 1.0, 0.7]),
+    temperature=st.sampled_from([0.0, 1.0]),
     data=st.data(),
 )
 def test_every_drawn_token_has_mass_in_its_own_row(model, k, temperature, data):

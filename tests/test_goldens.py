@@ -48,77 +48,77 @@ CONFIGS = {
 GOLDENS = {
     "relax-chow-T1": {
         "trace.csv": "21517f64ff2b2105e0468a7c24f0cf713d867579bc11f9e9dc18463d9de99037",
-        "report.json": "f8918da1b2aa006bbad325104d4a9254e2b51e5faedf7d0228f28370ae6b1eee",
+        "report.json": "f8393426c376fff2932b09623efbdc3f7fd045169392d55edece0ea39b633a88",
         "continuations": "28a03203bf58f219d84c8b2cecee22b65933070f87fe6f5faa2c9842420c2275",
     },
     "relax-token_specific-T0": {
         "trace.csv": "fcd7ba62f9a6fe316ab602fb7a445af2fa641e4ac4e837db92adfb43284f4994",
-        "report.json": "94360433b2912a522d15c2edbd81ae49d896babde8ffc89476b2dcf7fb91ec28",
+        "report.json": "01461a6b84d804694017e7a10a0367f31f93d3625fa3e95ec9430768b3185223",
         "continuations": "bc5382bb6ed4b553c7de8d5c64bd5f7aa0c84170272dba68482803d989050eb8",
     },
     "relax-topk-T1": {
         "trace.csv": "cbe1186a5afd51b2c66ec353c2a4fd07a0a638aed0b5f91fb87f701cbfee86f0",
-        "report.json": "ef9f823e5aaf8b4d58ad2816a9118f3c2d6f8d273fbf2ab08ebfc6e1b818ddd5",
+        "report.json": "62facfa2ea992f426e052d77d3bea06c935a36d1ae26252e37d1cfbba39f19e1",
         "continuations": "63da31cb92e7df822e9fe281b51b9ba76c96a8d7a9e0271d63589f815724e43a",
     },
     "sd-proxy-chain-T1": {
         "trace.csv": "6d46cb25ec6a169e61764d4cc37b9a44cb5b95e9181de4ccceca9807b7f14a5e",
-        "report.json": "ca142af5ccb2e034bd0e999a5698f3bc4aedd7b40a89139dc23d618a8d65931e",
+        "report.json": "cc9f6d4c7070bbc206adc652a76891876a91a9a3cb6441520f507d5e6848f42b",
         "continuations": "5a437cdb02a6c880c638cc3579a74ebf5c2b91bf61f9abb0469535996fddce1f",
     },
     "sd-target-byte-T1": {
         "trace.csv": "6e3aa30cea410ca4722b182203e272fe3398f4540f27ea6a4068e9a335b42325",
-        "report.json": "c6214b02c3d89c6366a43e5dc7b4931de15aed449a5a74037200b12661c3b76b",
+        "report.json": "f067f21f803060ab2f27e433f3a39134800b18958ca23a5ab36540f3a4e0350e",
         "continuations": "e20351910c0d6d1a4c7b85919e176d85c0b7820ae1f02e839a841195cf0e01fc",
     },
     "sd-target-chain-T1": {
         "trace.csv": "967d8f3fca986eeef8dc17e1972f156449cfcd3d33c0f8f944e7c724d9316db2",
-        "report.json": "643c62295ab6241d9d0b6c04c642c96b853e71e8bfe43ba2689b17f54bd6852f",
+        "report.json": "16ccfb20f4af1b0beec041dc3a63d316017ad6f8a5c8d869df082acd5a649fd3",
         "continuations": "51067d04d60a39a4dcc4a97e7d1608d695f1ff77435923a27a81deffcc789683",
     },
     "sd-target-tree": {
         "trace.csv": "52de0adea6fb6ba62e39820bb6d860cceaf97b24867a8115482b0324ef732dfb",
-        "report.json": "3539e23f3055d8a9866c1ae98e8062092ef32740a44199b8fb16e76e6fa35c51",
+        "report.json": "3054d4568eb7f2c02d40a06689596f18951e85b3badab64a618f652bb9411fd3",
         "continuations": "9a8a0ceb69693c438cc367406fae450ca7f9c25c6fc1709a75463e0f10b126ad",
     },
     "target_only-T0": {
         "trace.csv": "4f2f06857bd31ff8afdd703d3b0a5da5ceebe49d38178a75774b0a8370a0e3b5",
-        "report.json": "2be6e894b2b59c38c078fff74e5ec69a66c40c4db90ee2b4e82ae5731b8acae1",
+        "report.json": "c28784b417e33c850c89c4d920c049f39fd6dfe01e25cfa272002571aeb03173",
         "continuations": "3b18ea6b2733b7f6563f61d38a1210c4774154c02baa1120ddeed451308842ab",
     },
     "target_only-T1": {
         "trace.csv": "cbbdb7404c3133f56462cd4182399bf96e016a8c09eab457c7741fe65098e8ec",
-        "report.json": "f049e06d7149b6ad447c8e8132659144b084735695c66492e5771eaad0806007",
+        "report.json": "16c9efcdf63f2b70b735b35f8f59e8494bdc67924ee34ecb5e99b9a52d5b2c88",
         "continuations": "13fb3675a7221147b3a5f43eb138e6b7fc3f0614d3b03a7dc2058c4bdc163acb",
     },
     "trispec-chain-T0": {
         "trace.csv": "34ae270d32c6848535c4748f27727dcca13f55a8a7d58af6becf1dbafe11aebd",
-        "report.json": "703abab4b61384ee05c560813c70f3037a77ac8fb0d64fcd34775fa0c50ddd61",
+        "report.json": "76efeb0817672dcd634a18e09ef53209265d8cc8ea0bcabba912afef5dbf12d9",
         "continuations": "985541bee3318388da0f88730f3f70a99e0402c75cc8c31d97504f7041eedb59",
     },
     "trispec-chain-T1": {
         "trace.csv": "c8b5d848ad4037b8d3e57de9a1035903d083bd3f5e7afbb6ff8bca8728c948c1",
-        "report.json": "c1c8a1e296901f257ec19a038d9efcb6dcf31f113d78b1333021adc3fd75ca67",
+        "report.json": "f5b6727592174252d70cfbee86a219d616f711d722ebb55c9dc8bb921b655c03",
         "continuations": "91f6570795babb1dacca699250e44968416e713b33a02f6d0dd818d2e52bc6f4",
     },
     "trispec-chain-T1-raw_bonus": {
         "trace.csv": "f3080914a2a852310cd33dba6c12f6ddec3dd712e01ad36498b05f825e185d3c",
-        "report.json": "ea9a8615e32f6361bd040e862a6238eb80951cc6b011c99447ac604b045e3b26",
+        "report.json": "721fe7757df80254ef2c1954c557295e2860d048f0b36ca892af65a354e12353",
         "continuations": "78662bf9eb82cb64ffbd02af1c4c61fdfa251f317f2e2c2fd8adb09b6761ab91",
     },
     "trispec-perturbed-T1": {
         "trace.csv": "87ac04a035fa14babe7488fb66606620b74ffb35d35f785a921a5bf4ededaf70",
-        "report.json": "cd3374d2167bc0e448668561bd3a5629825078b0851c11a27036beb236c2b35a",
+        "report.json": "23bb417b765e7ccb282730e6a1e5ba6d96164c1932ef6b8295b88760aeefce61",
         "continuations": "8eb1503f8add55001ed3f5613ef15a3dbaa35801a53f6f601637988e9dbfc5d9",
     },
     "trispec-top1_prob": {
         "trace.csv": "7ef2dba6843e7b26163c57eec29fb37cf4843f3b77ad96fe2ba483677ca6333e",
-        "report.json": "4ff31edb372f5613988d4a5318eaddeafa9e79027eac922c7888afe22651bd92",
+        "report.json": "657daff17cf88eb7ac880852b8c08d709a753bbb3f4e8a76b41a1dd07fafe304",
         "continuations": "985541bee3318388da0f88730f3f70a99e0402c75cc8c31d97504f7041eedb59",
     },
     "trispec-tree": {
         "trace.csv": "46aba178b935a240863cf74de3b681e1dc07862aedbd983cc64d2ff93ff6d346",
-        "report.json": "a681804348c317c2570ffddaba0ef21b19558f9834c0f743cfa8487a964238d1",
+        "report.json": "2f26d953422af7c66c485d306e9dcab71cf00fade94cbddd20443b943ac5bcb1",
         "continuations": "42079422b9eb26d147bccbc20da436db396a25bb1f462907e5d6f1a379529c7f",
     },
 }

@@ -470,9 +470,9 @@ _GREEDY_CASES = [
 def test_warm_greedy_decoding_takes_no_margin_from_rows(family_name, request, monkeypatch):
     """A state takes its row's margin once, when it is added; after that a
     greedy round reads argmaxes and margins from the states its passes
-    walked, so on a warm family no decode path calls ``top2_margin``. At
-    T=1 shaping is the identity, so a ternary round reads its margins from
-    the states too; only other temperatures take them from rows."""
+    walked, so on a warm family no decode path calls ``top2_margin``. A
+    T=1 ternary round reads its margins from the states too, and any other
+    temperature is refused before a pass is made or a margin taken."""
     import sys
 
     from trispec import core
@@ -496,9 +496,12 @@ def test_warm_greedy_decoding_takes_no_margin_from_rows(family_name, request, mo
     assert calls == []
     fam = family.fork()
     ctx = tuple(family.held_tokens[:9])
-    trispec_round(fam.drafter, fam.proxy, fam.target, ctx, 4, MarginRule(0.5), 0.7,
-                  DecodeStreams.from_seed(3))
-    assert calls  # a T=0.7 round reads its shaped rows' margins, through the patch
+    with pytest.raises(ValueError, match="temperature"):
+        trispec_round(fam.drafter, fam.proxy, fam.target, ctx, 4, MarginRule(0.5), 0.7,
+                      DecodeStreams.from_seed(3))
+    assert calls == [] and fam.proxy.invocation_count == 0
+    MarginRule(0.5).trusted(fam.proxy.next_dist(ctx))
+    assert calls  # the patch sees the router's margins
 
 
 def test_warm_greedy_decoding_builds_no_draft_chain(monkeypatch):
