@@ -161,8 +161,9 @@ def relaxed_sd_round(
     position, its argmax or a draw from its row; relaxed rules void the
     residual construction's guarantees, so this is the deferral semantics
     instead. The rules judge the raw rows when sampling and the argmax
-    one-hots of both sides in greedy mode; the standard test and the
-    correction read what ``verifier_scores`` reads of the target's pass.
+    one-hots of both sides in greedy mode, built only for the positions
+    judged; the standard test and the correction read what
+    ``verifier_scores`` reads of the target's pass.
     """
     apply_temperature(None, temperature)
     meter = PassMeter(drafter, target=target)
@@ -170,14 +171,19 @@ def relaxed_sd_round(
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     rows = target.batch_score(base, draft.tokens)
     scores = verifier_scores(target, temperature)
-    drafted, judged = draft.dists, rows
-    if temperature == 0.0:  # the greedy laws: the argmax one-hots
-        hot = np.eye(rows.shape[1])
-        drafted, judged = hot[list(draft.tokens)], hot[scores]
+    if temperature == 0.0:  # the greedy laws: the drafted token's and the argmax's one-hots
+        size = rows.shape[1]
+
+        def decide(i: int, token: int) -> bool | None:
+            hot = np.zeros((2, size))
+            hot[0, token] = hot[1, scores[i]] = 1.0
+            return policy.decide(hot[0], hot[1], token)
+    else:
+        def decide(i: int, token: int) -> bool | None:
+            return policy.decide(draft.dists[i], rows[i], token)
 
     coins, tau = acceptance_coins(
-        draft, scores, temperature, streams.target_coins,
-        decide=lambda i, token: policy.decide(drafted[i], judged[i], token),
+        draft, scores, temperature, streams.target_coins, decide=decide
     )
     token = scores[tau] if temperature == 0.0 else draw_from(scores, tau, streams.correction)
     return Round(

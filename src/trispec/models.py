@@ -113,13 +113,19 @@ class _States:
     ``row.cumsum()`` as an ``array('d')``, kept from the first draw from
     the state on: few states are ever drawn from, and a CDF for every state
     would cost memory. ``residuals`` keeps the CDFs of rejection residuals
-    against this verifier's rows (``verification.draw_correction``).
+    against this verifier's rows (``verification.draw_correction``), and
+    ``rounds`` the greedy ternary rounds played with this oracle as the
+    target (the round table of ``router.trispec_round`` and
+    ``trispec_tree_round``).
 
     ``of_rows`` makes one state per row of a block, with no automaton, so
-    that a block's rows are drawn from the same way; it keeps no residuals.
+    that a block's rows are drawn from the same way; it keeps no residuals
+    and no rounds.
     """
 
-    __slots__ = ("keys", "step", "root", "table", "best", "margin", "cdfs", "residuals")
+    __slots__ = (
+        "keys", "step", "root", "table", "best", "margin", "cdfs", "residuals", "rounds",
+    )
 
     def __init__(
         self, keys: list[tuple[int, ...]], step: list[list[int]], root: int, table: np.ndarray
@@ -132,6 +138,8 @@ class _States:
         # Residual stores (``verification._Residuals``) by the drafter's
         # states: a strong reference, so that no other states take their id.
         self.residuals: dict[_States, object] | None = {}
+        # Rounds by (window tail, shape, rule, drafter's and proxy's states).
+        self.rounds: dict[tuple, object] = {}
 
     @classmethod
     def of_rows(cls, rows: np.ndarray) -> "_States":

@@ -20,6 +20,14 @@ trust signal reads the proxy's raw rows at both.
 The threshold is a dial: ``lam <= 0`` trusts the proxy everywhere (the run
 degrades to proxy-verified decoding), ``lam > 1`` trusts it nowhere (the
 run is exactly standard target-verified decoding, coin for coin).
+
+A greedy round reads no randomness, and each oracle reads only its window,
+so it is a pure function of the context's last ``max(window)`` tokens, the
+round shape, the trust rule and the three oracles' states. The target's
+states keep a round table under that key (``_round_key``): a repeated
+greedy round drafts as before, replays the proxy's pass (and the target's,
+if it escalated) from the key's window tail, and returns the stored
+``Round``.
 """
 
 from __future__ import annotations
@@ -90,6 +98,20 @@ def trusted_prefix_len(proxy_rows: np.ndarray, rule, margins: Sequence[float] | 
     return len(trusted) if trusted.all() else int(trusted.argmin())
 
 
+def _round_key(
+    drafter: ModelOracle, proxy: ModelOracle, target: ModelOracle, ctx: tuple[int, ...],
+    shape, rule,
+) -> tuple:
+    """The key of a greedy round in the target's round table: the last
+    ``max(window)`` tokens of ``ctx`` (all of it when shorter), the round
+    shape (``k`` or ``TreeParams``), the trust rule, and the drafter's and
+    the proxy's states, by the objects themselves. The target's states are
+    where the table lives."""
+    w = max(drafter.window, proxy.window, target.window)
+    tail = ctx[len(ctx) - w :] if len(ctx) > w else ctx
+    return (tail, shape, rule, drafter._states, proxy._states)
+
+
 def pruned_target_verify(
     draft: DraftChain,
     tau_m: int,
@@ -149,12 +171,27 @@ def trispec_round(
     the proxy-local correction after a rejection a direct draw from the
     proxy's row at the rejected position instead of the residual; at
     temperature 0 both are the proxy's argmax, so it has no effect there.
+
+    A greedy round is kept in the target's round table. A repeat drafts
+    (a draft-memo hit), replays the proxy's pass over the draft on the
+    key's window tail, and the target's over the suffix if the round
+    escalated, and returns the stored round.
     """
     apply_temperature(None, temperature)
     meter = PassMeter(drafter, proxy, target)
 
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
+    key = None
+    if temperature == 0.0:
+        key = _round_key(drafter, proxy, target, base, k, rule)
+        rnd = target._states.rounds.get(key)
+        if rnd is not None:
+            tail, tokens = key[0], draft.tokens
+            proxy.batch_score(tail, tokens)
+            if rnd.tau_t is not None:
+                target.batch_score(tail + tokens[: rnd.tau_m], tokens[rnd.tau_m :])
+            return rnd
     proxy_rows = proxy.batch_score(base, draft.tokens)
     proxy_scores = verifier_scores(proxy, temperature)
     margins = proxy.margins()
@@ -190,6 +227,8 @@ def trispec_round(
         draft=draft,
     )
     rnd.validate()
+    if key is not None:
+        target._states.rounds[key] = rnd
     return rnd
 
 
@@ -220,16 +259,34 @@ def trispec_tree_round(
     from the states the proxy's pass walked. The tree itself is expanded
     from the drafter's raw rows: collapsing them to argmax one-hots would
     leave nothing to branch on.
+
+    Every tree round is kept in the target's round table, with the paths
+    of the target's pass when it escalated: the tree's own paths of the
+    committed node and what lies below it, which from the key's window
+    tail walk to the states the pruned tree's paths walk to. A repeat
+    drafts (a draft-memo hit), replays the proxy's pass over the whole
+    tree and the target's over those paths, and returns the stored round.
     """
     meter = PassMeter(drafter, proxy, target)
 
-    tree = draft_tree(drafter, tuple(ctx), params.depth, params.branch_topk, params.budget)
+    base = tuple(ctx)
+    tree = draft_tree(drafter, base, params.depth, params.branch_topk, params.budget)
+    key = _round_key(drafter, proxy, target, base, params, rule)
+    table = target._states.rounds
+    hit = table.get(key)
+    if hit is not None:
+        rnd, target_paths = hit
+        proxy.batch_score_paths(key[0], tree._paths)
+        if target_paths is not None:
+            target.batch_score_paths(key[0], target_paths)
+        return rnd
     proxy_result = verify_tree_greedy(tree, proxy)
     tau_a = proxy_result.accepted_len
     scored = proxy.margins()  # the root's, then node i's at i + 1
     margins = (scored[0],) + tuple(scored[i + 1] for i in proxy_result.path_ids)
     tau_m = trusted_prefix_len(proxy_result.path_rows, rule, margins)
 
+    target_paths = None
     if tau_a < tau_m:
         case, tau_t = RoundCase.PROXY_ONLY, None
         emitted, is_bonus = proxy_result.emitted, proxy_result.exhausted
@@ -240,6 +297,10 @@ def trispec_tree_round(
         case, tau_t = RoundCase.TARGET_ESCALATED, target_result.accepted_len
         emitted = committed + target_result.emitted
         is_bonus = target_result.exhausted
+        target_paths = tree._paths
+        if tau_m:  # node ids ascend from parent to child, so the committed node comes first
+            below = np.flatnonzero(tree.mask[:, proxy_result.path_ids[tau_m - 1]]).tolist()
+            target_paths = tuple(tree._paths[i + 1] for i in below)
     rnd = Round(
         case=case,
         emitted=emitted,
@@ -252,4 +313,5 @@ def trispec_tree_round(
         correction_is_bonus=is_bonus,
     )
     rnd.validate()
+    table[key] = (rnd, target_paths)
     return rnd

@@ -34,7 +34,7 @@ import enum
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,8 +130,7 @@ class RoundCase(enum.Enum):
     RELAX_TOPK = "Relax:topk"
 
 
-@dataclass(slots=True)
-class Round:
+class Round(NamedTuple):
     """Everything one decode round did, whatever the method.
 
     ``tau_a`` is the first verifier's acceptance length (the proxy's in a
@@ -142,9 +141,11 @@ class Round:
     its count is positive. ``coins`` are the first verifier's accept/reject
     indicators.
 
-    A round's records are built once per round and never shared, so they
-    are slotted but not frozen: a frozen ``__init__`` pays an
-    ``object.__setattr__`` per field.
+    A greedy ternary round is kept in the target's round table and handed
+    out again on every repeat, so a round is immutable. It is a named tuple
+    rather than a frozen dataclass because every sampled round is built
+    afresh, and a frozen ``__init__``, which sets each field through
+    ``object.__setattr__``, takes about three times as long.
     """
 
     case: RoundCase

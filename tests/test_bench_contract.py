@@ -9,6 +9,7 @@ import inspect
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,38 @@ def test_a_run_ends_with_one_result_line_naming_every_metric(name, trace, tmp_pa
     assert result["correct"] and result["failed"] == 0
     key = "per_layer" if trace == "1" else "end_to_end"
     assert sorted(result["metrics"]) == sorted(m["name"] for m in SPEC[key])
+
+
+@pytest.mark.parametrize("use_tree", [False, True])
+def test_a_warm_run_traces_the_passes_drafts_and_rounds_of_a_cold_one(use_tree):
+    """The second run on one family hands out rounds from the round table,
+    yet the tracer must see what it saw of the first: every pass and
+    position by role, every drafted token and every round."""
+    cfg = replace(harness.ExperimentConfig(), num_prompts=3, max_new_tokens=16, use_tree=use_tree)
+    family = harness.build_family(cfg)
+    tracer = tracing.Tracer()
+    tracer.install()
+    seen = []
+    try:
+        for _ in ("cold", "warm"):
+            tracer.spans, tracer.enabled = tracing.Spans(), True
+            result = harness.run_experiment(cfg, family)
+            tracer.enabled = False
+            spans = tracer.spans
+            seen.append({
+                **{role: (spans.calls[f"models.{role}"], spans.counts[f"models.{role}.positions"])
+                   for role in tracing.ROLES},
+                "drafted": spans.counts["drafting.drafted"],
+                "rounds": spans.counts["router.rounds"],
+            })
+            report = result.report
+            assert seen[-1]["rounds"] == report.rounds
+            assert [seen[-1][role][0] for role in tracing.ROLES] == [
+                report.drafter_passes, report.proxy_passes, report.target_passes]
+    finally:
+        tracer.uninstall()
+    assert not tracer.missing
+    assert seen[0] == seen[1]
+    assert seen[0]["drafted"] > 0
+    # the warm run's rounds were all repeats: none verified afresh
+    assert spans.calls["router.trusted_prefix_len"] == 0

@@ -595,8 +595,9 @@ def test_shared_drafts_stay_frozen_and_round_records_are_slotted():
     from trispec.metrics import RoundCost
     from trispec.verification import AcceptanceTrace, Round, RoundCase, TreeVerifyResult
 
+    rnd = Round(case=RoundCase.SD, emitted=(0,), passes=(1, 1, 0))
     records = [
-        Round(case=RoundCase.SD, emitted=(0,), passes=(1, 1, 0)),
+        rnd,
         AcceptanceTrace(coins=(), tau=0, correction_token=0, correction_is_bonus=True,
                         emitted=(0,)),
         TreeVerifyResult((), (), np.ones((1, 2)) / 2, 0, True),
@@ -614,6 +615,8 @@ def test_shared_drafts_stay_frozen_and_round_records_are_slotted():
                          (tree.nodes[0], "token")]:
         with pytest.raises(FrozenInstanceError):
             setattr(shared, name, getattr(shared, name))
+    with pytest.raises(AttributeError):  # a round table hands one round out again
+        rnd.emitted = rnd.emitted
 
 
 # ---------------------------------------------------------------------------

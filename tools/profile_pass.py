@@ -4,12 +4,14 @@
 
 Run it from the repository root. It sets the workload up as the benchmark
 does, which builds the oracles' states, runs one untimed pass to fill the
-drafter's memo of greedy chains and trees, then profiles one more pass of
+drafter's memo of greedy chains and trees and the target's round table of
+greedy ternary rounds, then profiles one more pass of
 every request (``run_experiment`` plus writing ``report.json`` and
 ``trace.csv``) and prints the top functions. With ``--cold`` each request
 is profiled instead on its own family, set up afresh just before it and
 outside the profile, so everything the states keep from one decode for the
-next (the drafter's memo, the CDFs of draws and of rejection residuals)
+next (the drafter's memo, the round table, the CDFs of draws and of
+rejection residuals)
 starts empty: a gain that only a warm pass sees shows up as the difference
 between the two profiles. C builtins such as
 ``dict.get`` are not profiled on their own: their time is charged to the
