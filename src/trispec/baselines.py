@@ -26,9 +26,7 @@ import numpy as np
 from .core import apply_temperature
 from .drafting import draft_chain
 from .models import ModelOracle, PassMeter
-from .verification import (
-    DecodeStreams, Round, RoundCase, acceptance_coins, draw_from, verifier_scores,
-)
+from .verification import DecodeStreams, Round, RoundCase, acceptance_coins
 
 __all__ = [
     "RelaxPolicy",
@@ -162,30 +160,27 @@ def relaxed_sd_round(
     residual construction's guarantees, so this is the deferral semantics
     instead. The rules judge the raw rows when sampling and the argmax
     one-hots of both sides in greedy mode, built only for the positions
-    judged; the standard test and the correction read what
-    ``verifier_scores`` reads of the target's pass.
+    judged; the standard test and the correction read the target's walk.
     """
     apply_temperature(None, temperature)
     meter = PassMeter(drafter, target=target)
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     rows = target.batch_score(base, draft.tokens)
-    scores = verifier_scores(target, temperature)
+    walk = target.walk()
     if temperature == 0.0:  # the greedy laws: the drafted token's and the argmax's one-hots
-        size = rows.shape[1]
+        size, best = rows.shape[1], walk.argmaxes
 
         def decide(i: int, token: int) -> bool | None:
             hot = np.zeros((2, size))
-            hot[0, token] = hot[1, scores[i]] = 1.0
+            hot[0, token] = hot[1, best[i]] = 1.0
             return policy.decide(hot[0], hot[1], token)
     else:
         def decide(i: int, token: int) -> bool | None:
             return policy.decide(draft.dists[i], rows[i], token)
 
-    coins, tau = acceptance_coins(
-        draft, scores, temperature, streams.target_coins, decide=decide
-    )
-    token = scores[tau] if temperature == 0.0 else draw_from(scores, tau, streams.correction)
+    coins, tau = acceptance_coins(draft, walk, temperature, streams.target_coins, decide=decide)
+    token = best[tau] if temperature == 0.0 else walk.draw(tau, streams.correction)
     return Round(
         case=RoundCase(f"Relax:{policy.kind}"),
         emitted=draft.tokens[:tau] + (token,),

@@ -62,8 +62,7 @@ class DraftChain:
         most rounds read the walk alone."""
         if name != "dists":
             raise AttributeError(name)
-        states, ids = self.walk
-        dists = self.__dict__["dists"] = states.table.take(ids, axis=0)
+        dists = self.__dict__["dists"] = self.walk.rows
         dists.setflags(write=False)
         return dists
 

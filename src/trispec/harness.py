@@ -38,7 +38,9 @@ from .models import (
     train_ngram,
 )
 from .router import MarginRule, TreeParams, trispec_round, trispec_tree_round
-from .verification import DecodeStreams, Round, sd_round, sd_tree_round, target_only_round
+from .verification import (
+    DecodeStreams, Round, RoundCase, check_routing, sd_round, sd_tree_round, target_only_round,
+)
 
 __all__ = [
     "ConfigError",
@@ -484,31 +486,25 @@ class TraceRecord:
     def from_csv_row(cls, row: Sequence[str]) -> "TraceRecord":
         if len(row) != len(TRACE_COLUMNS):
             raise ValueError(f"trace row has {len(row)} cells, expected {len(TRACE_COLUMNS)}")
-        return cls(*(_PARSERS[f.type](cell) for f, cell in zip(fields(cls), row)))
+        rec = cls(*(_PARSERS[f.type](cell) for f, cell in zip(fields(cls), row)))
+        if rec.round_index < 0:
+            raise ValueError(f"trace row has round_index {rec.round_index}, below 0")
+        if not 0.0 <= rec.round_cost < math.inf:
+            raise ValueError(f"round {rec.round_index}: round_cost must be finite and >= 0")
+        return rec
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 def validate_trace_records(records: Sequence[TraceRecord]) -> None:
-    """Re-check the routing arithmetic a trace must satisfy."""
+    """Re-check the routing rule every round obeys (``check_routing``)."""
     for rec in records:
-        if rec.case == "ProxyOnly":
-            if rec.target_called or rec.tau_a is None or rec.tau_m is None:
-                raise ValueError(f"round {rec.round_index}: malformed proxy-only row")
-            if not rec.tau_a < rec.tau_m:
-                raise ValueError(f"round {rec.round_index}: proxy-only needs tau_a < tau_m")
-            if rec.emitted_count != rec.tau_a + 1:
-                raise ValueError(f"round {rec.round_index}: emitted != tau_a + 1")
-        elif rec.case == "TargetEscalated":
-            if not rec.target_called or None in (rec.tau_a, rec.tau_m, rec.tau_t):
-                raise ValueError(f"round {rec.round_index}: malformed escalated row")
-            if not rec.tau_a >= rec.tau_m:
-                raise ValueError(f"round {rec.round_index}: escalation needs tau_a >= tau_m")
-            if rec.emitted_count != rec.tau_m + rec.tau_t + 1:
-                raise ValueError(f"round {rec.round_index}: emitted != tau_m + tau_t + 1")
-        if rec.emitted_count < 1:
-            raise ValueError(f"round {rec.round_index}: emitted_count must be >= 1")
+        try:
+            check_routing(RoundCase(rec.case), rec.tau_a, rec.tau_m, rec.tau_t,
+                          rec.emitted_count, rec.proxy_called, rec.target_called)
+        except ValueError as exc:
+            raise ValueError(f"round {rec.round_index}: {exc}") from exc
 
 
 def _write_csv(

@@ -119,8 +119,8 @@ class _States:
     ``trispec_tree_round``).
 
     ``of_rows`` makes one state per row of a block, with no automaton, so
-    that a block's rows are drawn from the same way; it keeps no residuals
-    and no rounds.
+    that a block's rows are read and drawn from the same way; it keeps no
+    residuals and no rounds.
     """
 
     __slots__ = (
@@ -145,6 +145,7 @@ class _States:
     def of_rows(cls, rows: np.ndarray) -> "_States":
         states = cls.__new__(cls)
         states.table, states.cdfs, states.residuals = rows, [None] * len(rows), None
+        states.best, states.margin = rows.argmax(axis=1).tolist(), top2_margin(rows).tolist()
         return states
 
     def cdf(self, s: int) -> array:
@@ -168,7 +169,9 @@ class Walk(NamedTuple):
     """Rows addressed by state: row ``i`` is ``states.table[ids[i]]``.
 
     A pass's walk is the oracle's states and the ids it walked; a block's
-    is one state per row (``Walk.of_rows``).
+    is one state per row (``Walk.of_rows``). Every rule reads a pass this
+    way: its rows' argmaxes and top-2 margins as the states keep them, and
+    a draw from row ``i`` through the CDF its state keeps.
     """
 
     states: _States
@@ -177,6 +180,22 @@ class Walk(NamedTuple):
     @classmethod
     def of_rows(cls, rows: np.ndarray) -> "Walk":
         return cls(_States.of_rows(rows), range(len(rows)))
+
+    @property
+    def argmaxes(self) -> list[int]:
+        return list(map(self.states.best.__getitem__, self.ids))
+
+    @property
+    def margins(self) -> tuple[float, ...]:
+        return tuple(map(self.states.margin.__getitem__, self.ids))
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.states.table.take(self.ids, axis=0)
+
+    def draw(self, i: int, stream: RandomStream) -> int:
+        """``sample`` from row ``i``."""
+        return self.states.draw(self.ids[i], stream)
 
 
 def _automaton(
@@ -269,14 +288,6 @@ class ModelOracle:
         block.setflags(write=False)
         self.walked = states
         return block
-
-    def argmaxes(self) -> list[int]:
-        """The argmax of each row the last pass returned, as its state keeps it."""
-        return list(map(self._states.best.__getitem__, self.walked))
-
-    def margins(self) -> tuple[float, ...]:
-        """The top-2 margin of each row the last pass returned, likewise."""
-        return tuple(map(self._states.margin.__getitem__, self.walked))
 
     def walk(self) -> Walk:
         """The rows the last pass returned, as the states it walked."""

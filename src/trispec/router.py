@@ -14,8 +14,11 @@ is emitted with a proxy-drawn correction and the target is never called.
 Otherwise the first ``tau_m`` tokens are committed outright, the draft is
 pruned to the remainder, and the target verifies only the suffix.
 
-Rounds run greedy (temperature 0) or sampled (temperature 1), and the
-trust signal reads the proxy's raw rows at both.
+Rounds run greedy (temperature 0) or sampled (temperature 1). At both,
+acceptance, corrections and the trust signal read the proxy's pass as the
+states it walked (its ``Walk``): the margin gate reads the margins those
+states keep, any other signal their raw rows. The target's suffix is
+verified on its own walk, by the rule two-model rounds use.
 
 The threshold is a dial: ``lam <= 0`` trusts the proxy everywhere (the run
 degrades to proxy-verified decoding), ``lam > 1`` trusts it nowhere (the
@@ -39,7 +42,7 @@ import numpy as np
 
 from .core import apply_temperature, top2_margin
 from .drafting import DraftChain, draft_chain, draft_tree, prune_tree_prefix
-from .models import ModelOracle, PassMeter
+from .models import ModelOracle, PassMeter, Walk
 from .verification import (
     AcceptanceTrace,
     DecodeStreams,
@@ -47,8 +50,7 @@ from .verification import (
     RoundCase,
     acceptance_coins,
     draw_correction,
-    draw_from,
-    verifier_scores,
+    verify_chain,
     verify_tree_greedy,
 )
 
@@ -83,18 +85,23 @@ class MarginRule:
         return top2_margin(probs) >= self.lam
 
 
-def trusted_prefix_len(proxy_rows: np.ndarray, rule, margins: Sequence[float] | None = None) -> int:
-    """Length of the longest trusted prefix of a ``(k+1, V)`` proxy block.
+def trusted_prefix_len(proxy: Walk, rule) -> int:
+    """Length of the longest trusted prefix of the proxy's walk over a
+    draft (or a path).
 
-    Returns the index of the first untrusted row (0-based over positions
-    1..k+1), or k+1 when every row is trusted. Any rule object whose
-    ``trusted(block)`` gives one bool per row works here; margin is the
-    default, the alternative routing signals plug in the same way. Given
-    the rows' ``margins`` already, a ``MarginRule`` reads those instead.
+    Returns the index of the first untrusted state (0-based over positions
+    1..k+1), or k+1 when every state is trusted. A ``MarginRule`` reads the
+    margins the walked states keep. Any other rule object whose
+    ``trusted(block)`` gives one bool per row of the walked rows works
+    here: the alternative routing signals plug in that way.
     """
-    if margins is not None and isinstance(rule, MarginRule):
-        return next((i for i, m in enumerate(margins) if not m >= rule.lam), len(margins))
-    trusted = np.asarray(rule.trusted(proxy_rows))
+    if isinstance(rule, MarginRule):
+        margin, lam = proxy.states.margin, rule.lam
+        for i, s in enumerate(proxy.ids):
+            if not margin[s] >= lam:
+                return i
+        return len(proxy.ids)
+    trusted = np.asarray(rule.trusted(proxy.rows))
     return len(trusted) if trusted.all() else int(trusted.argmin())
 
 
@@ -126,28 +133,16 @@ def pruned_target_verify(
     The target conditions on the committed prefix and scores only positions
     ``tau_m+1..k`` (one batched pass). With ``tau_m == k`` there is nothing
     left to verify and the pass purely produces the bonus distribution at
-    position k+1. The suffix is verified in place, from draft position
-    ``tau_m`` on, and no sub-chain is built: in greedy mode against the
-    argmaxes of the states the pass walked, when sampling against the
-    states themselves (``verifier_scores``).
+    position k+1. The suffix is verified in place on the target's walk,
+    from draft position ``tau_m`` on, and no sub-chain is built.
     """
     apply_temperature(None, temperature)
     if not 0 <= tau_m <= draft.k:
         raise ValueError("tau_m must lie in [0, k]")
-    base = tuple(ctx) + draft.tokens[:tau_m]
-    rest = draft.tokens[tau_m:]
-    target.batch_score(base, rest)
-    if temperature == 0.0:
-        best = target.argmaxes()
-        tau = next((i for i, token in enumerate(rest) if best[i] != token), len(rest))
-        coins = (1,) * tau + (0,) * (tau < len(rest))
-        return AcceptanceTrace(coins, tau, best[tau], tau == len(rest), rest[:tau] + (best[tau],))
-    scores = verifier_scores(target, temperature)
-    coins, tau = acceptance_coins(draft, scores, temperature, coin_stream, start=tau_m)
-    token, is_bonus = draw_correction(
-        draft, scores, tau, temperature, correction_stream, start=tau_m
+    target.batch_score(tuple(ctx) + draft.tokens[:tau_m], draft.tokens[tau_m:])
+    return verify_chain(
+        draft, target.walk(), temperature, coin_stream, correction_stream, start=tau_m
     )
-    return AcceptanceTrace(coins, tau, token, is_bonus, rest[:tau] + (token,))
 
 
 def trispec_round(
@@ -163,14 +158,12 @@ def trispec_round(
 ) -> Round:
     """One ternary round over a k-token draft chain.
 
-    The proxy scores the draft as one ``(k+1, V)`` block. Acceptance and
-    corrections read what ``verifier_scores`` reads of that pass: the
-    argmaxes of the states it walked at temperature 0, the states
-    themselves at temperature 1. The trust signal reads the raw rows at
-    both, and the margins come from the same states. ``raw_bonus`` makes
-    the proxy-local correction after a rejection a direct draw from the
-    proxy's row at the rejected position instead of the residual; at
-    temperature 0 both are the proxy's argmax, so it has no effect there.
+    The proxy scores the draft in one pass. Acceptance, corrections and the
+    trust signal all read that pass's walk, and the round's margins are
+    the ones its states keep. ``raw_bonus`` makes the proxy-local
+    correction after a rejection a direct draw from the proxy's row at the
+    rejected position instead of the residual; at temperature 0 both are
+    the proxy's argmax, so it has no effect there.
 
     A greedy round is kept in the target's round table. A repeat drafts
     (a draft-memo hit), replays the proxy's pass over the draft on the
@@ -192,19 +185,16 @@ def trispec_round(
             if rnd.tau_t is not None:
                 target.batch_score(tail + tokens[: rnd.tau_m], tokens[rnd.tau_m :])
             return rnd
-    proxy_rows = proxy.batch_score(base, draft.tokens)
-    proxy_scores = verifier_scores(proxy, temperature)
-    margins = proxy.margins()
-    coins, tau_a = acceptance_coins(draft, proxy_scores, temperature, streams.proxy_coins)
-    tau_m = trusted_prefix_len(proxy_rows, rule, margins)
+    proxy.batch_score(base, draft.tokens)
+    walk = proxy.walk()
+    coins, tau_a = acceptance_coins(draft, walk, temperature, streams.proxy_coins)
+    tau_m = trusted_prefix_len(walk, rule)
 
     if tau_a < tau_m:
         if raw_bonus and tau_a < k and temperature != 0.0:
-            token, is_bonus = draw_from(proxy_scores, tau_a, streams.correction), False
+            token, is_bonus = walk.draw(tau_a, streams.correction), False
         else:
-            token, is_bonus = draw_correction(
-                draft, proxy_scores, tau_a, temperature, streams.correction
-            )
+            token, is_bonus = draw_correction(draft, walk, tau_a, temperature, streams.correction)
         case, tau_t = RoundCase.PROXY_ONLY, None
         emitted = draft.tokens[:tau_a] + (token,)
     else:
@@ -222,7 +212,7 @@ def trispec_round(
         tau_m=tau_m,
         tau_t=tau_t,
         coins=coins,
-        margins=margins,
+        margins=walk.margins,
         correction_is_bonus=is_bonus,
         draft=draft,
     )
@@ -253,12 +243,11 @@ def trispec_tree_round(
 
     The proxy greedily verifies the tree; ``tau_a`` is its accepted path
     length and the margin gate runs along that path (positions 1..tau_a+1,
-    raw distributions -- tree rounds are greedy by construction). Case II
-    commits the trusted prefix, prunes the tree below it, and hands every
-    surviving branch to the target for greedy verification. Margins come
-    from the states the proxy's pass walked. The tree itself is expanded
-    from the drafter's raw rows: collapsing them to argmax one-hots would
-    leave nothing to branch on.
+    the proxy's walk along it -- tree rounds are greedy by construction).
+    Case II commits the trusted prefix, prunes the tree below it, and hands
+    every surviving branch to the target for greedy verification. The tree
+    itself is expanded from the drafter's raw rows: collapsing them to
+    argmax one-hots would leave nothing to branch on.
 
     Every tree round is kept in the target's round table, with the paths
     of the target's pass when it escalated: the tree's own paths of the
@@ -282,9 +271,7 @@ def trispec_tree_round(
         return rnd
     proxy_result = verify_tree_greedy(tree, proxy)
     tau_a = proxy_result.accepted_len
-    scored = proxy.margins()  # the root's, then node i's at i + 1
-    margins = (scored[0],) + tuple(scored[i + 1] for i in proxy_result.path_ids)
-    tau_m = trusted_prefix_len(proxy_result.path_rows, rule, margins)
+    tau_m = trusted_prefix_len(proxy_result.path_walk, rule)
 
     target_paths = None
     if tau_a < tau_m:
@@ -309,7 +296,7 @@ def trispec_tree_round(
         tau_m=tau_m,
         tau_t=tau_t,
         coins=(1,) * tau_a,
-        margins=margins,
+        margins=proxy_result.path_walk.margins,
         correction_is_bonus=is_bonus,
     )
     rnd.validate()

@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import apply_temperature, normalize, sample
-from .drafting import DraftChain, draft_tree
+from .core import Distribution, Vocabulary, apply_temperature, normalize
+from .drafting import draft_chain, draft_tree
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -34,6 +34,7 @@ from .harness import (
     validate_trace_records,
 )
 from .metrics import lemma_check
+from .models import TableModel
 from .router import MarginRule, trispec_round
 from .verification import DecodeStreams, sd_round, verify_chain
 
@@ -74,20 +75,21 @@ def first_token_law(p_d: np.ndarray, p_v: np.ndarray) -> float:
 def mc_first_token_distance(p_d: np.ndarray, p_v: np.ndarray, rounds: int, seed: int) -> float:
     """Empirical L1 distance of the first emitted token from the verifier.
 
-    Drives the real single-position verify path end to end: draft a token
-    from ``p_d``, run the acceptance coin against ``p_v``, and take the
+    Drives the production single-position verify path end to end on a
+    drafter and a verifier whose only row is ``p_d`` and ``p_v``: each
+    round drafts a token (``draft_chain``), scores it in one verifier pass,
+    and verifies it on the verifier's walk: the acceptance coin, then the
     residual (or bonus) correction on rejection (or full acceptance).
     """
     streams = DecodeStreams.from_seed(seed, scope="mc")
-    drafted, verifier_rows = np.stack([p_d]), np.stack([p_v, p_v])
-    drafted.setflags(write=False)  # a chain copies a writeable block
+    vocab = Vocabulary(len(p_d))
+    drafter = TableModel(vocab, {}, default=Distribution(p_d))
+    verifier = TableModel(vocab, {}, default=Distribution(p_v))
     counts = np.zeros(len(p_d), dtype=np.int64)
     for _ in range(rounds):
-        token = sample(p_d, streams.draft)
-        chain = DraftChain(tokens=(token,), dists=drafted)
-        trace = verify_chain(
-            chain, verifier_rows, 1.0, streams.target_coins, streams.correction
-        )
+        draft = draft_chain(drafter, (), 1, 1.0, streams.draft)
+        verifier.batch_score((), draft.tokens)
+        trace = verify_chain(draft, verifier.walk(), 1.0, streams.target_coins, streams.correction)
         counts[trace.emitted[0]] += 1
     empirical = counts / counts.sum()
     return float(np.abs(empirical - p_v).sum())

@@ -8,18 +8,19 @@ from the verifier's distribution at position k+1. That combination makes
 the output distribution of a round exactly the verifier's own -- the
 property the acceptance tests enumerate.
 
-A verifier's scores arrive as one ``(k+1, V)`` block per pass, but the
-rule reads the states the pass walked (``verifier_scores``). Greedy mode
-(temperature 0) reads their argmaxes (``ModelOracle.argmaxes``), builds no
-one-hots, and consumes no randomness at all: drafts, coins and corrections
-alike. Sampling (temperature 1) reads ``p_v(x)`` and ``p_d(x)`` as floats
-from the tables of the verifier's and the drafter's walked states, draws a
-bonus from the CDF the verifier's state keeps, and a residual correction
-from the CDF the verifier's states keep for the pair of states, computed by
-``residual_dist`` at the pair's first rejection. Every draw bisects a kept
-CDF into the index ``sample`` would find for the same uniform. There is no
-other temperature: each function that takes one refuses any other
-(``core.apply_temperature``).
+A verifier's scores arrive as one ``(k+1, V)`` block per pass, but every
+rule takes the states the pass walked, its ``Walk`` (``ModelOracle.walk()``),
+at both temperatures; a hand-built block is read through ``Walk.of_rows``,
+one state per row. Greedy mode (temperature 0) reads the argmaxes those
+states keep (``best``), builds no one-hots, and consumes no randomness at
+all: drafts, coins and corrections alike. Sampling (temperature 1) reads
+``p_v(x)`` and ``p_d(x)`` as floats from the tables of the verifier's and
+the drafter's walked states, draws a bonus from the CDF the verifier's
+state keeps, and a residual correction from the CDF the verifier's states
+keep for the pair of states, computed by ``residual_dist`` at the pair's
+first rejection. Every draw bisects a kept CDF into the index ``sample``
+would find for the same uniform. There is no other temperature: each
+function that takes one refuses any other (``core.apply_temperature``).
 
 Randomness is split across named streams (draft sampling, proxy coins,
 target coins, corrections) so that structurally different protocols remain
@@ -50,13 +51,12 @@ __all__ = [
     "RoundCase",
     "TreeVerifyResult",
     "acceptance_coins",
+    "check_routing",
     "draw_correction",
-    "draw_from",
     "residual_dist",
     "sd_round",
     "sd_tree_round",
     "target_only_round",
-    "verifier_scores",
     "verify_chain",
     "verify_tree_greedy",
 ]
@@ -168,36 +168,57 @@ class Round(NamedTuple):
         return self.passes[2] > 0
 
     def validate(self) -> None:
-        """Router postconditions of a ternary round; raises ValueError."""
-        ternary = self.case in (RoundCase.PROXY_ONLY, RoundCase.TARGET_ESCALATED)
-        if ternary and not self.proxy_called:
-            raise ValueError("every round pre-verifies through the proxy")
-        if self.case is RoundCase.PROXY_ONLY:
-            if not (self.tau_a < self.tau_m):
-                raise ValueError("proxy-only round requires tau_a < tau_m")
-            if self.target_called:
-                raise ValueError("proxy-only round must not touch the target")
-            if len(self.emitted) != self.tau_a + 1:
-                raise ValueError("proxy-only round emits tau_a + 1 tokens")
-        elif self.case is RoundCase.TARGET_ESCALATED:
-            if not (self.tau_a >= self.tau_m):
-                raise ValueError("escalated round requires tau_a >= tau_m")
-            if not self.target_called or self.tau_t is None:
-                raise ValueError("escalated round must involve the target")
-            if len(self.emitted) != self.tau_m + self.tau_t + 1:
-                raise ValueError("escalated round emits tau_m + tau_t + 1 tokens")
+        """Router postconditions of a ternary round (``check_routing``)."""
+        check_routing(self.case, self.tau_a, self.tau_m, self.tau_t, len(self.emitted),
+                      self.proxy_called, self.target_called)
 
 
-def verifier_scores(verifier: ModelOracle, temperature: float) -> Walk | list[int]:
-    """What the acceptance rule reads of the verifier's last pass: its
-    argmaxes at temperature 0, the states it walked at temperature 1."""
-    apply_temperature(None, temperature)
-    return verifier.argmaxes() if temperature == 0.0 else verifier.walk()
+def check_routing(
+    case: RoundCase,
+    tau_a: int | None,
+    tau_m: int | None,
+    tau_t: int | None,
+    emitted: int,
+    proxy_called: bool,
+    target_called: bool,
+) -> None:
+    """The routing rule a round and its trace row both obey; raises
+    ValueError.
+
+    Every round emits a token, and every length it has is at least 0. A
+    ternary round pre-verifies through the proxy. A proxy-only round has
+    ``tau_a < tau_m``, leaves the target alone and emits ``tau_a + 1``
+    tokens; an escalated round has ``tau_a >= tau_m``, calls the target and
+    emits ``tau_m + tau_t + 1``.
+    """
+    if emitted < 1:
+        raise ValueError("a round emits at least one token")
+    for tau in (tau_a, tau_m, tau_t):
+        if tau is not None and tau < 0:
+            raise ValueError("acceptance lengths must be >= 0")
+    if case not in (RoundCase.PROXY_ONLY, RoundCase.TARGET_ESCALATED):
+        return
+    if not proxy_called:
+        raise ValueError("every round pre-verifies through the proxy")
+    if case is RoundCase.PROXY_ONLY:
+        if None in (tau_a, tau_m) or not tau_a < tau_m:
+            raise ValueError("proxy-only round requires tau_a < tau_m")
+        if target_called:
+            raise ValueError("proxy-only round must not touch the target")
+        if emitted != tau_a + 1:
+            raise ValueError("proxy-only round emits tau_a + 1 tokens")
+    else:
+        if None in (tau_a, tau_m) or not tau_a >= tau_m:
+            raise ValueError("escalated round requires tau_a >= tau_m")
+        if not target_called or tau_t is None:
+            raise ValueError("escalated round must involve the target")
+        if emitted != tau_m + tau_t + 1:
+            raise ValueError("escalated round emits tau_m + tau_t + 1 tokens")
 
 
 def acceptance_coins(
     draft: DraftChain,
-    scores: Walk | np.ndarray | Sequence[int],
+    scores: Walk,
     temperature: float,
     coin_stream: RandomStream,
     decide: Callable[[int, int], bool | None] | None = None,
@@ -205,27 +226,25 @@ def acceptance_coins(
 ) -> tuple[tuple[int, ...], int]:
     """Left-to-right acceptance test; stops at the first rejection.
 
-    ``scores`` is the verifier's walk (``verifier_scores``), or a block of
-    its rows: one uniform is drawn per examined position, against
-    ``p_v(x) / p_d(x)`` read as floats from the verifier's and the draft's
-    tables. At temperature 0 it is the verifier's argmax at each position
-    instead, the test is exact agreement and no uniform is consumed. The
-    draft is examined from position ``start`` on, its position
-    ``start + i`` against score ``i``, and the length returned counts from
-    ``start``. ``decide(i, token)``, when given, rules on a position first:
-    True or False is final, None defers to the test.
+    ``scores`` is the verifier's walk over the draft. One uniform is drawn
+    per examined position, against ``p_v(x) / p_d(x)`` read as floats from
+    the verifier's and the draft's tables; at temperature 0 the test is
+    exact agreement with the argmax the verifier's state keeps, and no
+    uniform is consumed. The draft is examined from position ``start`` on,
+    its position ``start + i`` against state ``i``, and the length
+    returned counts from ``start``. ``decide(i, token)``, when given, rules
+    on a position first: True or False is final, None defers to the test.
     """
     apply_temperature(None, temperature)
     coins: list[int] = []
     tokens = draft.tokens[start:] if start else draft.tokens
-    if temperature != 0.0:
-        (v_states, v_ids), (d_states, d_ids) = _as_walk(scores), draft.walk
-        v_item, d_item = v_states.table.item, d_states.table.item
+    (v_states, v_ids), (d_states, d_ids) = scores, draft.walk
+    best, v_item, d_item = v_states.best, v_states.table.item, d_states.table.item
     for i, token in enumerate(tokens):
         accept = None if decide is None else decide(i, token)
         if accept is None:
             if temperature == 0.0:
-                accept = scores[i] == token
+                accept = best[v_ids[i]] == token
             else:
                 ratio = min(1.0, v_item(v_ids[i], token) / d_item(d_ids[start + i], token))
                 accept = coin_stream.uniform() < ratio
@@ -233,17 +252,6 @@ def acceptance_coins(
         if not accept:
             return tuple(coins), i
     return tuple(coins), len(tokens)
-
-
-def _as_walk(scores: Walk | np.ndarray) -> Walk:
-    return scores if isinstance(scores, Walk) else Walk.of_rows(np.asarray(scores, np.float64))
-
-
-def draw_from(scores: Walk | np.ndarray, i: int, stream: RandomStream) -> int:
-    """``sample`` from the verifier's row ``i`` (a walk's or a block's),
-    by bisection into the CDF its state keeps."""
-    states, ids = _as_walk(scores)
-    return states.draw(ids[i], stream)
 
 
 def residual_dist(draft_row: np.ndarray, verifier_row: np.ndarray) -> np.ndarray:
@@ -308,7 +316,7 @@ def _draw_residual(drafted: _States, d: int, verifier: _States, v: int, stream: 
 
 def draw_correction(
     draft: DraftChain,
-    scores: Walk | np.ndarray | Sequence[int],
+    scores: Walk,
     tau: int,
     temperature: float,
     correction_stream: RandomStream,
@@ -318,46 +326,42 @@ def draw_correction(
 
     After a rejection at draft position ``start + tau`` the token comes
     from the residual there; after full acceptance it is the verifier's
-    bonus at score ``tau``, position k+1. Both are drawn by bisection into
-    a kept CDF: the bonus from the verifier's state, the residual from the
-    one the verifier's states keep for the pair (``_draw_residual``). In
-    greedy mode ``scores`` are argmaxes and the token is the one at that
-    position, with no draw: the residual of two distinct one-hots is the
-    verifier's own one-hot.
+    bonus at state ``tau`` of its walk, position k+1. Both are drawn by
+    bisection into a kept CDF: the bonus from the verifier's state, the
+    residual from the one the verifier's states keep for the pair
+    (``_draw_residual``). In greedy mode the token is the argmax state
+    ``tau`` keeps, with no draw: the residual of two distinct one-hots is
+    the verifier's own one-hot.
     """
     apply_temperature(None, temperature)
     is_bonus = start + tau >= draft.k
+    v_states, v_ids = scores
     if temperature == 0.0:
-        return scores[min(tau, draft.k - start)], is_bonus
+        return v_states.best[v_ids[tau]], is_bonus
     if is_bonus:
-        return draw_from(scores, tau, correction_stream), True
-    (v_states, v_ids), (d_states, d_ids) = _as_walk(scores), draft.walk
+        return scores.draw(tau, correction_stream), True
+    d_states, d_ids = draft.walk
     token = _draw_residual(d_states, d_ids[start + tau], v_states, v_ids[tau], correction_stream)
     return token, False
 
 
 def verify_chain(
     draft: DraftChain,
-    scores: Walk | np.ndarray | Sequence[int],
+    scores: Walk,
     temperature: float,
     coin_stream: RandomStream,
     correction_stream: RandomStream,
+    start: int = 0,
 ) -> AcceptanceTrace:
-    """Verify a draft chain against what ``verifier_scores`` reads of the
-    verifier's pass over it: its k+1 argmaxes at temperature 0, its walk
-    at temperature 1 (or its ``(k+1, V)`` block of rows)."""
+    """Verify a draft chain from position ``start`` on against the
+    verifier's walk over it: one state per verified token, then the bonus
+    position's."""
     apply_temperature(None, temperature)
-    if len(scores.ids if isinstance(scores, Walk) else scores) != draft.k + 1:
-        raise ValueError("need k+1 verifier rows for a k-token draft")
-    coins, tau = acceptance_coins(draft, scores, temperature, coin_stream)
-    token, is_bonus = draw_correction(draft, scores, tau, temperature, correction_stream)
-    return AcceptanceTrace(
-        coins=coins,
-        tau=tau,
-        correction_token=token,
-        correction_is_bonus=is_bonus,
-        emitted=draft.tokens[:tau] + (token,),
-    )
+    if len(scores.ids) != draft.k - start + 1:
+        raise ValueError("need a verifier row per verified draft token, plus the bonus row")
+    coins, tau = acceptance_coins(draft, scores, temperature, coin_stream, start=start)
+    token, is_bonus = draw_correction(draft, scores, tau, temperature, correction_stream, start)
+    return AcceptanceTrace(coins, tau, token, is_bonus, draft.tokens[start : start + tau] + (token,))
 
 
 def target_only_round(
@@ -367,8 +371,8 @@ def target_only_round(
     apply_temperature(None, temperature)
     meter = PassMeter(target=target)
     target.next_dist(ctx)
-    scores = verifier_scores(target, temperature)
-    token = scores[0] if temperature == 0.0 else draw_from(scores, 0, streams.draft)
+    walk = target.walk()
+    token = walk.argmaxes[0] if temperature == 0.0 else walk.draw(0, streams.draft)
     return Round(
         case=RoundCase.TARGET_ONLY,
         emitted=(token,),
@@ -398,8 +402,7 @@ def sd_round(
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     verifier.batch_score(base, draft.tokens)
-    scores = verifier_scores(verifier, temperature)
-    trace = verify_chain(draft, scores, temperature, coin_stream, streams.correction)
+    trace = verify_chain(draft, verifier.walk(), temperature, coin_stream, streams.correction)
     return Round(
         case=RoundCase.SD,
         emitted=trace.emitted,
@@ -415,14 +418,14 @@ def sd_round(
 class TreeVerifyResult:
     """Greedy verification of a draft tree in one flattened pass.
 
-    ``path_rows[i]`` is the verifier's row at accepted-path position i+1,
-    conditioned on the first i accepted tokens; the last row conditions on
-    the full accepted path and is where the correction token comes from.
+    ``path_walk`` is the verifier's walk along the accepted path: its state
+    ``i`` conditions on the first i accepted tokens, and the last, on the
+    full accepted path, is where the correction token comes from.
     """
 
     path_ids: tuple[int, ...]
     path_tokens: tuple[int, ...]
-    path_rows: np.ndarray
+    path_walk: Walk
     correction_token: int
     exhausted: bool  # walk stopped at a childless node, not on a divergence
 
@@ -444,13 +447,14 @@ def verify_tree_greedy(tree: DraftTree, verifier: ModelOracle) -> TreeVerifyResu
     correction is the argmax after the accepted path (which repairs the
     first divergence, or extends a fully accepted path).
     """
-    scored = verifier.batch_score_paths(tree.ctx, tree._paths)
-    best = verifier.argmaxes()  # row 0 is the root, row i+1 node i
+    verifier.batch_score_paths(tree.ctx, tree._paths)
+    states, walked = verifier.walk()  # the root's state, then node i's at i + 1
+    best = states.best
 
     path_ids: list[int] = []
     cur = -1
     while True:
-        want = best[cur + 1]
+        want = best[walked[cur + 1]]
         child = next((c for c in tree.children(cur) if tree.nodes[c].token == want), None)
         if child is None:
             exhausted = not tree.children(cur)
@@ -460,7 +464,7 @@ def verify_tree_greedy(tree: DraftTree, verifier: ModelOracle) -> TreeVerifyResu
     return TreeVerifyResult(
         path_ids=tuple(path_ids),
         path_tokens=tuple(tree.nodes[i].token for i in path_ids),
-        path_rows=scored[[0] + [i + 1 for i in path_ids]],
+        path_walk=Walk(states, [walked[0]] + [walked[i + 1] for i in path_ids]),
         correction_token=want,
         exhausted=exhausted,
     )

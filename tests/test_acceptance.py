@@ -228,8 +228,10 @@ def test_criterion_09_committed_tokens_survive_pruned_verification(report, ref_f
     paired = 0
     for ctx, outcome in escalated:
         assert outcome.emitted[: outcome.tau_m] == outcome.draft.tokens[: outcome.tau_m]
-        best = probe.batch_score(ctx, outcome.draft.tokens).argmax(axis=1).tolist()
-        trace = verify_chain(outcome.draft, best, 0.0, RandomStream(0, "a"), RandomStream(0, "b"))
+        probe.batch_score(ctx, outcome.draft.tokens)
+        trace = verify_chain(
+            outcome.draft, probe.walk(), 0.0, RandomStream(0, "a"), RandomStream(0, "b")
+        )
         if trace.tau >= outcome.tau_m:
             assert trace.emitted == outcome.emitted
             paired += 1

@@ -26,6 +26,7 @@ from trispec.models import (
     PassMeter,
     ProxyDerivation,
     TableModel,
+    Walk,
     train_ngram,
 )
 from trispec.router import MarginRule, trispec_round, trusted_prefix_len
@@ -366,7 +367,7 @@ def test_trust_rules_match_the_reference_at_their_own_boundaries(rows, kind, pic
     want = [_ref_trusted(rule, d) for d in dists]
     assert np.asarray(rule.trusted(block)).tolist() == want
     assert [bool(rule.trusted(row)) for row in block] == want
-    assert trusted_prefix_len(block, rule) == _ref_trusted_prefix_len(dists, rule)
+    assert trusted_prefix_len(Walk.of_rows(block), rule) == _ref_trusted_prefix_len(dists, rule)
     if kind == "margin":
         assert top2_margin(block).tolist() == [_ref_margin(d) for d in dists]
 

@@ -587,6 +587,30 @@ def test_trace_validation_catches_tampering(tmp_path):
         validate_trace_records([replace(good, case="TargetEscalated", target_called=True)])
 
 
+_ESCALATED = TraceRecord("r", 0, "TargetEscalated", 2, 1, 0, 2, True, True, 99.0)
+
+
+@pytest.mark.parametrize("bad", [
+    replace(_ESCALATED, case="Bogus"),
+    TraceRecord("r", 0, "ProxyOnly", 1, 3, None, 2, False, False, 9.0),  # no proxy call
+    replace(_ESCALATED, proxy_called=False),
+    TraceRecord("r", 0, "SD", -4, None, None, 1, False, True, 90.0),
+    replace(_ESCALATED, tau_t=-1, emitted_count=1),  # 1 + (-1) + 1 = 1 still holds
+    replace(_ESCALATED, round_index=-3),
+    replace(_ESCALATED, round_cost=math.nan),
+    replace(_ESCALATED, round_cost=math.inf),
+    replace(_ESCALATED, round_cost=-5.0),
+], ids=["bogus-case", "proxy-only-without-proxy", "escalated-without-proxy", "negative-tau-a",
+        "negative-tau-t", "negative-round-index", "nan-cost", "inf-cost", "negative-cost"])
+def test_trace_read_back_refuses_rows_no_run_writes(bad, tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv([_ESCALATED, bad], path)
+    with pytest.raises(ValueError):
+        read_trace_csv(path)
+    write_trace_csv([_ESCALATED], path)
+    assert read_trace_csv(path) == [_ESCALATED]
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------

@@ -536,8 +536,8 @@ def test_states_keep_their_rows_argmax_and_margin_and_passes_record_their_states
             rows = who.batch_score_paths(ctx, data.draw(paths, label="paths"))
         assert len(who.walked) == len(rows)
         assert who._states.table[who.walked].tobytes() == rows.tobytes()
-        assert who.argmaxes() == rows.argmax(axis=1).tolist()
-        assert np.array(who.margins()).tobytes() == top2_margin(rows).tobytes()
+        assert who.walk().argmaxes == rows.argmax(axis=1).tolist()
+        assert np.array(who.walk().margins).tobytes() == top2_margin(rows).tobytes()
 
     states = oracle._states
     assert scorer._states is twin._states is states  # forks share the values

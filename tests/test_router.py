@@ -5,7 +5,7 @@ import pytest
 
 from trispec.core import Distribution, RandomStream, Vocabulary
 from trispec.drafting import DraftChain
-from trispec.models import TableModel
+from trispec.models import TableModel, Walk
 from trispec.router import (
     MarginRule,
     TreeParams,
@@ -49,15 +49,15 @@ def _const(probs, vocab=None):
 
 
 def test_trusted_prefix_stops_at_first_weak_margin():
-    dists = np.array([
+    walk = Walk.of_rows(np.array([
         [0.95, 0.05],
         [0.95, 0.05],
         [0.55, 0.45],
         [0.95, 0.05],
-    ])
-    assert trusted_prefix_len(dists, MarginRule(0.5)) == 2
-    assert trusted_prefix_len(dists, MarginRule(0.0)) == 4
-    assert trusted_prefix_len(dists, MarginRule(1.01)) == 0
+    ]))
+    assert trusted_prefix_len(walk, MarginRule(0.5)) == 2
+    assert trusted_prefix_len(walk, MarginRule(0.0)) == 4
+    assert trusted_prefix_len(walk, MarginRule(1.01)) == 0
 
 
 def test_margin_rule_boundary_cases():
@@ -194,7 +194,7 @@ def test_pruned_verify_with_empty_commit_is_plain_verification():
     target = TableModel(V2, {(1,): Distribution([0.2, 0.8])}, default=Distribution([0.7, 0.3]))
     dists = target.fork().batch_score((), draft.tokens)
     coins = [0.4, 0.4, 0.4]
-    want = verify_chain(draft, dists, 1.0, FixedUniforms(coins), FixedUniforms([0.5]))
+    want = verify_chain(draft, Walk.of_rows(dists), 1.0, FixedUniforms(coins), FixedUniforms([0.5]))
     got = pruned_target_verify(
         draft, 0, target, (), 1.0, FixedUniforms(coins), FixedUniforms([0.5])
     )
@@ -254,6 +254,8 @@ def test_outcome_validation_catches_protocol_violations():
                  passes=(3, 1, 1), emitted=(0, 0, 0, 0)).validate()
     with pytest.raises(ValueError):
         _outcome(case=RoundCase.TARGET_ESCALATED, tau_a=2, tau_m=2, tau_t=None).validate()
+    with pytest.raises(ValueError):  # the same rule checks trace rows, SD's among them
+        _outcome(case=RoundCase.SD, tau_a=-4, tau_m=None, passes=(3, 0, 1)).validate()
     ok = _outcome(case=RoundCase.TARGET_ESCALATED, tau_a=2, tau_m=1, tau_t=1,
                   passes=(3, 1, 1), emitted=(0, 0, 0))
     ok.validate()

@@ -40,7 +40,6 @@ def _calls(fam, ctx, streams):
         "sd_round": lambda T: trispec.sd_round(d, t, ctx, 4, T, streams),
         "target_only_round": lambda T: trispec.target_only_round(t, ctx, T, streams),
         "trispec_round": lambda T: trispec.trispec_round(d, p, t, ctx, 4, rule, T, streams),
-        "verifier_scores": lambda T: trispec.verifier_scores(t, T),
         "verify_chain": lambda T: trispec.verify_chain(draft, scores, T, coin, corr),
     }
 
@@ -56,7 +55,6 @@ COVERED = (
     "sd_round",
     "target_only_round",
     "trispec_round",
-    "verifier_scores",
     "verify_chain",
 )
 
@@ -89,4 +87,4 @@ def test_other_temperatures_are_refused(name, temperature, ref_family, monkeypat
         call(temperature)
     assert passes == [] and draws == []
     call(1.0)  # the same call at T=1 is valid, and the patches see it
-    assert passes or draws or name in ("apply_temperature", "verifier_scores")
+    assert passes or draws or name == "apply_temperature"

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trispec.core import Distribution, RandomStream, Vocabulary
-from trispec.drafting import DraftChain, draft_tree, prune_tree_prefix
-from trispec.models import TableModel
+from trispec.baselines import RoutingSignal
+from trispec.core import Distribution, RandomStream, Vocabulary, top2_margin
+from trispec.drafting import DraftChain, draft_chain, draft_tree, prune_tree_prefix
+from trispec.models import TableModel, Walk
+from trispec.router import MarginRule, trusted_prefix_len
 from trispec.suites import first_token_law, mc_first_token_distance
 from trispec.verification import (
     AcceptanceTrace,
@@ -37,9 +39,9 @@ def _chain(tokens, dists):
     return DraftChain(tuple(tokens), np.array(dists, dtype=float))
 
 
-def _argmaxes(dists):
-    """A greedy verifier's scores: the argmax of each row, lowest on ties."""
-    return dists.argmax(axis=1).tolist()
+def _walk(dists):
+    """A verifier's walk over a hand-built block: one state per row."""
+    return Walk.of_rows(np.asarray(dists, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +74,7 @@ def test_greedy_acceptance_is_argmax_match_and_drawless():
     draft = _chain((0, 1), ([1.0, 0.0], [0.0, 1.0]))
     dists = np.array([[0.9, 0.1], [0.9, 0.1]])
     stream = FixedUniforms([])
-    coins, tau = acceptance_coins(draft, _argmaxes(dists), 0.0, stream)
+    coins, tau = acceptance_coins(draft, _walk(dists), 0.0, stream)
     assert (coins, tau) == ((1, 0), 1)
     assert stream.draws == 0
 
@@ -80,8 +82,8 @@ def test_greedy_acceptance_is_argmax_match_and_drawless():
 def test_coin_threshold_is_the_probability_ratio():
     draft = _chain((0,), ([0.8, 0.2],))
     dists = np.array([[0.4, 0.6]])  # ratio = 0.4 / 0.8 = 0.5
-    assert acceptance_coins(draft, dists, 1.0, FixedUniforms([0.49])) == ((1,), 1)
-    assert acceptance_coins(draft, dists, 1.0, FixedUniforms([0.51])) == ((0,), 0)
+    assert acceptance_coins(draft, _walk(dists), 1.0, FixedUniforms([0.49])) == ((1,), 1)
+    assert acceptance_coins(draft, _walk(dists), 1.0, FixedUniforms([0.51])) == ((0,), 0)
 
 
 def test_acceptance_stops_at_first_rejection():
@@ -89,7 +91,7 @@ def test_acceptance_stops_at_first_rejection():
     draft = _chain((0, 0, 0, 0), (half, half, half, half))
     dists = np.array([half, half, [0.0, 1.0], half])
     stream = FixedUniforms([0.9, 0.9, 0.9, 0.9])
-    coins, tau = acceptance_coins(draft, dists, 1.0, stream)
+    coins, tau = acceptance_coins(draft, _walk(dists), 1.0, stream)
     assert (coins, tau) == ((1, 1, 0), 2)
     assert stream.draws == 3  # the position after the rejection is never examined
 
@@ -99,7 +101,7 @@ def test_full_acceptance_consumes_k_coins():
     draft = _chain((1, 1), (half, half))
     dists = np.array([half, half])
     stream = FixedUniforms([0.3, 0.3])
-    coins, tau = acceptance_coins(draft, dists, 1.0, stream)
+    coins, tau = acceptance_coins(draft, _walk(dists), 1.0, stream)
     assert (coins, tau) == ((1, 1), 2)
     assert stream.draws == 2
 
@@ -123,11 +125,11 @@ def test_correction_after_rejection_comes_from_residual():
     draft = _chain((0,), ([0.5, 0.5],))
     dists = np.array([[0.25, 0.75], [0.9, 0.1]])
     stream = FixedUniforms([])
-    token, is_bonus = draw_correction(draft, _argmaxes(dists), 0, 0.0, stream)
+    token, is_bonus = draw_correction(draft, _walk(dists), 0, 0.0, stream)
     assert (token, is_bonus) == (1, False)
     assert stream.draws == 0  # greedy corrections take the argmax directly
     stream = FixedUniforms([0.5])
-    token, is_bonus = draw_correction(draft, dists, 0, 1.0, stream)
+    token, is_bonus = draw_correction(draft, _walk(dists), 0, 1.0, stream)
     assert (token, is_bonus) == (1, False)
     assert stream.draws == 1
 
@@ -135,9 +137,9 @@ def test_correction_after_rejection_comes_from_residual():
 def test_correction_after_full_acceptance_is_the_bonus():
     draft = _chain((0,), ([0.5, 0.5],))
     dists = np.array([[0.25, 0.75], [0.1, 0.9]])
-    token, is_bonus = draw_correction(draft, _argmaxes(dists), 1, 0.0, FixedUniforms([]))
+    token, is_bonus = draw_correction(draft, _walk(dists), 1, 0.0, FixedUniforms([]))
     assert (token, is_bonus) == (1, True)
-    token, is_bonus = draw_correction(draft, dists, 1, 1.0, FixedUniforms([0.05]))
+    token, is_bonus = draw_correction(draft, _walk(dists), 1, 1.0, FixedUniforms([0.05]))
     assert (token, is_bonus) == (0, True)  # low uniform lands in the 0.1 cell
 
 
@@ -149,13 +151,13 @@ def test_correction_after_full_acceptance_is_the_bonus():
 def test_verify_chain_needs_one_extra_dist():
     draft = _chain((0,), ([0.5, 0.5],))
     with pytest.raises(ValueError):
-        verify_chain(draft, np.array([[0.5, 0.5]]), 1.0, FixedUniforms([]), FixedUniforms([]))
+        verify_chain(draft, _walk([[0.5, 0.5]]), 1.0, FixedUniforms([]), FixedUniforms([]))
 
 
 def test_verify_chain_emits_accepted_prefix_plus_correction():
     draft = _chain((0, 1), ([0.6, 0.4], [0.6, 0.4]))
     dists = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
-    trace = verify_chain(draft, _argmaxes(dists), 0.0, FixedUniforms([]), FixedUniforms([]))
+    trace = verify_chain(draft, _walk(dists), 0.0, FixedUniforms([]), FixedUniforms([]))
     assert trace.coins == (1, 1)  # argmaxes match the drafted tokens
     assert trace.tau == 2
     assert trace.correction_is_bonus
@@ -259,7 +261,7 @@ def test_tree_verify_divergence_with_siblings_left():
     assert not result.exhausted  # the walk stopped on a divergence, not a leaf
     assert result.correction_token == 0
     assert result.emitted == (1, 0)
-    assert result.path_rows[0].argmax() == 1
+    assert result.path_walk.argmaxes[0] == 1
     assert verifier.invocation_count == 1  # whole tree scored in one pass
 
 
@@ -278,7 +280,7 @@ def test_tree_verify_full_path_is_exhausted():
     assert result.exhausted  # accepted node is a leaf of the draft
     assert result.correction_token == 2
     assert result.emitted == (0, 0, 2)
-    assert result.path_rows[-1].argmax() == 2
+    assert result.path_walk.argmaxes[-1] == 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -300,13 +302,13 @@ def test_tree_verify_scores_every_node_path_after_the_root(ref_family, start, le
             want = probe.batch_score_paths(
                 tree.ctx, [()] + [tree.path_tokens(i) for i in range(len(tree))]
             )
-            best = probe.argmaxes()
+            best = probe.walk().argmaxes
             verifier, scored = oracle.fork(), []
             score = verifier.batch_score_paths
             verifier.batch_score_paths = lambda c, p: scored.append(score(c, p)) or scored[-1]
             result = verify_tree_greedy(tree, verifier)
             assert verifier.invocation_count == len(scored) == 1
-            assert np.array_equal(scored[0], want) and verifier.argmaxes() == best
+            assert np.array_equal(scored[0], want) and verifier.walk().argmaxes == best
 
             ids, cur = [], -1
             while True:
@@ -316,7 +318,7 @@ def test_tree_verify_scores_every_node_path_after_the_root(ref_family, start, le
                 cur = kids[0]
                 ids.append(cur)
             assert result.path_ids == tuple(ids)
-            assert np.array_equal(result.path_rows, want[[0] + [i + 1 for i in ids]])
+            assert np.array_equal(result.path_walk.rows, want[[0] + [i + 1 for i in ids]])
             assert result.correction_token == best[cur + 1]
 
 
@@ -332,3 +334,72 @@ def test_tree_round_with_unit_branching_matches_chain_round(ref_family):
     assert tree_result.emitted == chain_result.emitted
     assert tree_result.passes == (k, 0, 1) == chain_result.passes
     assert tree_result.tau_a == chain_result.tau_a
+
+
+# ---------------------------------------------------------------------------
+# a pass's walk and the block it returned read alike
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _table(draw, vocab):
+    """A small table oracle whose rows are full of ties and zero entries."""
+    weights = st.lists(st.integers(0, 4), min_size=vocab, max_size=vocab).filter(any)
+
+    def row():
+        w = [float(x) for x in draw(weights)]
+        return Distribution([x / sum(w) for x in w])
+
+    tokens = st.integers(0, vocab - 1)
+    keys = draw(st.lists(st.one_of(st.tuples(tokens), st.tuples(tokens, tokens)),
+                         max_size=5, unique=True))
+    return TableModel(Vocabulary(vocab), {key: row() for key in keys}, default=row())
+
+
+def _read(seed, call):
+    """What ``call(stream)`` returns, and the uniforms it drew."""
+    stream = RandomStream(seed, "read")
+    return call(stream), stream.draws
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vocab=st.integers(2, 5), temperature=st.sampled_from([0.0, 1.0]), data=st.data())
+def test_every_rule_reads_a_pass_walk_as_the_block_it_returned(vocab, temperature, data):
+    """Given the verifier's walk over a draft, and given the block the same
+    pass returned (``Walk.of_rows``), each rule returns the same result and
+    draws the same uniforms, twice over: for a drafted chain and for the
+    same chain built from its rows, from any start and, for the
+    correction, at every length whose residual carries mass. The walk's
+    residual draws go through the CDFs the verifier's states keep, a miss
+    and then a hit."""
+    drafter, verifier = data.draw(_table(vocab), "drafter"), data.draw(_table(vocab), "verifier")
+    tokens = st.integers(0, vocab - 1)
+    ctx = tuple(data.draw(st.lists(tokens, max_size=4), "ctx"))
+    k = data.draw(st.integers(1, 5), "k")
+    start = data.draw(st.integers(0, k), "start")
+    seed = data.draw(st.integers(0, 2**16), "seed")
+    drafted = draft_chain(drafter, ctx, k, temperature, RandomStream(seed, "draft"))
+    block = verifier.batch_score(ctx + drafted.tokens[:start], drafted.tokens[start:])
+    walk, rows = verifier.walk(), Walk.of_rows(block)
+    drafts = (drafted, DraftChain(drafted.tokens, drafted.dists))
+
+    def agree(read):
+        got = [_read(seed, lambda s: read(d, w, s)) for d in drafts for w in (walk, rows, walk)]
+        assert got == got[:1] * len(got)
+
+    T = temperature
+    agree(lambda d, w, s: acceptance_coins(d, w, T, s, start=start))
+    agree(lambda d, w, s: verify_chain(d, w, T, s, s, start))
+    for tau in range(k - start + 1):
+        residual = block[tau] - drafted.dists[start + tau] if tau < k - start else block[tau]
+        if T == 0.0 or (residual > 0.0).any():  # else no rejection can happen at tau
+            agree(lambda d, w, s: draw_correction(d, w, tau, T, s, start))
+
+    margins = top2_margin(block).tolist()
+    for kind in ("margin", "top1_prob", "composite_entropy"):
+        values = margins + block.max(axis=1).tolist()
+        threshold = data.draw(st.one_of(st.sampled_from(values), st.floats(-0.5, 1.5)), kind)
+        rule = MarginRule(threshold) if kind == "margin" else RoutingSignal(kind, threshold)
+        assert trusted_prefix_len(walk, rule) == trusted_prefix_len(rows, rule)
+    assert walk.margins == rows.margins == tuple(margins)
+    assert walk.argmaxes == rows.argmaxes == block.argmax(axis=1).tolist()
