@@ -166,16 +166,17 @@ def relaxed_sd_round(
     meter = PassMeter(drafter, target=target)
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
-    rows = target.batch_score(base, draft.tokens)
-    walk = target.walk()
+    walk = target.batch_score(base, draft.tokens)
     if temperature == 0.0:  # the greedy laws: the drafted token's and the argmax's one-hots
-        size, best = rows.shape[1], walk.argmaxes
+        size, best = target.vocab_size, walk.argmaxes
 
         def decide(i: int, token: int) -> bool | None:
             hot = np.zeros((2, size))
             hot[0, token] = hot[1, best[i]] = 1.0
             return policy.decide(hot[0], hot[1], token)
     else:
+        rows = walk.rows
+
         def decide(i: int, token: int) -> bool | None:
             return policy.decide(draft.dists[i], rows[i], token)
 

@@ -5,8 +5,8 @@ plain categorical distributions over a fixed token vocabulary. This module
 pins down the numeric conventions once:
 
 * a distribution is a row: a float64 vector, non-negative, summing to 1
-  within 1e-9. A scoring pass yields a read-only block with one row per
-  scored position, and the functions below read a row or a block.
+  within 1e-9. A scoring pass walks a state per scored position, its rows
+  a read-only block, and the functions below read a row or a block.
   ``Distribution`` is only the checked type for rows that come from
   outside the decode path (hand-built tables, model files);
 * there are two temperatures, and both read the raw rows: T=0 is exact
@@ -161,9 +161,12 @@ def top2_margin(probs: np.ndarray) -> float | np.ndarray:
     return float(margins) if probs.ndim == 1 else margins
 
 
-def _label_entropy(label: str) -> list[int]:
+def _entropy(seed: int, label: str) -> np.ndarray:
+    """The little-endian 32-bit words ``SeedSequence`` makes of the ints of
+    ``seed`` and of the first 16 bytes of the label's SHA-256, as one array."""
+    head = seed.to_bytes(4 if seed < 2**32 else 8, "little")
     digest = hashlib.sha256(label.encode("utf-8")).digest()
-    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return np.frombuffer(head + digest[:16], dtype="<u4").astype(np.uint32, copy=False)
 
 
 class RandomStream:
@@ -196,8 +199,8 @@ class RandomStream:
         if not block:
             gen = self._gen
             if gen is None:
-                entropy = [self.seed, *_label_entropy(self.label)]
-                gen = self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+                entropy = np.random.SeedSequence(_entropy(self.seed, self.label))
+                gen = self._gen = np.random.Generator(np.random.PCG64(entropy))
             block.extend(reversed(gen.random(UNIFORM_BLOCK).tolist()))
         self.draws += 1
         return block.pop()

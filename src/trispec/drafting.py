@@ -62,9 +62,7 @@ class DraftChain:
         most rounds read the walk alone."""
         if name != "dists":
             raise AttributeError(name)
-        dists = self.__dict__["dists"] = self.walk.rows
-        dists.setflags(write=False)
-        return dists
+        return self.__dict__.setdefault("dists", self.walk.rows)
 
     def __post_init__(self) -> None:
         dists = np.asarray(self.dists, dtype=np.float64)
@@ -298,7 +296,7 @@ def draft_tree(
     frontier_ids, frontier_pp = np.array([-1]), np.ones(1)
     for level in range(1, depth + 1):
         levels.append(paths)
-        block = drafter.batch_score_paths(base, paths)
+        block = drafter.batch_score_paths(base, paths).rows
         top = np.argsort(-block, axis=1, kind="stable")[:, :branch_topk]
         top_p = np.take_along_axis(block, top, axis=1)
         # Row-major order is creation order; a drafter cannot propose

@@ -581,13 +581,12 @@ def _ppl_under_target(
     target: ModelOracle, continuations: Sequence[tuple[tuple[int, ...], list[int]]]
 ) -> float | None:
     probe = target.fork()
-    nll = 0.0
-    count = 0
+    nll, count = 0.0, 0
     for prompt, emitted in continuations:
         if not emitted:
             continue
-        rows = probe.batch_score(prompt, emitted)
-        for p in rows[range(len(emitted)), emitted].tolist():
+        states, walked = probe.batch_score(prompt, emitted)
+        for p in states.table[walked[:-1], emitted].tolist():
             nll += -math.log(max(p, 1e-300))
         count += len(emitted)
     return math.exp(nll / count) if count else None

@@ -13,20 +13,19 @@ Every oracle counts forward passes: ``next_dist`` is one pass, and a
 batched scoring call over many positions is also exactly one pass (that is
 the whole point of speculative verification). The counters are the sole
 source for target-call accounting downstream. ``next_dist`` returns one
-read-only row, and a batched call one read-only ``(positions, V)`` block,
-a row per scored position.
+read-only row, and a batched call its ``Walk``, a state per scored
+position, with no row copied (``Walk.rows`` copies them when asked).
 
 Each oracle reads only its ``window`` of most recent context tokens. It is
 finite-state: its states are an Aho-Corasick automaton over its keys (the
 seen contexts of an n-gram, the row keys of a table; a mixture shares its
 base's), built whole with the oracle. A pass walks from the root over the
 context's last ``window`` tokens, then over the drafted tokens or each
-path, and returns the rows of the states it reached. A state keeps its
-row's argmax and top-2 margin too, and its CDF from its first draw on; a
-verifier's states keep the CDFs of the rejection residuals drawn against
-them. Every pass records the states it walked (``walk()``), so greedy
-decisions, T=1 draws, acceptance ratios and margins read those instead of
-the rows.
+path. A state keeps its row's argmax and top-2 margin, and its CDF from
+its first draw on; a verifier's states keep the CDFs of the rejection
+residuals drawn against them. Every pass records the states it walked
+(``walk()``), so greedy decisions, T=1 draws, acceptance ratios and
+margins read those instead of the rows.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class _States:
     states with neither are numbered after the rows, so a pass that reaches
     one raises ``IndexError``, a ``LookupError``. ``best[s]`` is the row's
     argmax (lowest index on ties) and ``margin[s]`` its top-2 margin, both
-    taken over the whole table at once. ``cdf(s)`` is the row's CDF,
+    taken over the whole table at once. ``cdfs[s]`` is the row's CDF,
     ``row.cumsum()`` as an ``array('d')``, kept from the first draw from
     the state on: few states are ever drawn from, and a CDF for every state
     would cost memory. ``residuals`` keeps the CDFs of rejection residuals
@@ -123,15 +122,15 @@ class _States:
     residuals and no rounds.
     """
 
-    __slots__ = (
-        "keys", "step", "root", "table", "best", "margin", "cdfs", "residuals", "rounds",
-    )
+    __slots__ = ("keys", "step", "root", "table", "rowless", "best", "margin", "cdfs",
+                 "residuals", "rounds")
 
     def __init__(
         self, keys: list[tuple[int, ...]], step: list[list[int]], root: int, table: np.ndarray
     ) -> None:
         table.setflags(write=False)
         self.keys, self.step, self.root, self.table = keys, step, root, table
+        self.rowless = len(keys) > len(table)  # some states have no row
         self.best: list[int] = table.argmax(axis=1).tolist()
         self.margin: list[float] = top2_margin(table).tolist()
         self.cdfs: list[array | None] = [None] * len(table)
@@ -148,18 +147,12 @@ class _States:
         states.best, states.margin = rows.argmax(axis=1).tolist(), top2_margin(rows).tolist()
         return states
 
-    def cdf(self, s: int) -> array:
-        cdf = self.cdfs[s]
-        if cdf is None:
-            cdf = self.cdfs[s] = array("d", self.table[s].cumsum().tolist())
-        return cdf
-
     def draw(self, s: int, stream: RandomStream) -> int:
         """``sample`` from row ``s``: bisecting its CDF finds the index
         ``searchsorted`` does, so a uniform draws the same token."""
         cdf = self.cdfs[s]
         if cdf is None:
-            cdf = self.cdf(s)
+            cdf = self.cdfs[s] = array("d", self.table[s].cumsum().tolist())
         idx = bisect_right(cdf, stream.uniform())
         # on a float shortfall in the CDF's tail, the last positive token
         return idx if idx < len(cdf) else int(np.flatnonzero(self.table[s] > 0.0)[-1])
@@ -191,7 +184,10 @@ class Walk(NamedTuple):
 
     @property
     def rows(self) -> np.ndarray:
-        return self.states.table.take(self.ids, axis=0)
+        """The rows as one read-only float64 block, copied on each read."""
+        block = self.states.table.take(self.ids, axis=0)
+        block.setflags(write=False)
+        return block
 
     def draw(self, i: int, stream: RandomStream) -> int:
         """``sample`` from row ``i``."""
@@ -282,15 +278,16 @@ class ModelOracle:
             s = step[s][t] if 0 <= t < size else root
         return s
 
-    def _gather(self, states: list[int]) -> np.ndarray:
-        """The read-only rows of ``states``, which the pass records as walked."""
-        block = self._states.table.take(states, axis=0)
-        block.setflags(write=False)
-        self.walked = states
-        return block
+    def _reached(self, ids: list[int]) -> Walk:
+        """Record and return the walk of a pass; a state with no row raises."""
+        states = self._states
+        if states.rowless and max(ids, default=-1) >= len(states.table):
+            raise IndexError("the pass reached a state with no row")
+        self.walked = ids
+        return Walk(states, ids)
 
     def walk(self) -> Walk:
-        """The rows the last pass returned, as the states it walked."""
+        """The states the last pass walked."""
         return Walk(self._states, self.walked)
 
     def next_dist(self, ctx: Sequence[int]) -> np.ndarray:
@@ -302,13 +299,13 @@ class ModelOracle:
         self.walked = [s]
         return row
 
-    def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> np.ndarray:
+    def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> Walk:
         """Score positions 1..k+1 of a drafted block in one forward pass.
 
-        Row ``i`` of the read-only ``(k+1, V)`` block is the distribution
-        after ``ctx + drafted[:i]``; the last row conditions on the full
-        block (the bonus position). Each row is exactly what ``next_dist``
-        would return for that prefix.
+        Returns the pass's walk, ``k+1`` states: state ``i`` is the one
+        after ``ctx + drafted[:i]``, and the last conditions on the full
+        block (the bonus position). Each state's row is exactly what
+        ``next_dist`` would return for that prefix. No row is copied.
         """
         self._passes += 1
         states = self._states
@@ -318,15 +315,14 @@ class ModelOracle:
         for t in drafted:
             s = step[s][t] if 0 <= t < size else root
             walked.append(s)
-        return self._gather(walked)
+        return self._reached(walked)
 
-    def batch_score_paths(
-        self, ctx: Sequence[int], paths: Sequence[tuple[int, ...]]
-    ) -> np.ndarray:
+    def batch_score_paths(self, ctx: Sequence[int], paths: Sequence[tuple[int, ...]]) -> Walk:
         """Score arbitrary continuation paths of ``ctx`` in one forward pass.
 
-        The flattened-tree analogue of ``batch_score``: one row per path,
-        conditioned on ``ctx + path``, a single counter bump for all.
+        The flattened-tree analogue of ``batch_score``: its walk holds one
+        state per path, the one after ``ctx + path``, for a single counter
+        bump for all.
         """
         self._passes += 1
         states = self._states
@@ -338,7 +334,7 @@ class ModelOracle:
             for t in path:
                 s = step[s][t] if 0 <= t < size else root
             ends.append(s)
-        return self._gather(ends)
+        return self._reached(ends)
 
     def fork(self) -> "ModelOracle":
         """A view sharing this oracle's tables but with a fresh counter."""

@@ -139,10 +139,8 @@ def pruned_target_verify(
     apply_temperature(None, temperature)
     if not 0 <= tau_m <= draft.k:
         raise ValueError("tau_m must lie in [0, k]")
-    target.batch_score(tuple(ctx) + draft.tokens[:tau_m], draft.tokens[tau_m:])
-    return verify_chain(
-        draft, target.walk(), temperature, coin_stream, correction_stream, start=tau_m
-    )
+    walk = target.batch_score(tuple(ctx) + draft.tokens[:tau_m], draft.tokens[tau_m:])
+    return verify_chain(draft, walk, temperature, coin_stream, correction_stream, start=tau_m)
 
 
 def trispec_round(
@@ -185,8 +183,7 @@ def trispec_round(
             if rnd.tau_t is not None:
                 target.batch_score(tail + tokens[: rnd.tau_m], tokens[rnd.tau_m :])
             return rnd
-    proxy.batch_score(base, draft.tokens)
-    walk = proxy.walk()
+    walk = proxy.batch_score(base, draft.tokens)
     coins, tau_a = acceptance_coins(draft, walk, temperature, streams.proxy_coins)
     tau_m = trusted_prefix_len(walk, rule)
 

@@ -88,8 +88,8 @@ def mc_first_token_distance(p_d: np.ndarray, p_v: np.ndarray, rounds: int, seed:
     counts = np.zeros(len(p_d), dtype=np.int64)
     for _ in range(rounds):
         draft = draft_chain(drafter, (), 1, 1.0, streams.draft)
-        verifier.batch_score((), draft.tokens)
-        trace = verify_chain(draft, verifier.walk(), 1.0, streams.target_coins, streams.correction)
+        walk = verifier.batch_score((), draft.tokens)
+        trace = verify_chain(draft, walk, 1.0, streams.target_coins, streams.correction)
         counts[trace.emitted[0]] += 1
     empirical = counts / counts.sum()
     return float(np.abs(empirical - p_v).sum())
@@ -212,7 +212,7 @@ def _greedy_coin_reduction(family: Family, rounds: int, seed: int) -> tuple[bool
                 fam.drafter, fam.proxy, fam.target, ctx, 6, rule, 0.0, streams
             )
             assert outcome.draft is not None
-            rows = probe.batch_score(tuple(ctx), outcome.draft.tokens)
+            rows = probe.batch_score(tuple(ctx), outcome.draft.tokens).rows
             expected = []
             for pos, token in enumerate(outcome.draft.tokens):
                 expected.append(1 if rows[pos].argmax() == token else 0)

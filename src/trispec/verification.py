@@ -8,10 +8,10 @@ from the verifier's distribution at position k+1. That combination makes
 the output distribution of a round exactly the verifier's own -- the
 property the acceptance tests enumerate.
 
-A verifier's scores arrive as one ``(k+1, V)`` block per pass, but every
-rule takes the states the pass walked, its ``Walk`` (``ModelOracle.walk()``),
-at both temperatures; a hand-built block is read through ``Walk.of_rows``,
-one state per row. Greedy mode (temperature 0) reads the argmaxes those
+A verifier's pass returns the states it walked, its ``Walk``, one per
+position of the ``k+1``, and every rule takes that walk at both
+temperatures; a hand-built block is read through ``Walk.of_rows``, one
+state per row. Greedy mode (temperature 0) reads the argmaxes those
 states keep (``best``), builds no one-hots, and consumes no randomness at
 all: drafts, coins and corrections alike. Sampling (temperature 1) reads
 ``p_v(x)`` and ``p_d(x)`` as floats from the tables of the verifier's and
@@ -189,14 +189,20 @@ def check_routing(
     ternary round pre-verifies through the proxy. A proxy-only round has
     ``tau_a < tau_m``, leaves the target alone and emits ``tau_a + 1``
     tokens; an escalated round has ``tau_a >= tau_m``, calls the target and
-    emits ``tau_m + tau_t + 1``.
+    emits ``tau_m + tau_t + 1``. A target-only round has no tau and emits 1
+    token, any other round ``tau_a`` alone and ``tau_a + 1`` tokens.
     """
     if emitted < 1:
         raise ValueError("a round emits at least one token")
-    for tau in (tau_a, tau_m, tau_t):
-        if tau is not None and tau < 0:
-            raise ValueError("acceptance lengths must be >= 0")
+    if any(tau is not None and tau < 0 for tau in (tau_a, tau_m, tau_t)):
+        raise ValueError("acceptance lengths must be >= 0")
+    if case is RoundCase.TARGET_ONLY:
+        if (tau_a, tau_m, tau_t, emitted) != (None, None, None, 1):
+            raise ValueError("a target-only round has no tau and emits 1 token")
+        return
     if case not in (RoundCase.PROXY_ONLY, RoundCase.TARGET_ESCALATED):
+        if tau_a is None or (tau_m, tau_t) != (None, None) or emitted != tau_a + 1:
+            raise ValueError(f"a {case.value} round has tau_a alone and emits tau_a + 1 tokens")
         return
     if not proxy_called:
         raise ValueError("every round pre-verifies through the proxy")
@@ -291,9 +297,9 @@ class _Residuals:
 
     def draw(self, key: int, residual: Callable[[], np.ndarray], stream: RandomStream) -> int:
         lo = self.index.get(key)
-        if lo is None:
-            lo = self.index[key] = len(self.cdf)
+        if lo is None:  # the CDF first: a degenerate residual raises and enters no key
             self.cdf.frombytes(residual().cumsum().tobytes())
+            lo = self.index[key] = len(self.cdf) - self.size
         j = bisect_right(self.cdf, stream.uniform(), lo, lo + self.size) - lo
         # on a float shortfall in the CDF's tail, the last positive token
         return j if j < self.size else int(np.flatnonzero(residual() > 0.0)[-1])
@@ -401,8 +407,8 @@ def sd_round(
     meter = PassMeter(drafter, **{verifier_role: verifier})
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
-    verifier.batch_score(base, draft.tokens)
-    trace = verify_chain(draft, verifier.walk(), temperature, coin_stream, streams.correction)
+    walk = verifier.batch_score(base, draft.tokens)
+    trace = verify_chain(draft, walk, temperature, coin_stream, streams.correction)
     return Round(
         case=RoundCase.SD,
         emitted=trace.emitted,
@@ -447,8 +453,7 @@ def verify_tree_greedy(tree: DraftTree, verifier: ModelOracle) -> TreeVerifyResu
     correction is the argmax after the accepted path (which repairs the
     first divergence, or extends a fully accepted path).
     """
-    verifier.batch_score_paths(tree.ctx, tree._paths)
-    states, walked = verifier.walk()  # the root's state, then node i's at i + 1
+    states, walked = verifier.batch_score_paths(tree.ctx, tree._paths)  # root, then node i at i + 1
     best = states.best
 
     path_ids: list[int] = []

@@ -162,7 +162,7 @@ def test_criterion_06_greedy_coins_are_argmax_agreement(report, ref_family, gree
     probe = ref_family.proxy.fork()
     checked = 0
     for ctx, outcome in greedy_rounds:
-        dists = probe.batch_score(ctx, outcome.draft.tokens)
+        dists = probe.batch_score(ctx, outcome.draft.tokens).rows
         for i, coin in enumerate(outcome.coins):
             want = 1 if outcome.draft.tokens[i] == dists[i].argmax() else 0
             assert coin == want

@@ -67,7 +67,7 @@ def _ref_apply_temperature(dist, temperature):
 
 
 def _ref_scores(oracle, ctx, drafted):
-    return [Distribution(row) for row in oracle.batch_score(ctx, drafted)]
+    return [Distribution(row) for row in oracle.batch_score(ctx, drafted).rows]
 
 
 def _ref_draft_chain(drafter, ctx, k, temperature, stream):
@@ -403,7 +403,7 @@ def test_block_is_read_only_and_equals_next_dist_of_each_prefix(oracle, data):
                       label="paths")
     scorer, probe = oracle.fork(), oracle.fork()
 
-    block = scorer.batch_score(ctx, drafted)
+    block = scorer.batch_score(ctx, drafted).rows
     assert block.shape == (len(drafted) + 1, oracle.vocab_size) and block.dtype == np.float64
     assert not block.flags.writeable
     with pytest.raises(ValueError):
@@ -412,7 +412,7 @@ def test_block_is_read_only_and_equals_next_dist_of_each_prefix(oracle, data):
         prefix = ctx + drafted[:i]
         assert np.array_equal(row, probe.next_dist(prefix))  # the untrimmed context
 
-    rows = scorer.batch_score_paths(ctx, paths)
+    rows = scorer.batch_score_paths(ctx, paths).rows
     assert not rows.flags.writeable
     for row, path in zip(rows, paths):
         assert np.array_equal(row, probe.next_dist(ctx + path))

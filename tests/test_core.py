@@ -261,6 +261,17 @@ def test_block_uniforms_equal_one_generator_call_per_draw(seed, label, n):
     assert stream.draws == n
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("label", ["", "prompt0/draft", "prompt11/coins/target/" + "x" * 28])
+def test_stream_seeded_from_words_equals_the_seed_sequence_of_ints(seed, label):
+    """A stream hands ``SeedSequence`` its entropy as 32-bit words; the
+    first 200 uniforms are those of the int list it was once given, on
+    both sides of each word boundary of the seed."""
+    assert len(label) in (0, 13, 50)
+    stream = RandomStream(seed, label)
+    assert [stream.uniform() for _ in range(200)] == _eager_uniforms(seed, label, 200)
+
+
 def test_stream_seeds_its_generator_on_the_first_draw(monkeypatch):
     made = []
     pcg = np.random.PCG64

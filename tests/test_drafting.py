@@ -232,7 +232,7 @@ def _reference_draft_tree(drafter, ctx, depth, branch_topk, budget):
     frontier = [(-1, (), 1.0)]
     for level in range(1, depth + 1):
         grown = []
-        block = drafter.batch_score_paths(tuple(ctx), [path for _, path, _ in frontier])
+        block = drafter.batch_score_paths(tuple(ctx), [path for _, path, _ in frontier]).rows
         for (parent_id, path, path_prob), dist in zip(frontier, block):
             order = np.lexsort((np.arange(len(dist)), -dist))
             for tok in (int(t) for t in order[:branch_topk]):

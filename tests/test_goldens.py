@@ -20,6 +20,7 @@ from trispec.harness import (
     ExperimentConfig,
     build_family,
     family_signature,
+    read_trace_csv,
     run_experiment,
     write_report_json,
     write_trace_csv,
@@ -141,6 +142,7 @@ def digests(name: str, families: dict, outdir: Path) -> dict[str, str]:
     result = run_experiment(cfg, families[sig])
     write_report_json(result, outdir / "report.json")
     write_trace_csv(result.records, outdir / "trace.csv")
+    assert read_trace_csv(outdir / "trace.csv") == result.records  # every row obeys the rules
     continuations = json.dumps([[list(p), list(t)] for p, t in result.continuations])
     return {
         "trace.csv": _sha((outdir / "trace.csv").read_bytes()),

@@ -453,8 +453,8 @@ def test_decoding_builds_no_distribution(family_name, request, monkeypatch):
     fam = family.fork()
     ctx = tuple(family.held_tokens[:9])
     for oracle in (fam.drafter, fam.proxy, fam.target):
-        for rows in (oracle.next_dist(ctx), oracle.batch_score(ctx, ctx[:3]),
-                     oracle.batch_score_paths(ctx, [(), ctx[:2]])):
+        for rows in (oracle.next_dist(ctx), oracle.batch_score(ctx, ctx[:3]).rows,
+                     oracle.batch_score_paths(ctx, [(), ctx[:2]]).rows):
             assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
             assert not rows.flags.writeable
 
@@ -525,6 +525,28 @@ def test_warm_greedy_decoding_builds_no_draft_chain(monkeypatch):
         assert a.to_dict() == b.to_dict() and a.records == b.records
 
 
+def test_warm_greedy_ternary_requests_copy_no_rows(monkeypatch):
+    """A batched pass returns the states it walked and copies no rows, so a
+    warm greedy ternary request, chain or tree, all round-table hits, reads
+    no ``Walk.rows`` and decodes as the cold one did."""
+    from trispec.models import Walk
+
+    family = build_family(ExperimentConfig())  # its own memos and round table, cold
+    reads = []
+    rows = Walk.rows.fget
+    monkeypatch.setattr(Walk, "rows", property(lambda walk: reads.append(1) or rows(walk)))
+    for use_tree in (False, True):
+        cfg = ExperimentConfig(max_new_tokens=24, num_prompts=3, use_tree=use_tree)
+        assert cfg.method == "trispec" and cfg.temperature == 0.0
+        cold = run_experiment(cfg, family)
+        assert bool(reads) == use_tree  # a cold tree ranks each level's rows
+        reads.clear()
+        warm = run_experiment(cfg, family)
+        assert reads == []
+        assert warm.to_dict() == cold.to_dict() and warm.records == cold.records
+        assert warm.continuations == cold.continuations
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 # ---------------------------------------------------------------------------
@@ -544,14 +566,14 @@ _records = st.builds(
     run_id=st.text(alphabet=st.sampled_from('ab1,"\' \n\r-'), max_size=12),
     round_index=st.integers(0, 10**6),
     case=st.just("SD"),
-    tau_a=st.one_of(st.none(), st.integers(0, 64)),
+    tau_a=st.integers(0, 64),
     tau_m=st.none(),
     tau_t=st.none(),
-    emitted_count=st.integers(1, 65),
+    emitted_count=st.just(1),
     proxy_called=st.booleans(),
     target_called=st.booleans(),
     round_cost=st.floats(0.0, 1e6, allow_nan=False),
-)
+).map(lambda rec: replace(rec, emitted_count=rec.tau_a + 1))  # what an SD round writes
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -600,8 +622,15 @@ _ESCALATED = TraceRecord("r", 0, "TargetEscalated", 2, 1, 0, 2, True, True, 99.0
     replace(_ESCALATED, round_cost=math.nan),
     replace(_ESCALATED, round_cost=math.inf),
     replace(_ESCALATED, round_cost=-5.0),
+    TraceRecord("r", 0, "SD", 3, None, None, 1, False, True, 90.0),
+    TraceRecord("r", 0, "TargetOnly", None, None, None, 5, False, True, 90.0),
+    TraceRecord("r", 0, "SD", 2, 7, 9, 3, False, True, 90.0),
+    TraceRecord("r", 0, "Relax:chow", None, None, None, 1, False, True, 90.0),
+    TraceRecord("r", 0, "TargetOnly", 0, None, None, 1, False, True, 90.0),
 ], ids=["bogus-case", "proxy-only-without-proxy", "escalated-without-proxy", "negative-tau-a",
-        "negative-tau-t", "negative-round-index", "nan-cost", "inf-cost", "negative-cost"])
+        "negative-tau-t", "negative-round-index", "nan-cost", "inf-cost", "negative-cost",
+        "sd-emits-not-tau-a-plus-1", "target-only-emits-5", "sd-with-tau-m-and-tau-t",
+        "relax-without-tau-a", "target-only-with-tau-a"])
 def test_trace_read_back_refuses_rows_no_run_writes(bad, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv([_ESCALATED, bad], path)
@@ -609,6 +638,17 @@ def test_trace_read_back_refuses_rows_no_run_writes(bad, tmp_path):
         read_trace_csv(path)
     write_trace_csv([_ESCALATED], path)
     assert read_trace_csv(path) == [_ESCALATED]
+
+
+@pytest.mark.parametrize("family_name", ["ref_family", "perturbed_family"])
+def test_every_method_trace_reads_back(family_name, request, tmp_path):
+    """The routing rules hold for every row any decode method writes."""
+    family = request.getfixturevalue(family_name)
+    path = tmp_path / "trace.csv"
+    for overrides in _EVERY_METHOD:
+        result = run_experiment(ExperimentConfig(max_new_tokens=16, num_prompts=2, **overrides), family)
+        write_trace_csv(result.records, path)
+        assert read_trace_csv(path) == result.records
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from trispec.models import (
     PassMeter,
     ProxyDerivation,
     TableModel,
+    Walk,
     derive_proxy,
     load_oracle,
     save_oracle,
@@ -43,6 +44,13 @@ def test_table_model_missing_default_raises():
     model = TableModel(Vocabulary(2), {(1,): Distribution([1.0, 0.0])})
     with pytest.raises(LookupError):
         model.next_dist((0,))
+    # a batched pass copies no rows, yet still refuses a state without one
+    with pytest.raises(LookupError):
+        model.batch_score((1,), (1, 0))
+    with pytest.raises(LookupError):
+        model.batch_score_paths((1,), [(), (0,)])
+    assert model.batch_score((1,), (1,)).rows.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    assert model.batch_score_paths((0,), []).ids == []
 
 
 def test_table_model_rejects_wrong_row_size():
@@ -218,7 +226,7 @@ def test_batch_score_matches_next_dist():
     model = train_ngram(ABAB, NGramSpec(order=2, alpha=0.3), AB)
     probe = model.fork()
     ctx, drafted = (1, 0), [1, 0, 0]
-    block = model.batch_score(ctx, drafted)
+    block = model.batch_score(ctx, drafted).rows
     assert block.shape == (len(drafted) + 1, 2)
     for i, row in enumerate(block):
         expect = probe.next_dist(ctx + tuple(drafted[:i]))
@@ -366,10 +374,11 @@ def _saved_oracles(draw):
 
 
 def _scored(score, *args):
-    """A pass's block, or LookupError where a table without a default has
-    no row for the context."""
+    """A pass's rows (a batched pass's walk read as a block), or
+    LookupError where a table without a default has no row for the context."""
     try:
-        return score(*args)
+        got = score(*args)
+        return got.rows if isinstance(got, Walk) else got
     except LookupError:
         return LookupError
 
@@ -490,7 +499,7 @@ def test_every_pass_equals_the_dist_of_each_untrimmed_context(oracle, data):
             assert np.array_equal(got, row(ctx))
         elif kind == "batch_score":
             drafted = tuple(data.draw(st.lists(token, max_size=7), label="drafted"))
-            block = who.batch_score(ctx, drafted)
+            block = who.batch_score(ctx, drafted).rows
             want = [row(ctx + drafted[:i]) for i in range(len(drafted) + 1)]
             assert block.dtype == np.float64 and not block.flags.writeable
             assert np.array_equal(block, np.array(want))
@@ -499,7 +508,7 @@ def test_every_pass_equals_the_dist_of_each_untrimmed_context(oracle, data):
                 st.lists(st.lists(token, max_size=6).map(tuple), min_size=1, max_size=6),
                 label="paths",
             )
-            rows = who.batch_score_paths(ctx, paths)
+            rows = who.batch_score_paths(ctx, paths).rows
             assert not rows.flags.writeable
             assert np.array_equal(rows, np.array([row(ctx + p) for p in paths]))
         assert who.invocation_count == before + 1
@@ -530,10 +539,11 @@ def test_states_keep_their_rows_argmax_and_margin_and_passes_record_their_states
         if kind == "next_dist":
             rows = who.next_dist(ctx)[None]
         elif kind == "batch_score":
-            rows = who.batch_score(ctx, data.draw(st.lists(token, max_size=6), label="drafted"))
+            drafted = data.draw(st.lists(token, max_size=6), label="drafted")
+            rows = who.batch_score(ctx, drafted).rows
         else:
             paths = st.lists(st.lists(token, max_size=4).map(tuple), min_size=1, max_size=5)
-            rows = who.batch_score_paths(ctx, data.draw(paths, label="paths"))
+            rows = who.batch_score_paths(ctx, data.draw(paths, label="paths")).rows
         assert len(who.walked) == len(rows)
         assert who._states.table[who.walked].tobytes() == rows.tobytes()
         assert who.walk().argmaxes == rows.argmax(axis=1).tolist()
@@ -559,7 +569,7 @@ def test_a_broken_mixture_row_raises_and_adds_no_state():
     )
     with pytest.raises(ValueError, match="sums to"):
         MixtureProxy(base, ProxyDerivation(0.5), np.array([0.9, 0.9]))  # rows sum to 1.4
-    assert base.batch_score((0,), (1,)).tolist() == [[0.5, 0.5], [0.2, 0.8]]
+    assert base.batch_score((0,), (1,)).rows.tolist() == [[0.5, 0.5], [0.2, 0.8]]
 
 
 def _longest_suffix_in(trie, string):

@@ -192,7 +192,7 @@ def test_pruned_verify_with_empty_commit_is_plain_verification():
     half = [0.5, 0.5]
     draft = DraftChain((1, 0, 1), np.array([half, half, half]))
     target = TableModel(V2, {(1,): Distribution([0.2, 0.8])}, default=Distribution([0.7, 0.3]))
-    dists = target.fork().batch_score((), draft.tokens)
+    dists = target.fork().batch_score((), draft.tokens).rows
     coins = [0.4, 0.4, 0.4]
     want = verify_chain(draft, Walk.of_rows(dists), 1.0, FixedUniforms(coins), FixedUniforms([0.5]))
     got = pruned_target_verify(

@@ -58,7 +58,7 @@ def _ref_draft(drafter, ctx, k, stream):
 def _ref_trispec_round(drafter, proxy, target, ctx, k, lam, streams, raw_bonus):
     meter = PassMeter(drafter, proxy, target)
     tokens, drafted = _ref_draft(drafter, ctx, k, streams.draft)
-    rows = proxy.batch_score(ctx, tokens)
+    rows = proxy.batch_score(ctx, tokens).rows
     coins, tau_a = _ref_coins(drafted, rows, tokens, streams.proxy_coins)
     margins = top2_margin(rows).tolist()
     tau_m = next((i for i, m in enumerate(margins) if not m >= lam), len(margins))
@@ -70,7 +70,7 @@ def _ref_trispec_round(drafter, proxy, target, ctx, k, lam, streams, raw_bonus):
         emitted = tokens[:tau_a] + (token,)
     else:
         rest = tokens[tau_m:]
-        target_rows = target.batch_score(ctx + tokens[:tau_m], rest)
+        target_rows = target.batch_score(ctx + tokens[:tau_m], rest).rows
         _, tau = _ref_coins(drafted[tau_m:], target_rows, rest, streams.target_coins)
         token = _ref_correction(drafted[tau_m:], target_rows, rest, tau, streams.correction)
         emitted = tokens[:tau_m] + rest[:tau] + (token,)
@@ -80,7 +80,7 @@ def _ref_trispec_round(drafter, proxy, target, ctx, k, lam, streams, raw_bonus):
 def _ref_sd_round(drafter, verifier, ctx, k, streams, role):
     meter = PassMeter(drafter, **{role: verifier})
     tokens, drafted = _ref_draft(drafter, ctx, k, streams.draft)
-    rows = verifier.batch_score(ctx, tokens)
+    rows = verifier.batch_score(ctx, tokens).rows
     coins, tau = _ref_coins(drafted, rows, tokens, streams.coins_for(role))
     token = _ref_correction(drafted, rows, tokens, tau, streams.correction)
     return tokens[:tau] + (token,), coins, meter.passes()

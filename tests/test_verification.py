@@ -121,6 +121,22 @@ def test_residual_of_identical_dists_is_degenerate():
         residual_dist(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
 
+def test_a_degenerate_residual_raises_on_every_draw_and_keeps_no_cdf():
+    """Where no rejection can happen, equal drafter and verifier rows, a
+    forced residual draw raises each time, and the verifier's store holds
+    nothing for the pair."""
+    row = Distribution([0.25, 0.75])
+    vocab = Vocabulary(2)
+    drafter, verifier = TableModel(vocab, {}, default=row), TableModel(vocab, {}, default=row)
+    draft = draft_chain(drafter, (), 1, 1.0, RandomStream(3, "draft"))
+    walk = verifier.batch_score((), draft.tokens)
+    for _ in range(2):
+        with pytest.raises(DegenerateResidualError):
+            draw_correction(draft, walk, 0, 1.0, RandomStream(3, "correction"))
+    store = verifier._states.residuals[drafter._states]
+    assert store.index == {} and len(store.cdf) == 0
+
+
 def test_correction_after_rejection_comes_from_residual():
     draft = _chain((0,), ([0.5, 0.5],))
     dists = np.array([[0.25, 0.75], [0.9, 0.1]])
@@ -200,7 +216,7 @@ def test_sd_round_pass_accounting_and_greedy_coins(ref_family):
     drafted = []
     for _ in range(6):
         drafted.append(drafter.next_dist(ctx + tuple(drafted)).argmax())
-    dists = ref_family.target.fork().batch_score(ctx, drafted)
+    dists = ref_family.target.fork().batch_score(ctx, drafted).rows
     coins = []
     for i, tok in enumerate(drafted):
         coins.append(1 if dists[i].argmax() == tok else 0)
@@ -301,14 +317,14 @@ def test_tree_verify_scores_every_node_path_after_the_root(ref_family, start, le
             probe = oracle.fork()
             want = probe.batch_score_paths(
                 tree.ctx, [()] + [tree.path_tokens(i) for i in range(len(tree))]
-            )
+            ).rows
             best = probe.walk().argmaxes
             verifier, scored = oracle.fork(), []
             score = verifier.batch_score_paths
             verifier.batch_score_paths = lambda c, p: scored.append(score(c, p)) or scored[-1]
             result = verify_tree_greedy(tree, verifier)
             assert verifier.invocation_count == len(scored) == 1
-            assert np.array_equal(scored[0], want) and verifier.walk().argmaxes == best
+            assert np.array_equal(scored[0].rows, want) and verifier.walk().argmaxes == best
 
             ids, cur = [], -1
             while True:
@@ -379,8 +395,10 @@ def test_every_rule_reads_a_pass_walk_as_the_block_it_returned(vocab, temperatur
     start = data.draw(st.integers(0, k), "start")
     seed = data.draw(st.integers(0, 2**16), "seed")
     drafted = draft_chain(drafter, ctx, k, temperature, RandomStream(seed, "draft"))
-    block = verifier.batch_score(ctx + drafted.tokens[:start], drafted.tokens[start:])
-    walk, rows = verifier.walk(), Walk.of_rows(block)
+    walk = verifier.batch_score(ctx + drafted.tokens[:start], drafted.tokens[start:])
+    assert walk == verifier.walk()  # the pass records the states it returns
+    block = walk.rows
+    rows = Walk.of_rows(block)
     drafts = (drafted, DraftChain(drafted.tokens, drafted.dists))
 
     def agree(read):
