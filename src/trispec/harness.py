@@ -26,7 +26,7 @@ import numpy as np
 
 from .baselines import RelaxPolicy, RoutingSignal, relaxed_sd_round
 from .core import Vocabulary
-from .metrics import CostModel, RoundCost, RunReport, accumulate, lemma_check
+from .metrics import CostModel, RunReport, accumulate, lemma_check
 from .models import (
     MixtureProxy,
     ModelOracle,
@@ -459,30 +459,6 @@ class TraceRecord:
     round_cost: float
 
     @classmethod
-    def from_round(
-        cls, run_id: str, round_index: int, rnd: Round, cost: RoundCost
-    ) -> "TraceRecord":
-        return cls(
-            run_id=run_id,
-            round_index=round_index,
-            case=rnd.case.value,
-            tau_a=rnd.tau_a,
-            tau_m=rnd.tau_m,
-            tau_t=rnd.tau_t,
-            emitted_count=len(rnd.emitted),
-            proxy_called=rnd.proxy_called,
-            target_called=rnd.target_called,
-            round_cost=cost.total,
-        )
-
-    def to_csv_row(self) -> list[str]:
-        """Cells in ``TRACE_COLUMNS`` order: None is empty, booleans are 1 or 0."""
-        taus = ["" if tau is None else str(tau) for tau in (self.tau_a, self.tau_m, self.tau_t)]
-        return [self.run_id, str(self.round_index), self.case, *taus, str(self.emitted_count),
-                "1" if self.proxy_called else "0", "1" if self.target_called else "0",
-                str(self.round_cost)]
-
-    @classmethod
     def from_csv_row(cls, row: Sequence[str]) -> "TraceRecord":
         if len(row) != len(TRACE_COLUMNS):
             raise ValueError(f"trace row has {len(row)} cells, expected {len(TRACE_COLUMNS)}")
@@ -507,22 +483,40 @@ def validate_trace_records(records: Sequence[TraceRecord]) -> None:
             raise ValueError(f"round {rec.round_index}: {exc}") from exc
 
 
-def _write_csv(
-    path: str | Path, schema: str, header: Sequence[str], rows: Iterable[Sequence[str]]
-) -> None:
+def _csv_lines(rows: Iterable[Sequence[str]]) -> list[str]:
     # One writer formats every row with a "\r\n" terminator, so that a cell
     # holding either character is quoted (csv quotes only the terminator's
     # characters); each row, one write call, is then ended with "\n" alone.
     lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = "".join(line[:-2] + "\n" for line in lines)
-    Path(path).write_text(schema + "\n" + text, encoding="utf-8", newline="")
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return [line[:-2] + "\n" for line in lines]
+
+
+def _write_csv(path: str | Path, schema: str, header: Sequence[str], lines: Iterable[str]) -> None:
+    text = schema + "\n" + _csv_lines([header])[0] + "".join(lines)
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+class _TextCells(dict):
+    """Text cells as the csv module quotes them, each distinct text once."""
+
+    def __missing__(self, text: str) -> str:
+        # quoted beside a second cell: the csv module writes a lone empty cell as ""
+        cell = self[text] = _csv_lines([(text, "")])[0][:-2]
+        return cell
 
 
 def write_trace_csv(records: Sequence[TraceRecord], path: str | Path) -> None:
-    _write_csv(path, TRACE_SCHEMA, TRACE_COLUMNS, (rec.to_csv_row() for rec in records))
+    """One line per record in ``TRACE_COLUMNS`` order: None is an empty
+    cell, a bool 1 or 0, and the text cells are quoted as csv quotes them."""
+    text = _TextCells()
+    _write_csv(path, TRACE_SCHEMA, TRACE_COLUMNS, [
+        f"{text[r.run_id]},{r.round_index},{text[r.case]},{'' if r.tau_a is None else r.tau_a},"
+        f"{'' if r.tau_m is None else r.tau_m},{'' if r.tau_t is None else r.tau_t},"
+        f"{r.emitted_count},{1 if r.proxy_called else 0},{1 if r.target_called else 0},"
+        f"{r.round_cost}\n"
+        for r in records
+    ])
 
 
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:
@@ -640,17 +634,22 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
     }
     play = rounds.get(f"{cfg.method}_tree" if cfg.use_tree else cfg.method, rounds[cfg.method])
 
-    records: list[TraceRecord] = []
+    played: list[Round] = []
     continuations: list[tuple[tuple[int, ...], list[int]]] = []
     for prompt_idx, prompt in enumerate(prompts):
         streams = DecodeStreams.from_seed(cfg.seed, scope=f"prompt{prompt_idx}")
         emitted_all: list[int] = []
         while len(emitted_all) < cfg.max_new_tokens:
             rnd = play(prompt + tuple(emitted_all), streams)
-            cost = accumulate(report, rnd)
-            records.append(TraceRecord.from_round(run_id, len(records), rnd, cost))
+            played.append(rnd)
             emitted_all.extend(rnd.emitted)
         continuations.append((prompt, emitted_all))
+
+    records = [
+        TraceRecord(run_id, i, rnd.case.value, rnd.tau_a, rnd.tau_m, rnd.tau_t, len(rnd.emitted),
+                    rnd.proxy_called, rnd.target_called, cost)
+        for i, (rnd, cost) in enumerate(zip(played, accumulate(report, played)))
+    ]
 
     report.continuation_ppl = _ppl_under_target(target, continuations)
     if not math.isfinite(report.L):
@@ -731,4 +730,4 @@ def sweep(
 
 
 def write_sweep_csv(columns: list[str], rows: list[dict[str, str]], path: str | Path) -> None:
-    _write_csv(path, SWEEP_SCHEMA, columns, ([row[c] for c in columns] for row in rows))
+    _write_csv(path, SWEEP_SCHEMA, columns, _csv_lines([row[c] for c in columns] for row in rows))

@@ -2,8 +2,9 @@
 
 Costs are abstract batch-pass constants, not wall-clock measurements: one
 drafter pass costs ``c_d``, one proxy pass ``c_p``, one target pass
-``c_t``, and every round pays a fixed overhead ``t_o``. Total latency is
-the exact sum of per-round costs, which makes the decomposition
+``c_t``, and every round pays a fixed overhead ``t_o``. A run's report is
+a fold over its rounds, in round order, and total latency is the exact
+sum of the per-round costs, which makes the decomposition
 
     L = (N / tau) * (t_d + t_v + t_o),    tau = tokens per round,
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .verification import Round
 __all__ = [
     "CostModel",
     "MarginHistogram",
-    "RoundCost",
     "RunReport",
     "accumulate",
     "lemma_check",
@@ -54,19 +54,6 @@ class CostModel:
                 f"cost ordering c_d <= c_p <= c_t violated: {self.c_d}, {self.c_p}, {self.c_t}",
                 stacklevel=2,
             )
-
-
-@dataclass(slots=True)
-class RoundCost:
-    """Cost ledger of a single round."""
-
-    draft: float
-    verify: float
-    overhead: float
-
-    @property
-    def total(self) -> float:
-        return self.draft + self.verify + self.overhead
 
 
 @dataclass
@@ -99,25 +86,25 @@ class RunReport:
         proxy_passes: int,
         target_passes: int,
         case_label: str,
-    ) -> RoundCost:
+    ) -> float:
+        """Add one round to every sum and return what it cost:
+        ``(draft + verify) + t_o``."""
         if emitted_count < 1:
             raise ValueError("a round emits at least one token")
-        cost = RoundCost(
-            draft=drafter_passes * self.cost.c_d,
-            verify=proxy_passes * self.cost.c_p + target_passes * self.cost.c_t,
-            overhead=self.cost.t_o,
-        )
+        cost = self.cost
+        draft = drafter_passes * cost.c_d
+        verify = proxy_passes * cost.c_p + target_passes * cost.c_t
         self.N += emitted_count
         self.rounds += 1
         self.accepted_total += emitted_count - 1
-        self.draft_time += cost.draft
-        self.verify_time += cost.verify
-        self.overhead_time += cost.overhead
+        self.draft_time += draft
+        self.verify_time += verify
+        self.overhead_time += cost.t_o
         self.drafter_passes += drafter_passes
         self.proxy_passes += proxy_passes
         self.target_passes += target_passes
         self.case_counts[case_label] = self.case_counts.get(case_label, 0) + 1
-        return cost
+        return draft + verify + cost.t_o
 
     @property
     def L(self) -> float:
@@ -161,14 +148,17 @@ class RunReport:
         }
 
 
-def accumulate(report: RunReport, rnd: Round) -> RoundCost:
-    """Fold one round into a report and return what the round cost.
+def accumulate(report: RunReport, rounds: Iterable[Round]) -> list[float]:
+    """Fold a run's rounds into its report and return what each round cost.
 
-    Pass counts come from the round's meter, so a proxy-only round adds
-    ``k * c_d + c_p + t_o`` and an escalated round additionally pays
-    ``c_t``.
+    The report is a fold over the rounds: one ``add_round`` per round, in
+    round order, so every float sum adds its terms sequentially (a pairwise
+    or compensated sum would change the last bits). Pass counts come from
+    each round's meter, so a proxy-only round costs ``k * c_d + c_p + t_o``
+    and an escalated round additionally pays ``c_t``.
     """
-    return report.add_round(len(rnd.emitted), *rnd.passes, rnd.case.value)
+    add = report.add_round
+    return [add(len(rnd.emitted), *rnd.passes, rnd.case.value) for rnd in rounds]
 
 
 def lemma_check(report: RunReport) -> float:

@@ -190,17 +190,25 @@ def check_routing(
     ``tau_a < tau_m``, leaves the target alone and emits ``tau_a + 1``
     tokens; an escalated round has ``tau_a >= tau_m``, calls the target and
     emits ``tau_m + tau_t + 1``. A target-only round has no tau and emits 1
-    token, any other round ``tau_a`` alone and ``tau_a + 1`` tokens.
+    token, any other round ``tau_a`` alone and ``tau_a + 1`` tokens. An SD
+    round calls exactly one verifier; target-only and relaxed rounds call
+    the target alone.
     """
     if emitted < 1:
         raise ValueError("a round emits at least one token")
     if any(tau is not None and tau < 0 for tau in (tau_a, tau_m, tau_t)):
         raise ValueError("acceptance lengths must be >= 0")
+    ternary = case in (RoundCase.PROXY_ONLY, RoundCase.TARGET_ESCALATED)
+    if case is RoundCase.SD:
+        if proxy_called == target_called:
+            raise ValueError("an SD round calls exactly one verifier")
+    elif not ternary and (proxy_called or not target_called):
+        raise ValueError(f"a {case.value} round calls the target alone")
     if case is RoundCase.TARGET_ONLY:
         if (tau_a, tau_m, tau_t, emitted) != (None, None, None, 1):
             raise ValueError("a target-only round has no tau and emits 1 token")
         return
-    if case not in (RoundCase.PROXY_ONLY, RoundCase.TARGET_ESCALATED):
+    if not ternary:
         if tau_a is None or (tau_m, tau_t) != (None, None) or emitted != tau_a + 1:
             raise ValueError(f"a {case.value} round has tau_a alone and emits tau_a + 1 tokens")
         return

@@ -593,7 +593,6 @@ def test_every_drawn_token_has_mass_in_its_own_row(model, k, temperature, data):
 
 def test_shared_drafts_stay_frozen_and_round_records_are_slotted():
     from trispec.harness import TraceRecord
-    from trispec.metrics import RoundCost
     from trispec.verification import AcceptanceTrace, Round, RoundCase, TreeVerifyResult
 
     rnd = Round(case=RoundCase.SD, emitted=(0,), passes=(1, 1, 0))
@@ -602,7 +601,6 @@ def test_shared_drafts_stay_frozen_and_round_records_are_slotted():
         AcceptanceTrace(coins=(), tau=0, correction_token=0, correction_is_bonus=True,
                         emitted=(0,)),
         TreeVerifyResult((), (), np.ones((1, 2)) / 2, 0, True),
-        RoundCost(draft=1.0, verify=5.0, overhead=0.0),
         TraceRecord("r", 0, "SD", 0, None, None, 1, False, True, 6.0),
     ]
     for rec in records:

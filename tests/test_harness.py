@@ -34,6 +34,7 @@ from trispec.harness import (
     write_trace_csv,
 )
 from trispec.models import MixtureProxy, NgramModel, save_oracle
+from trispec.verification import RoundCase
 
 
 @pytest.fixture(scope="module")
@@ -561,23 +562,28 @@ def test_trace_round_trip(tri_result, tmp_path):
     assert read_trace_csv(path) == tri_result.records
 
 
-_records = st.builds(
-    TraceRecord,
-    run_id=st.text(alphabet=st.sampled_from('ab1,"\' \n\r-'), max_size=12),
-    round_index=st.integers(0, 10**6),
-    case=st.just("SD"),
-    tau_a=st.integers(0, 64),
-    tau_m=st.none(),
-    tau_t=st.none(),
-    emitted_count=st.just(1),
-    proxy_called=st.booleans(),
-    target_called=st.booleans(),
-    round_cost=st.floats(0.0, 1e6, allow_nan=False),
-).map(lambda rec: replace(rec, emitted_count=rec.tau_a + 1))  # what an SD round writes
+@st.composite
+def _records(draw):
+    """A row of any shape some run writes, under any run_id and cost."""
+    case = draw(st.sampled_from([c.value for c in RoundCase]))
+    a, m, t = draw(st.integers(0, 64)), draw(st.integers(0, 64)), draw(st.integers(0, 64))
+    if case == "ProxyOnly":
+        shape = (a, a + 1 + m, None, a + 1, True, False)
+    elif case == "TargetEscalated":
+        shape = (a + m, a, t, a + t + 1, True, True)
+    elif case == "TargetOnly":
+        shape = (None, None, None, 1, False, True)
+    elif case == "SD":
+        shape = (a, None, None, a + 1, *draw(st.sampled_from([(True, False), (False, True)])))
+    else:  # Relax:*
+        shape = (a, None, None, a + 1, False, True)
+    return TraceRecord(draw(st.text(alphabet=st.sampled_from('ab1,"\' \n\r-'), max_size=12)),
+                       draw(st.integers(0, 10**6)), case, *shape,
+                       draw(st.floats(0.0, 1e6, allow_nan=False)))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(records=st.lists(_records, max_size=5))
+@given(records=st.lists(_records(), max_size=5))
 def test_trace_round_trips_any_run_id(records, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(records, path)
@@ -627,10 +633,15 @@ _ESCALATED = TraceRecord("r", 0, "TargetEscalated", 2, 1, 0, 2, True, True, 99.0
     TraceRecord("r", 0, "SD", 2, 7, 9, 3, False, True, 90.0),
     TraceRecord("r", 0, "Relax:chow", None, None, None, 1, False, True, 90.0),
     TraceRecord("r", 0, "TargetOnly", 0, None, None, 1, False, True, 90.0),
+    TraceRecord("r", 0, "TargetOnly", None, None, None, 1, True, False, 5.0),
+    TraceRecord("r", 0, "SD", 1, None, None, 2, True, True, 96.0),
+    TraceRecord("r", 0, "SD", 1, None, None, 2, False, False, 1.0),
+    TraceRecord("r", 0, "Relax:topk", 1, None, None, 2, True, True, 96.0),
 ], ids=["bogus-case", "proxy-only-without-proxy", "escalated-without-proxy", "negative-tau-a",
         "negative-tau-t", "negative-round-index", "nan-cost", "inf-cost", "negative-cost",
         "sd-emits-not-tau-a-plus-1", "target-only-emits-5", "sd-with-tau-m-and-tau-t",
-        "relax-without-tau-a", "target-only-with-tau-a"])
+        "relax-without-tau-a", "target-only-with-tau-a", "target-only-calls-the-proxy-alone",
+        "sd-calls-both-verifiers", "sd-calls-no-verifier", "relax-calls-the-proxy"])
 def test_trace_read_back_refuses_rows_no_run_writes(bad, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv([_ESCALATED, bad], path)
@@ -702,6 +713,21 @@ def _csv_line(cells):
     return buf.getvalue()[:-2] + "\n"
 
 
+def _to_csv_row(rec):
+    """The per-record formatter the trace writer once used, kept as a
+    reference: cells in ``TRACE_COLUMNS`` order, None empty, booleans 1 or 0."""
+    taus = ["" if tau is None else str(tau) for tau in (rec.tau_a, rec.tau_m, rec.tau_t)]
+    return [rec.run_id, str(rec.round_index), rec.case, *taus, str(rec.emitted_count),
+            "1" if rec.proxy_called else "0", "1" if rec.target_called else "0",
+            str(rec.round_cost)]
+
+
+def _trace_bytes(records):
+    lines = [TRACE_SCHEMA + "\n", _csv_line(TRACE_COLUMNS)]
+    lines += [_csv_line(_to_csv_row(rec)) for rec in records]
+    return "".join(lines).encode("utf-8")
+
+
 _cells = st.text(alphabet=st.sampled_from('a1 ,"\'\r\n\t'), max_size=6)
 
 
@@ -710,7 +736,7 @@ _cells = st.text(alphabet=st.sampled_from('a1 ,"\'\r\n\t'), max_size=6)
 @given(
     width=st.integers(1, 4),
     cells=st.lists(_cells, max_size=24),
-    records=st.lists(_records, max_size=4),
+    records=st.lists(_records(), max_size=4),
 )
 def test_csv_writers_format_rows_as_the_per_row_formatter_did(width, cells, records, tmp_path):
     columns = [f"c{i}" for i in range(width - 1)] + ["x,\"y\"\r\n"]
@@ -723,9 +749,20 @@ def test_csv_writers_format_rows_as_the_per_row_formatter_did(width, cells, reco
 
     path = tmp_path / "trace.csv"
     write_trace_csv(records, path)
-    want = [TRACE_SCHEMA + "\n", _csv_line(TRACE_COLUMNS)]
-    want += [_csv_line(rec.to_csv_row()) for rec in records]
-    assert path.read_bytes() == "".join(want).encode("utf-8")
+    assert path.read_bytes() == _trace_bytes(records)
+
+
+@pytest.mark.parametrize("run_id", ["", '"', ",", "\r", "\n", 'a "b", c\r\nd'])
+def test_trace_text_cells_are_quoted_as_the_csv_module_quotes_them(run_id, tmp_path):
+    records = [TraceRecord(run_id, i, case, None, None, None, 1, False, True, 90.0)
+               for i, case in enumerate(["TargetOnly", "TargetOnly"])]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    assert path.read_bytes() == _trace_bytes(records)
+    assert read_trace_csv(path) == records
+    odd = [replace(records[0], case="Relax:a,b"), replace(records[1], case="")]  # no run writes these
+    write_trace_csv(odd, path)
+    assert path.read_bytes() == _trace_bytes(odd)
 
 
 def test_sweep_rejects_bad_grids():

@@ -1,14 +1,13 @@
 """Cost ledger, the latency identity, efficiency ratios, margin histograms."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trispec.core import Distribution, Vocabulary
 from trispec.metrics import (
     CostModel,
     MarginHistogram,
-    RoundCost,
     RunReport,
     accumulate,
     lemma_check,
@@ -38,7 +37,8 @@ def test_cost_model_refuses_non_finite_constants(field, value):
 
 
 def test_round_cost_total():
-    assert RoundCost(draft=6.0, verify=95.0, overhead=2.5).total == 103.5
+    report = RunReport(cost=CostModel(t_o=2.5))
+    assert report.add_round(4, 6, 1, 1, "TargetEscalated") == 6.0 + 95.0 + 2.5 == 103.5
 
 
 def test_add_round_arithmetic():
@@ -47,7 +47,7 @@ def test_add_round_arithmetic():
         emitted_count=4, drafter_passes=6, proxy_passes=1, target_passes=1,
         case_label="TargetEscalated",
     )
-    assert cost == RoundCost(draft=6.0, verify=95.0, overhead=2.0)
+    assert cost == 6.0 + 95.0 + 2.0 == 103.0
     assert report.N == 4
     assert report.rounds == 1
     assert report.accepted_total == 3
@@ -124,10 +124,64 @@ def _proxy_only_round():
 
 def test_accumulate_returns_the_round_cost():
     report = RunReport(cost=CostModel())
-    assert accumulate(report, _proxy_only_round()) == RoundCost(draft=4.0, verify=5.0, overhead=0.0)
+    assert accumulate(report, [_proxy_only_round()]) == [4.0 + 5.0 + 0.0]
     assert report.N == 2
     assert report.drafter_passes == 4 and report.proxy_passes == 1 and report.target_passes == 0
     assert report.case_counts == {"ProxyOnly": 1}
+
+
+def _ledger(cost, rounds):
+    """The per-round ``+=`` ledger the fold must reproduce bit for bit,
+    kept as the reference: every sum adds its terms in round order."""
+    want = RunReport(cost=cost)
+    costs = []
+    for rnd in rounds:
+        d, p, t = rnd.passes
+        draft, verify = d * cost.c_d, p * cost.c_p + t * cost.c_t
+        want.N += len(rnd.emitted)
+        want.rounds += 1
+        want.accepted_total += len(rnd.emitted) - 1
+        want.draft_time += draft
+        want.verify_time += verify
+        want.overhead_time += cost.t_o
+        want.drafter_passes += d
+        want.proxy_passes += p
+        want.target_passes += t
+        want.case_counts[rnd.case.value] = want.case_counts.get(rnd.case.value, 0) + 1
+        costs.append(draft + verify + cost.t_o)
+    return want, costs
+
+
+_folded_rounds = st.lists(
+    st.builds(
+        lambda case, emitted, passes: Round(case, (0,) * emitted, passes),
+        st.sampled_from(list(RoundCase)),
+        st.integers(1, 9),
+        st.tuples(st.integers(0, 12), st.integers(0, 3), st.integers(0, 3)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rounds=_folded_rounds,
+    constants=st.lists(st.floats(0.0, 100.0), min_size=3, max_size=3).map(sorted),
+    t_o=st.floats(0.0, 10.0),
+)
+@example(rounds=[Round(RoundCase.SD, (0,) * 3, (6, 0, 1))] * 40, constants=[0.1, 0.3, 0.7], t_o=0.05)
+def test_accumulate_is_the_per_round_ledger_bit_for_bit(rounds, constants, t_o):
+    cost = CostModel(*constants, t_o=t_o)
+    report = RunReport(cost=cost)
+    costs = accumulate(report, rounds)
+    want, want_costs = _ledger(cost, rounds)
+    assert [c.hex() for c in costs] == [c.hex() for c in want_costs]
+    assert repr(report) == repr(want)  # repr round-trips every float exactly
+
+
+def test_accumulate_refuses_a_round_that_emits_nothing():
+    with pytest.raises(ValueError, match="at least one token"):
+        accumulate(RunReport(cost=CostModel()), [_proxy_only_round(), Round(RoundCase.SD, (), (1, 0, 1))])
 
 
 # ---------------------------------------------------------------------------
