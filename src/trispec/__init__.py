@@ -6,206 +6,33 @@ expensive target model is consulted only for the untrusted remainder.
 Everything runs on small exact token-distribution oracles so decoding
 laws, routing behavior, and the latency decomposition can be tested
 exactly rather than benchmarked.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them all. The command-line module is left out: binding its
+``cli`` command here would shadow the ``trispec.cli`` module.
 """
 
-from .baselines import (
-    RelaxPolicy,
-    RoutingSignal,
-    chow_accept,
-    confidence_filter_accept,
-    relaxed_sd_round,
-    routing_signal_eval,
-    token_specific_accept,
-    topk_verify_accept,
-)
-from .core import (
-    AllZeroError,
-    Distribution,
-    RandomStream,
-    Vocabulary,
-    apply_temperature,
-    normalize,
-    sample,
-    top2_margin,
-)
-from .drafting import (
-    DraftChain,
-    DraftTree,
-    PathNotInTreeError,
-    TreeNode,
-    draft_chain,
-    draft_tree,
-    prune_tree_prefix,
-)
-from .harness import (
-    ConfigError,
-    EmptyCorpusError,
-    ExperimentConfig,
-    ExperimentResult,
-    Family,
-    TraceRecord,
-    build_family,
-    derive_prompts,
-    load_config,
-    load_corpus,
-    margin_eval_contexts,
-    read_trace_csv,
-    reference_corpus_path,
-    run_experiment,
-    sweep,
-    validate_trace_records,
-    write_report_json,
-    write_sweep_csv,
-    write_trace_csv,
-)
-from .metrics import (
-    CostModel,
-    MarginHistogram,
-    RunReport,
-    accumulate,
-    lemma_check,
-    margin_histogram,
-    speedup_vs_target_only,
-    target_invocation_ratio,
-)
-from .models import (
-    CorpusTooShortError,
-    MixtureProxy,
-    ModelOracle,
-    NGramSpec,
-    NgramModel,
-    PassMeter,
-    ProxyDerivation,
-    TableModel,
-    Walk,
-    derive_proxy,
-    load_oracle,
-    save_oracle,
-    train_ngram,
-)
-from .router import (
-    MarginRule,
-    TreeParams,
-    pruned_target_verify,
-    trispec_round,
-    trispec_tree_round,
-    trusted_prefix_len,
-)
-from .suites import (
-    CheckResult,
-    first_token_law,
-    mc_first_token_distance,
-    paired_equivalence,
-    verify_suite,
-)
-from .verification import (
-    AcceptanceTrace,
-    DecodeStreams,
-    DegenerateResidualError,
-    Round,
-    RoundCase,
-    TreeVerifyResult,
-    acceptance_coins,
-    check_routing,
-    draw_correction,
-    residual_dist,
-    sd_round,
-    sd_tree_round,
-    target_only_round,
-    verify_chain,
-    verify_tree_greedy,
-)
+from . import baselines, core, drafting, harness, metrics, models, router, suites, verification
+from .baselines import *
+from .core import *
+from .drafting import *
+from .harness import *
+from .metrics import *
+from .models import *
+from .router import *
+from .suites import *
+from .verification import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptanceTrace",
-    "AllZeroError",
-    "CheckResult",
-    "ConfigError",
-    "CorpusTooShortError",
-    "CostModel",
-    "DecodeStreams",
-    "DegenerateResidualError",
-    "Distribution",
-    "DraftChain",
-    "DraftTree",
-    "EmptyCorpusError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "Family",
-    "MarginHistogram",
-    "MarginRule",
-    "MixtureProxy",
-    "ModelOracle",
-    "NGramSpec",
-    "NgramModel",
-    "PassMeter",
-    "PathNotInTreeError",
-    "ProxyDerivation",
-    "RandomStream",
-    "RelaxPolicy",
-    "Round",
-    "RoundCase",
-    "RoutingSignal",
-    "RunReport",
-    "TableModel",
-    "TraceRecord",
-    "TreeNode",
-    "TreeParams",
-    "TreeVerifyResult",
-    "Vocabulary",
-    "Walk",
-    "accumulate",
-    "acceptance_coins",
-    "apply_temperature",
-    "build_family",
-    "check_routing",
-    "chow_accept",
-    "confidence_filter_accept",
-    "derive_prompts",
-    "derive_proxy",
-    "draft_chain",
-    "draft_tree",
-    "draw_correction",
-    "first_token_law",
-    "lemma_check",
-    "load_config",
-    "load_corpus",
-    "load_oracle",
-    "margin_eval_contexts",
-    "margin_histogram",
-    "mc_first_token_distance",
-    "normalize",
-    "paired_equivalence",
-    "prune_tree_prefix",
-    "pruned_target_verify",
-    "read_trace_csv",
-    "reference_corpus_path",
-    "relaxed_sd_round",
-    "residual_dist",
-    "routing_signal_eval",
-    "run_experiment",
-    "sample",
-    "save_oracle",
-    "sd_round",
-    "sd_tree_round",
-    "speedup_vs_target_only",
-    "sweep",
-    "target_invocation_ratio",
-    "target_only_round",
-    "token_specific_accept",
-    "top2_margin",
-    "topk_verify_accept",
-    "train_ngram",
-    "trispec_round",
-    "trispec_tree_round",
-    "trusted_prefix_len",
-    "validate_trace_records",
-    "verify_chain",
-    "verify_suite",
-    "verify_tree_greedy",
-    "write_report_json",
-    "write_sweep_csv",
-    "write_trace_csv",
+    *baselines.__all__,
+    *core.__all__,
+    *drafting.__all__,
+    *harness.__all__,
+    *metrics.__all__,
+    *models.__all__,
+    *router.__all__,
+    *suites.__all__,
+    *verification.__all__,
 ]

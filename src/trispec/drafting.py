@@ -35,6 +35,7 @@ __all__ = [
     "DraftTree",
     "PathNotInTreeError",
     "TreeNode",
+    "TreeParams",
     "draft_chain",
     "draft_tree",
     "prune_tree_prefix",
@@ -241,6 +242,15 @@ class DraftTree:
                 raise ValueError(f"mask row {i} is not the ancestor-or-self set")
         if len(self.nodes) > self.budget:
             raise ValueError("tree exceeds its token budget")
+
+
+@dataclass(frozen=True)
+class TreeParams:
+    """Draft-tree shape: expansion depth, per-node top-k, token budget."""
+
+    depth: int = 6
+    branch_topk: int = 10
+    budget: int = 60
 
 
 def draft_tree(

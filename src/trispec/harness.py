@@ -26,6 +26,7 @@ import numpy as np
 
 from .baselines import RelaxPolicy, RoutingSignal, relaxed_sd_round
 from .core import Vocabulary
+from .drafting import TreeParams
 from .metrics import CostModel, RunReport, accumulate, lemma_check
 from .models import (
     MixtureProxy,
@@ -37,7 +38,7 @@ from .models import (
     load_oracle,
     train_ngram,
 )
-from .router import MarginRule, TreeParams, trispec_round, trispec_tree_round
+from .router import MarginRule, trispec_round, trispec_tree_round
 from .verification import (
     DecodeStreams, Round, RoundCase, check_routing, sd_round, sd_tree_round, target_only_round,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "TraceRecord",
     "build_family",
     "derive_prompts",
+    "load_config",
     "load_corpus",
     "margin_eval_contexts",
     "read_trace_csv",
@@ -426,6 +428,8 @@ def margin_eval_contexts(
     tokens: Sequence[int], positions: int, window: int = 8
 ) -> list[tuple[int, ...]]:
     """Evenly spaced fixed-width contexts over a token stream."""
+    if positions < 1 or window < 1:
+        raise ConfigError("margin evaluation needs positions >= 1 and window >= 1")
     if len(tokens) <= window:
         raise ConfigError("token stream too short for margin evaluation")
     span = len(tokens) - window
@@ -618,8 +622,7 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
             drafter, verifier, base, cfg.k, cfg.temperature, streams, cfg.sd_verifier
         ),
         "sd_tree": lambda base, streams: sd_tree_round(
-            drafter, verifier, base, cfg.tree_depth, cfg.tree_topk, cfg.tree_budget,
-            cfg.sd_verifier,
+            drafter, verifier, base, tree_params, cfg.sd_verifier
         ),
         "relax": lambda base, streams: relaxed_sd_round(
             drafter, target, base, cfg.k, policy, cfg.temperature, streams

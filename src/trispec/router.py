@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import apply_temperature, top2_margin
-from .drafting import DraftChain, draft_chain, draft_tree, prune_tree_prefix
+from .drafting import DraftChain, TreeParams, draft_chain, draft_tree, prune_tree_prefix
 from .models import ModelOracle, PassMeter, Walk
 from .verification import (
     AcceptanceTrace,
@@ -56,7 +56,6 @@ from .verification import (
 
 __all__ = [
     "MarginRule",
-    "TreeParams",
     "pruned_target_verify",
     "trispec_round",
     "trispec_tree_round",
@@ -219,15 +218,6 @@ def trispec_round(
     return rnd
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    """Draft-tree shape: expansion depth, per-node top-k, token budget."""
-
-    depth: int = 6
-    branch_topk: int = 10
-    budget: int = 60
-
-
 def trispec_tree_round(
     drafter: ModelOracle,
     proxy: ModelOracle,
@@ -246,12 +236,12 @@ def trispec_tree_round(
     itself is expanded from the drafter's raw rows: collapsing them to
     argmax one-hots would leave nothing to branch on.
 
-    Every tree round is kept in the target's round table, with the paths
-    of the target's pass when it escalated: the tree's own paths of the
-    committed node and what lies below it, which from the key's window
-    tail walk to the states the pruned tree's paths walk to. A repeat
-    drafts (a draft-memo hit), replays the proxy's pass over the whole
-    tree and the target's over those paths, and returns the stored round.
+    Every tree round is kept in the target's round table, with the
+    committed prefix and the pruned tree's paths when it escalated: the
+    paths the target's pass scored. A repeat drafts (a draft-memo hit),
+    replays the proxy's pass over the whole tree from the key's window
+    tail, and the target's over those paths from that tail and the
+    committed prefix, and returns the stored round.
     """
     meter = PassMeter(drafter, proxy, target)
 
@@ -261,16 +251,17 @@ def trispec_tree_round(
     table = target._states.rounds
     hit = table.get(key)
     if hit is not None:
-        rnd, target_paths = hit
+        rnd, escalated = hit
         proxy.batch_score_paths(key[0], tree._paths)
-        if target_paths is not None:
-            target.batch_score_paths(key[0], target_paths)
+        if escalated is not None:
+            committed, paths = escalated
+            target.batch_score_paths(key[0] + committed, paths)
         return rnd
     proxy_result = verify_tree_greedy(tree, proxy)
     tau_a = proxy_result.accepted_len
     tau_m = trusted_prefix_len(proxy_result.path_walk, rule)
 
-    target_paths = None
+    escalated = None
     if tau_a < tau_m:
         case, tau_t = RoundCase.PROXY_ONLY, None
         emitted, is_bonus = proxy_result.emitted, proxy_result.exhausted
@@ -281,10 +272,7 @@ def trispec_tree_round(
         case, tau_t = RoundCase.TARGET_ESCALATED, target_result.accepted_len
         emitted = committed + target_result.emitted
         is_bonus = target_result.exhausted
-        target_paths = tree._paths
-        if tau_m:  # node ids ascend from parent to child, so the committed node comes first
-            below = np.flatnonzero(tree.mask[:, proxy_result.path_ids[tau_m - 1]]).tolist()
-            target_paths = tuple(tree._paths[i + 1] for i in below)
+        escalated = (committed, remainder._paths)
     rnd = Round(
         case=case,
         emitted=emitted,
@@ -297,5 +285,5 @@ def trispec_tree_round(
         correction_is_bonus=is_bonus,
     )
     rnd.validate()
-    table[key] = (rnd, target_paths)
+    table[key] = (rnd, escalated)
     return rnd

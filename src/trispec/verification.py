@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import RandomStream, apply_temperature, sample
-from .drafting import DraftChain, DraftTree, draft_chain, draft_tree
+from .drafting import DraftChain, DraftTree, TreeParams, draft_chain, draft_tree
 from .models import ModelOracle, PassMeter, Walk, _States
 
 __all__ = [
@@ -487,15 +487,15 @@ def sd_tree_round(
     drafter: ModelOracle,
     verifier: ModelOracle,
     ctx: Sequence[int],
-    depth: int,
-    branch_topk: int,
-    budget: int,
+    params: TreeParams,
     verifier_role: str = "target",
 ) -> Round:
     """Greedy tree-drafted SD round; the verifier's passes count under
-    ``verifier_role``."""
+    ``verifier_role``, ``"target"`` or ``"proxy"``."""
+    if verifier_role not in ("target", "proxy"):
+        raise ValueError(f"unknown verifier role {verifier_role!r}")
     meter = PassMeter(drafter, **{verifier_role: verifier})
-    tree = draft_tree(drafter, tuple(ctx), depth, branch_topk, budget)
+    tree = draft_tree(drafter, tuple(ctx), params.depth, params.branch_topk, params.budget)
     result = verify_tree_greedy(tree, verifier)
     return Round(
         case=RoundCase.SD,

@@ -32,3 +32,10 @@ def test_package_reexports_module_exports(name):
     assert sorted(set(module.__all__) - set(trispec.__all__)) == []
     for export in module.__all__:
         assert getattr(trispec, export) is getattr(module, export)
+
+
+def test_package_exports_exactly_the_module_exports():
+    names = [
+        n for name in LIBRARY_MODULES for n in importlib.import_module(f"trispec.{name}").__all__
+    ]
+    assert sorted(trispec.__all__) == sorted(names)

@@ -289,6 +289,12 @@ def test_margin_eval_contexts_spacing():
         margin_eval_contexts(list(range(8)), positions=4, window=8)
 
 
+@pytest.mark.parametrize("positions, window", [(0, 8), (-1, 8), (10, 0), (10, -3)])
+def test_margin_eval_contexts_refuses_nonpositive_sizes(positions, window):
+    with pytest.raises(ConfigError):
+        margin_eval_contexts(list(range(50)), positions=positions, window=window)
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 # ---------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def test_tree_round_sentinels_match_tree_sd(ref_family):
     fam = ref_family.fork()
     out = trispec_tree_round(fam.drafter, fam.proxy, fam.target, ctx, p, MarginRule(0.0))
     twin = ref_family.fork()
-    sd = sd_tree_round(twin.drafter, twin.proxy, ctx, p.depth, p.branch_topk, p.budget, "proxy")
+    sd = sd_tree_round(twin.drafter, twin.proxy, ctx, p, "proxy")
     assert out.case is RoundCase.PROXY_ONLY
     assert out.emitted == sd.emitted
     assert out.coins == (1,) * out.tau_a
@@ -314,7 +314,7 @@ def test_tree_round_sentinels_match_tree_sd(ref_family):
     fam = ref_family.fork()
     out = trispec_tree_round(fam.drafter, fam.proxy, fam.target, ctx, p, MarginRule(1.01))
     twin = ref_family.fork()
-    sd = sd_tree_round(twin.drafter, twin.target, ctx, p.depth, p.branch_topk, p.budget)
+    sd = sd_tree_round(twin.drafter, twin.target, ctx, p)
     assert out.case is RoundCase.TARGET_ESCALATED and out.tau_m == 0
     assert out.emitted == sd.emitted
     assert out.passes[2] == 1

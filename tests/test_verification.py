@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trispec.baselines import RoutingSignal
 from trispec.core import Distribution, RandomStream, Vocabulary, top2_margin
-from trispec.drafting import DraftChain, draft_chain, draft_tree, prune_tree_prefix
+from trispec.drafting import DraftChain, TreeParams, draft_chain, draft_tree, prune_tree_prefix
 from trispec.models import TableModel, Walk
 from trispec.router import MarginRule, trusted_prefix_len
 from trispec.suites import first_token_law, mc_first_token_distance
@@ -343,13 +343,20 @@ def test_tree_round_with_unit_branching_matches_chain_round(ref_family):
     twin = ref_family.fork()
     ctx = tuple(fam.train_tokens[:12])
     k = 6
-    tree_result = sd_tree_round(fam.drafter, fam.target, ctx, k, 1, k)
+    tree_result = sd_tree_round(fam.drafter, fam.target, ctx, TreeParams(k, 1, k))
     chain_result = sd_round(
         twin.drafter, twin.target, ctx, k, 0.0, DecodeStreams.from_seed(0, "t")
     )
     assert tree_result.emitted == chain_result.emitted
     assert tree_result.passes == (k, 0, 1) == chain_result.passes
     assert tree_result.tau_a == chain_result.tau_a
+
+
+def test_tree_round_refuses_an_unknown_verifier_role(ref_family):
+    fam = ref_family.fork()
+    with pytest.raises(ValueError, match="unknown verifier role"):
+        sd_tree_round(fam.drafter, fam.target, (0, 1), TreeParams(), "bogus")
+    assert fam.drafter.invocation_count == fam.target.invocation_count == 0
 
 
 # ---------------------------------------------------------------------------
