@@ -175,19 +175,14 @@ def relaxed_sd_round(
             hot[0, token] = hot[1, best[i]] = 1.0
             return policy.decide(hot[0], hot[1], token)
     else:
-        rows = walk.rows
+        d_rows, rows = draft.dists, walk.rows
 
         def decide(i: int, token: int) -> bool | None:
-            return policy.decide(draft.dists[i], rows[i], token)
+            return policy.decide(d_rows[i], rows[i], token)
 
     coins, tau = acceptance_coins(draft, walk, temperature, streams.target_coins, decide=decide)
     token = best[tau] if temperature == 0.0 else walk.draw(tau, streams.correction)
-    return Round(
-        case=RoundCase(f"Relax:{policy.kind}"),
-        emitted=draft.tokens[:tau] + (token,),
-        passes=meter.passes(),
-        tau_a=tau,
-        coins=coins,
-        correction_is_bonus=tau == draft.k,
-        draft=draft,
-    )
+    rnd = Round(RoundCase(f"Relax:{policy.kind}"), draft.tokens[:tau] + (token,), meter.passes(),
+                tau_a=tau, coins=coins, correction_is_bonus=tau == draft.k, draft=draft)
+    rnd.validate()
+    return rnd

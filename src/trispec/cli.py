@@ -19,6 +19,7 @@ from .harness import (
     ConfigError,
     EmptyCorpusError,
     build_family,
+    config_items,
     load_config,
     margin_eval_contexts,
     run_experiment,
@@ -42,13 +43,7 @@ MAX_WINDOW = 64
 
 
 def _overrides(pairs: tuple[str, ...]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must look like key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+    return config_items((pair, "override") for pair in pairs)
 
 
 def _config_options(f):

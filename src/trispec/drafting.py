@@ -7,10 +7,13 @@ probabilities later. Each drafter pass scores the context cut to the
 drafter's window, extended by one token per pass. A greedy chain (T=0)
 takes the argmax each pass's state keeps and draws no uniform; a sampled
 one (T=1) draws each token from the CDF the pass's state keeps. Either
-way the chain records the drafter states it drew from (its ``walk``),
-which the acceptance rule reads, and takes its ``(k, V)`` block of rows
-from them only when asked. A greedy chain depends only on the drafter's
-window tail, so it is drafted once per tail and length, like a tree.
+way a chain is its tokens and the drafter states it drew them from (its
+``walk``), which the acceptance rule reads; its ``(k, V)`` block of rows
+is copied from them only when asked. A chain built by hand from rows
+(``DraftChain.of_rows``) is checked: one row per token, each with mass on
+its token. A greedy chain depends only on the drafter's window tail, so
+it is drafted once per tail and length, like a tree, and a chain is
+immutable, so the memo hands one out again.
 
 A draft tree generalizes the chain: every frontier node proposes its
 top-``branch_topk`` continuations under the drafter's raw row, and the
@@ -24,6 +27,7 @@ by many rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,49 +50,36 @@ class PathNotInTreeError(ValueError):
     """Raised when a supposedly accepted path does not exist in the tree."""
 
 
-@dataclass(frozen=True, eq=False)
-class DraftChain:
-    """k drafted tokens plus the ``(k, V)`` block of raw rows they were
-    drawn from; kept read-only. ``walk`` addresses the same rows: the
-    drafter's states a drafted chain was drawn from, or one state per row
-    of ``dists`` for a chain built from its rows. Chains compare and hash
-    by identity, as an array field cannot."""
+class DraftChain(NamedTuple):
+    """k drafted tokens and ``walk``, the states they were drawn from: the
+    drafter's, for a drafted chain, or one state per row for a chain built
+    from its rows (``of_rows``). ``dists`` is the ``(k, V)`` block of
+    those rows, a read-only copy taken on each read: most rounds read the
+    walk alone."""
 
     tokens: tuple[int, ...]
-    dists: np.ndarray
-    walk: Walk = field(init=False, repr=False)
-
-    def __getattr__(self, name: str):
-        """A drawn chain's ``dists``, taken from its walk on the first read:
-        most rounds read the walk alone."""
-        if name != "dists":
-            raise AttributeError(name)
-        return self.__dict__.setdefault("dists", self.walk.rows)
-
-    def __post_init__(self) -> None:
-        dists = np.asarray(self.dists, dtype=np.float64)
-        if dists.ndim != 2 or len(self.tokens) != len(dists) or not self.tokens:
-            raise ValueError("chain needs one distribution per drafted token")
-        if any(dists[i, tok] <= 0.0 for i, tok in enumerate(self.tokens)):
-            raise ValueError("drafted token has zero probability in its own dist")
-        if dists.flags.writeable:
-            dists = dists.copy()
-            dists.setflags(write=False)
-        object.__setattr__(self, "dists", dists)
-        object.__setattr__(self, "walk", Walk.of_rows(dists))
+    walk: Walk
 
     @classmethod
-    def _drawn(cls, tokens: tuple[int, ...], walk: Walk) -> "DraftChain":
-        """A chain of tokens drawn from their own rows of ``walk``, built
-        without the checks: an argmax, or a token found by inverse CDF in
-        its row, always has positive mass there."""
-        chain = object.__new__(cls)
-        chain.__dict__.update(tokens=tokens, walk=walk)
-        return chain
+    def of_rows(cls, tokens: Sequence[int], dists) -> "DraftChain":
+        """A chain of ``tokens`` drawn from the rows of ``dists``, one row
+        per token, each with positive mass on its token; the rows are
+        copied."""
+        tokens, rows = tuple(tokens), np.array(dists, dtype=np.float64)
+        if rows.ndim != 2 or len(tokens) != len(rows) or not tokens:
+            raise ValueError("chain needs one distribution per drafted token")
+        if any(rows[i, tok] <= 0.0 for i, tok in enumerate(tokens)):
+            raise ValueError("drafted token has zero probability in its own dist")
+        rows.setflags(write=False)
+        return cls(tokens, Walk.of_rows(rows))
 
     @property
     def k(self) -> int:
         return len(self.tokens)
+
+    @property
+    def dists(self) -> np.ndarray:
+        return self.walk.rows
 
 
 def draft_chain(
@@ -143,7 +134,7 @@ def draft_chain(
             cut.append(token)
             if len(cut) > w:
                 del cut[0]
-    chain = DraftChain._drawn(tuple(tokens), Walk(states, walked))
+    chain = DraftChain(tuple(tokens), Walk(states, walked))
     if key is not None:
         drafter._drafts[key] = (chain, tuple(contexts))
     return chain

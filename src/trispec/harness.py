@@ -229,6 +229,25 @@ _KEY_ALIASES = {"lambda": "lam"}
 _FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
+def config_items(lines: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """Raw values by key from ``(text, where)`` pairs, each text one
+    ``key=value`` setting and ``where`` what to call it in an error. A key
+    set twice, under either spelling of an alias, raises ConfigError."""
+    items: dict[str, str] = {}
+    named: dict[str, str] = {}  # config field -> the key that set it
+    for text, where in lines:
+        if "=" not in text:
+            raise ConfigError(f"{where}: expected key=value, got {text!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        field = _KEY_ALIASES.get(key, key)
+        earlier = named.setdefault(field, key)
+        if key in items or earlier != key:
+            both = "" if earlier == key else f" as {earlier!r} and {key!r}"
+            raise ConfigError(f"{where}: config key {field!r} is given twice{both}; give it once")
+        items[key] = value
+    return items
+
+
 def config_overrides(items: dict[str, str]) -> dict:
     """Coerce raw key=value strings into config field values."""
     parsed = {}
@@ -245,21 +264,17 @@ def config_overrides(items: dict[str, str]) -> dict:
 
 
 def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Read a flat key=value config file and apply overrides on top."""
+    """Read a flat key=value config file and apply overrides on top: an
+    override may set a key the file sets, but neither may set one twice."""
     items: dict[str, str] = {}
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 at byte {exc.start}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = body.split("=", 1)
-            items[key.strip()] = value.strip()
+        settings = ((line.split("#", 1)[0].strip(), f"{path}:{lineno}")
+                    for lineno, line in enumerate(text.splitlines(), start=1))
+        items = config_items(setting for setting in settings if setting[0])
     cfg = replace(ExperimentConfig(), **config_overrides(items))
     if overrides:
         cfg = replace(cfg, **config_overrides(overrides))
@@ -556,13 +571,39 @@ class ExperimentResult:
         }
 
 
+# Round functions by name, each called as ``play(run, ctx, streams)``; ``run``
+# holds the run's oracles and round settings (``T`` is the temperature,
+# ``role`` the SD verifier's). Each lambda looks its function up by name
+# when called, so a wrapper set on this module's names sees every round.
+_ROUNDS = {
+    "target_only": lambda r, ctx, s: target_only_round(r.target, ctx, r.T, s),
+    "sd": lambda r, ctx, s: sd_round(r.drafter, r.verifier, ctx, r.k, r.T, s, r.role),
+    "sd_tree": lambda r, ctx, s: sd_tree_round(r.drafter, r.verifier, ctx, r.tree, r.role),
+    "relax": lambda r, ctx, s: relaxed_sd_round(r.drafter, r.target, ctx, r.k, r.policy, r.T, s),
+    "trispec": lambda r, ctx, s: trispec_round(
+        r.drafter, r.proxy, r.target, ctx, r.k, r.rule, r.T, s, raw_bonus=r.raw_bonus
+    ),
+    "trispec_tree": lambda r, ctx, s: trispec_tree_round(
+        r.drafter, r.proxy, r.target, ctx, r.tree, r.rule
+    ),
+}
+
+
+def _dispatch(cfg: ExperimentConfig) -> str:
+    """The round function a run plays: the method's tree form when
+    ``use_tree`` is set and it has one (``target_only`` and ``relax`` have
+    none), else the method's own."""
+    tree = f"{cfg.method}_tree"
+    return tree if cfg.use_tree and tree in _ROUNDS else cfg.method
+
+
 def default_run_id(cfg: ExperimentConfig) -> str:
     parts = [cfg.method]
     if cfg.method == "trispec":
         parts.append(f"{cfg.signal}{cfg.lam:g}")
     if cfg.method == "relax":
         parts.append(cfg.relax_policy)
-    if cfg.use_tree:
+    if _dispatch(cfg).endswith("_tree"):
         parts.append("tree")
     parts.append(f"T{cfg.temperature:g}")
     parts.append(f"seed{cfg.seed}")
@@ -598,44 +639,21 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
     """
     cfg.validate()
     family = (family or build_family(cfg)).fork()
-    drafter, proxy, target = family.drafter, family.proxy, family.target
+    proxy, target = family.proxy, family.target
     report = RunReport(cost=CostModel(cfg.c_d, cfg.c_p, cfg.c_t, cfg.t_o), t_o_base=cfg.t_o_base)
     run_id = cfg.run_id or default_run_id(cfg)
-    rule = _trust_rule(cfg)
-    policy = RelaxPolicy(
-        cfg.relax_policy, alpha=cfg.relax_alpha, threshold=cfg.relax_threshold, k=cfg.relax_k
+    run = SimpleNamespace(
+        drafter=family.drafter, proxy=proxy, target=target, k=cfg.k, T=cfg.temperature,
+        verifier=target if cfg.sd_verifier == "target" else proxy, role=cfg.sd_verifier,
+        rule=_trust_rule(cfg), tree=TreeParams(cfg.tree_depth, cfg.tree_topk, cfg.tree_budget),
+        policy=RelaxPolicy(cfg.relax_policy, alpha=cfg.relax_alpha,
+                           threshold=cfg.relax_threshold, k=cfg.relax_k),
+        raw_bonus=cfg.raw_bonus,
     )
-    tree_params = TreeParams(cfg.tree_depth, cfg.tree_topk, cfg.tree_budget)
+    play = _ROUNDS[_dispatch(cfg)]
     prompts = derive_prompts(
         family.held_tokens, family.vocab, cfg.tokenizer, cfg.num_prompts, cfg.prompt_fraction
     )
-
-    verifier = target if cfg.sd_verifier == "target" else proxy
-    # Round functions by method. Each lambda looks its function up by name when
-    # called, so a wrapper set on this module's names sees every round.
-    # target_only and relax have no tree form; use_tree leaves them as they are.
-    rounds = {
-        "target_only": lambda base, streams: target_only_round(
-            target, base, cfg.temperature, streams
-        ),
-        "sd": lambda base, streams: sd_round(
-            drafter, verifier, base, cfg.k, cfg.temperature, streams, cfg.sd_verifier
-        ),
-        "sd_tree": lambda base, streams: sd_tree_round(
-            drafter, verifier, base, tree_params, cfg.sd_verifier
-        ),
-        "relax": lambda base, streams: relaxed_sd_round(
-            drafter, target, base, cfg.k, policy, cfg.temperature, streams
-        ),
-        "trispec": lambda base, streams: trispec_round(
-            drafter, proxy, target, base, cfg.k, rule, cfg.temperature, streams,
-            raw_bonus=cfg.raw_bonus,
-        ),
-        "trispec_tree": lambda base, streams: trispec_tree_round(
-            drafter, proxy, target, base, tree_params, rule
-        ),
-    }
-    play = rounds.get(f"{cfg.method}_tree" if cfg.use_tree else cfg.method, rounds[cfg.method])
 
     played: list[Round] = []
     continuations: list[tuple[tuple[int, ...], list[int]]] = []
@@ -643,7 +661,7 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
         streams = DecodeStreams.from_seed(cfg.seed, scope=f"prompt{prompt_idx}")
         emitted_all: list[int] = []
         while len(emitted_all) < cfg.max_new_tokens:
-            rnd = play(prompt + tuple(emitted_all), streams)
+            rnd = play(run, prompt + tuple(emitted_all), streams)
             played.append(rnd)
             emitted_all.extend(rnd.emitted)
         continuations.append((prompt, emitted_all))

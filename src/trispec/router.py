@@ -18,7 +18,9 @@ Rounds run greedy (temperature 0) or sampled (temperature 1). At both,
 acceptance, corrections and the trust signal read the proxy's pass as the
 states it walked (its ``Walk``): the margin gate reads the margins those
 states keep, any other signal their raw rows. The target's suffix is
-verified on its own walk, by the rule two-model rounds use.
+verified on its own walk, by the rule two-model rounds use, and its
+``Verdict`` supplies the round's tail. A tree round takes the proxy's
+``tau_a``, coins and walk from the proxy's verdict on the whole tree.
 
 The threshold is a dial: ``lam <= 0`` trusts the proxy everywhere (the run
 degrades to proxy-verified decoding), ``lam > 1`` trusts it nowhere (the
@@ -44,10 +46,10 @@ from .core import apply_temperature, top2_margin
 from .drafting import DraftChain, TreeParams, draft_chain, draft_tree, prune_tree_prefix
 from .models import ModelOracle, PassMeter, Walk
 from .verification import (
-    AcceptanceTrace,
     DecodeStreams,
     Round,
     RoundCase,
+    Verdict,
     acceptance_coins,
     draw_correction,
     verify_chain,
@@ -126,7 +128,7 @@ def pruned_target_verify(
     temperature: float,
     coin_stream,
     correction_stream,
-) -> AcceptanceTrace:
+) -> Verdict:
     """Target-verify the draft suffix after committing ``tau_m`` tokens.
 
     The target conditions on the committed prefix and scores only positions
@@ -194,12 +196,11 @@ def trispec_round(
         case, tau_t = RoundCase.PROXY_ONLY, None
         emitted = draft.tokens[:tau_a] + (token,)
     else:
-        suffix_trace = pruned_target_verify(
+        suffix = pruned_target_verify(
             draft, tau_m, target, base, temperature, streams.target_coins, streams.correction
         )
-        case, tau_t = RoundCase.TARGET_ESCALATED, suffix_trace.tau
-        emitted = draft.tokens[:tau_m] + suffix_trace.emitted
-        is_bonus = suffix_trace.correction_is_bonus
+        case, tau_t, is_bonus = RoundCase.TARGET_ESCALATED, suffix.tau, suffix.is_bonus
+        emitted = draft.tokens[:tau_m] + suffix.emitted
     rnd = Round(
         case=case,
         emitted=emitted,
@@ -257,21 +258,19 @@ def trispec_tree_round(
             committed, paths = escalated
             target.batch_score_paths(key[0] + committed, paths)
         return rnd
-    proxy_result = verify_tree_greedy(tree, proxy)
-    tau_a = proxy_result.accepted_len
-    tau_m = trusted_prefix_len(proxy_result.path_walk, rule)
+    verdict = verify_tree_greedy(tree, proxy)
+    tau_a, tau_m = verdict.tau, trusted_prefix_len(verdict.walk, rule)
 
     escalated = None
     if tau_a < tau_m:
         case, tau_t = RoundCase.PROXY_ONLY, None
-        emitted, is_bonus = proxy_result.emitted, proxy_result.exhausted
+        emitted, is_bonus = verdict.emitted, verdict.is_bonus
     else:
-        committed = proxy_result.path_tokens[:tau_m]
+        committed = verdict.emitted[:tau_m]
         remainder = prune_tree_prefix(tree, committed)
-        target_result = verify_tree_greedy(remainder, target)
-        case, tau_t = RoundCase.TARGET_ESCALATED, target_result.accepted_len
-        emitted = committed + target_result.emitted
-        is_bonus = target_result.exhausted
+        suffix = verify_tree_greedy(remainder, target)
+        case, tau_t, is_bonus = RoundCase.TARGET_ESCALATED, suffix.tau, suffix.is_bonus
+        emitted = committed + suffix.emitted
         escalated = (committed, remainder._paths)
     rnd = Round(
         case=case,
@@ -280,8 +279,8 @@ def trispec_tree_round(
         tau_a=tau_a,
         tau_m=tau_m,
         tau_t=tau_t,
-        coins=(1,) * tau_a,
-        margins=proxy_result.path_walk.margins,
+        coins=verdict.coins,
+        margins=verdict.walk.margins,
         correction_is_bonus=is_bonus,
     )
     rnd.validate()

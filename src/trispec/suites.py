@@ -89,8 +89,8 @@ def mc_first_token_distance(p_d: np.ndarray, p_v: np.ndarray, rounds: int, seed:
     for _ in range(rounds):
         draft = draft_chain(drafter, (), 1, 1.0, streams.draft)
         walk = verifier.batch_score((), draft.tokens)
-        trace = verify_chain(draft, walk, 1.0, streams.target_coins, streams.correction)
-        counts[trace.emitted[0]] += 1
+        verdict = verify_chain(draft, walk, 1.0, streams.target_coins, streams.correction)
+        counts[verdict.emitted[0]] += 1
     empirical = counts / counts.sum()
     return float(np.abs(empirical - p_v).sum())
 

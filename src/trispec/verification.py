@@ -6,7 +6,12 @@ first rejection the replacement token is drawn from the positive residual
 ``norm(max(0, p_v - p_d))``, and a fully accepted block earns a bonus token
 from the verifier's distribution at position k+1. That combination makes
 the output distribution of a round exactly the verifier's own -- the
-property the acceptance tests enumerate.
+property the acceptance tests enumerate. Greedy tree verification accepts
+the longest root-anchored path of verifier argmaxes instead. Either way
+the verifier returns one ``Verdict``: the accepted tokens then the
+correction, its coins, whether the correction is a bonus, and its walk
+along the emitted path. Every round function checks the ``Round`` it
+builds against the routing rule (``check_routing``).
 
 A verifier's pass returns the states it walked, its ``Walk``, one per
 position of the ``k+1``, and every rule takes that walk at both
@@ -44,12 +49,11 @@ from .drafting import DraftChain, DraftTree, TreeParams, draft_chain, draft_tree
 from .models import ModelOracle, PassMeter, Walk, _States
 
 __all__ = [
-    "AcceptanceTrace",
     "DecodeStreams",
     "DegenerateResidualError",
     "Round",
     "RoundCase",
-    "TreeVerifyResult",
+    "Verdict",
     "acceptance_coins",
     "check_routing",
     "draw_correction",
@@ -93,28 +97,27 @@ class DecodeStreams:
         raise ValueError(f"unknown verifier role {verifier_role!r}")
 
 
-@dataclass(slots=True)
-class AcceptanceTrace:
-    """Outcome of verifying one draft block.
+class Verdict(NamedTuple):
+    """One verifier's ruling on a draft, a chain or a tree alike.
 
-    ``coins`` holds the accept/reject indicator for every examined position
-    (all 1s, then a single trailing 0 unless the block was fully accepted);
-    ``tau`` is the acceptance length; exactly one correction token exists
-    per round, a residual draw after a rejection or a verifier bonus after
-    full acceptance.
+    ``emitted`` is the ``tau`` accepted tokens, then exactly one
+    correction: a residual draw after a rejection, or the verifier's bonus
+    after full acceptance (``is_bonus``). ``coins`` holds the accept/reject
+    indicator of every examined position of a chain: all 1s, then a single
+    0 unless it was accepted to its end; a tree's has a 1 per accepted
+    token. ``walk`` is the verifier's states
+    along the emitted path: state ``i`` conditions on the first ``i``
+    accepted tokens, and the last is where the correction came from.
     """
 
-    coins: tuple[int, ...]
-    tau: int
-    correction_token: int
-    correction_is_bonus: bool
     emitted: tuple[int, ...]
+    coins: tuple[int, ...]
+    is_bonus: bool
+    walk: Walk
 
-    def __post_init__(self) -> None:
-        if self.coins and (0 in self.coins[:-1] or (self.coins[-1] == 0) != (self.tau < len(self.coins))):
-            raise ValueError("coins must be all-ones with at most one trailing zero")
-        if len(self.emitted) != self.tau + 1:
-            raise ValueError("a round emits exactly tau accepted tokens plus one correction")
+    @property
+    def tau(self) -> int:
+        return len(self.emitted) - 1
 
 
 class RoundCase(enum.Enum):
@@ -168,7 +171,8 @@ class Round(NamedTuple):
         return self.passes[2] > 0
 
     def validate(self) -> None:
-        """Router postconditions of a ternary round (``check_routing``)."""
+        """The routing rule every round obeys (``check_routing``); every
+        round function checks the round it builds."""
         check_routing(self.case, self.tau_a, self.tau_m, self.tau_t, len(self.emitted),
                       self.proxy_called, self.target_called)
 
@@ -366,7 +370,7 @@ def verify_chain(
     coin_stream: RandomStream,
     correction_stream: RandomStream,
     start: int = 0,
-) -> AcceptanceTrace:
+) -> Verdict:
     """Verify a draft chain from position ``start`` on against the
     verifier's walk over it: one state per verified token, then the bonus
     position's."""
@@ -375,7 +379,8 @@ def verify_chain(
         raise ValueError("need a verifier row per verified draft token, plus the bonus row")
     coins, tau = acceptance_coins(draft, scores, temperature, coin_stream, start=start)
     token, is_bonus = draw_correction(draft, scores, tau, temperature, correction_stream, start)
-    return AcceptanceTrace(coins, tau, token, is_bonus, draft.tokens[start : start + tau] + (token,))
+    emitted = draft.tokens[start : start + tau] + (token,)
+    return Verdict(emitted, coins, is_bonus, Walk(scores.states, scores.ids[: tau + 1]))
 
 
 def target_only_round(
@@ -387,12 +392,9 @@ def target_only_round(
     target.next_dist(ctx)
     walk = target.walk()
     token = walk.argmaxes[0] if temperature == 0.0 else walk.draw(0, streams.draft)
-    return Round(
-        case=RoundCase.TARGET_ONLY,
-        emitted=(token,),
-        passes=meter.passes(),
-        correction_is_bonus=True,
-    )
+    rnd = Round(RoundCase.TARGET_ONLY, (token,), meter.passes(), correction_is_bonus=True)
+    rnd.validate()
+    return rnd
 
 
 def sd_round(
@@ -416,71 +418,38 @@ def sd_round(
     base = tuple(ctx)
     draft = draft_chain(drafter, base, k, temperature, streams.draft)
     walk = verifier.batch_score(base, draft.tokens)
-    trace = verify_chain(draft, walk, temperature, coin_stream, streams.correction)
-    return Round(
-        case=RoundCase.SD,
-        emitted=trace.emitted,
-        passes=meter.passes(),
-        tau_a=trace.tau,
-        coins=trace.coins,
-        correction_is_bonus=trace.correction_is_bonus,
-        draft=draft,
-    )
+    verdict = verify_chain(draft, walk, temperature, coin_stream, streams.correction)
+    rnd = Round(RoundCase.SD, verdict.emitted, meter.passes(), tau_a=verdict.tau,
+                coins=verdict.coins, correction_is_bonus=verdict.is_bonus, draft=draft)
+    rnd.validate()
+    return rnd
 
 
-@dataclass(slots=True)
-class TreeVerifyResult:
-    """Greedy verification of a draft tree in one flattened pass.
-
-    ``path_walk`` is the verifier's walk along the accepted path: its state
-    ``i`` conditions on the first i accepted tokens, and the last, on the
-    full accepted path, is where the correction token comes from.
-    """
-
-    path_ids: tuple[int, ...]
-    path_tokens: tuple[int, ...]
-    path_walk: Walk
-    correction_token: int
-    exhausted: bool  # walk stopped at a childless node, not on a divergence
-
-    @property
-    def accepted_len(self) -> int:
-        return len(self.path_tokens)
-
-    @property
-    def emitted(self) -> tuple[int, ...]:
-        return self.path_tokens + (self.correction_token,)
-
-
-def verify_tree_greedy(tree: DraftTree, verifier: ModelOracle) -> TreeVerifyResult:
+def verify_tree_greedy(tree: DraftTree, verifier: ModelOracle) -> Verdict:
     """Accept the longest root-anchored path of verifier argmaxes.
 
     The verifier scores every node of the tree in a single masked pass; the
     walk then descends from the root as long as some child carries the
     argmax token (as the states the pass walked keep it), and the
     correction is the argmax after the accepted path (which repairs the
-    first divergence, or extends a fully accepted path).
+    first divergence, or extends a fully accepted path). The correction is
+    a bonus iff the last accepted node (or the root) is childless.
     """
     states, walked = verifier.batch_score_paths(tree.ctx, tree._paths)  # root, then node i at i + 1
     best = states.best
 
-    path_ids: list[int] = []
+    path: list[int] = []  # the accepted node ids
     cur = -1
     while True:
         want = best[walked[cur + 1]]
         child = next((c for c in tree.children(cur) if tree.nodes[c].token == want), None)
         if child is None:
-            exhausted = not tree.children(cur)
             break
-        path_ids.append(child)
+        path.append(child)
         cur = child
-    return TreeVerifyResult(
-        path_ids=tuple(path_ids),
-        path_tokens=tuple(tree.nodes[i].token for i in path_ids),
-        path_walk=Walk(states, [walked[0]] + [walked[i + 1] for i in path_ids]),
-        correction_token=want,
-        exhausted=exhausted,
-    )
+    emitted = tuple(tree.nodes[i].token for i in path) + (want,)
+    walk = Walk(states, [walked[0]] + [walked[i + 1] for i in path])
+    return Verdict(emitted, (1,) * len(path), not tree.children(cur), walk)
 
 
 def sd_tree_round(
@@ -496,12 +465,8 @@ def sd_tree_round(
         raise ValueError(f"unknown verifier role {verifier_role!r}")
     meter = PassMeter(drafter, **{verifier_role: verifier})
     tree = draft_tree(drafter, tuple(ctx), params.depth, params.branch_topk, params.budget)
-    result = verify_tree_greedy(tree, verifier)
-    return Round(
-        case=RoundCase.SD,
-        emitted=result.emitted,
-        passes=meter.passes(),
-        tau_a=result.accepted_len,
-        coins=(1,) * result.accepted_len,
-        correction_is_bonus=result.exhausted,
-    )
+    verdict = verify_tree_greedy(tree, verifier)
+    rnd = Round(RoundCase.SD, verdict.emitted, meter.passes(), tau_a=verdict.tau,
+                coins=verdict.coins, correction_is_bonus=verdict.is_bonus)
+    rnd.validate()
+    return rnd

@@ -30,7 +30,7 @@ from trispec.models import (
     train_ngram,
 )
 from trispec.router import MarginRule, trispec_round, trusted_prefix_len
-from trispec.verification import AcceptanceTrace, DecodeStreams, Round, RoundCase, sd_round
+from trispec.verification import DecodeStreams, Round, RoundCase, Verdict, sd_round
 
 # ---------------------------------------------------------------------------
 # the per-position references
@@ -132,7 +132,7 @@ def _ref_verify_chain(draft, dists, temperature, coin_stream, correction_stream)
     shaped = [_ref_apply_temperature(d, temperature) for d in dists]
     coins, tau = _ref_acceptance_coins(draft, shaped, temperature, coin_stream)
     token, is_bonus = _ref_draw_correction(draft, shaped, tau, temperature, correction_stream)
-    return AcceptanceTrace(coins, tau, token, is_bonus, draft.tokens[:tau] + (token,))
+    return Verdict(draft.tokens[:tau] + (token,), coins, is_bonus, shaped[: tau + 1])
 
 
 def _ref_pruned_target_verify(draft, tau_m, target, ctx, temperature, coins, correction):
@@ -140,7 +140,7 @@ def _ref_pruned_target_verify(draft, tau_m, target, ctx, temperature, coins, cor
     if tau_m == draft.k:
         bonus = _ref_apply_temperature(Distribution(target.next_dist(base)), temperature)
         token = _argmax(bonus) if temperature == 0.0 else sample(bonus.probs, correction)
-        return AcceptanceTrace((), 0, token, True, (token,))
+        return Verdict((token,), (), True, (bonus,))
     sub = draft.suffix(tau_m)
     rows = _ref_scores(target, base, sub.tokens)
     return _ref_verify_chain(sub, rows, temperature, coins, correction)
@@ -168,12 +168,12 @@ def _ref_trispec_round(drafter, proxy, target, ctx, k, rule, temperature, stream
             )
         case, tau_t, emitted = RoundCase.PROXY_ONLY, None, draft.tokens[:tau_a] + (token,)
     else:
-        trace = _ref_pruned_target_verify(
+        verdict = _ref_pruned_target_verify(
             draft, tau_m, target, base, temperature, streams.target_coins, streams.correction
         )
-        case, tau_t = RoundCase.TARGET_ESCALATED, trace.tau
-        emitted = draft.tokens[:tau_m] + trace.emitted
-        is_bonus = trace.correction_is_bonus
+        case, tau_t = RoundCase.TARGET_ESCALATED, verdict.tau
+        emitted = draft.tokens[:tau_m] + verdict.emitted
+        is_bonus = verdict.is_bonus
     return Round(case, emitted, meter.passes(), tau_a, tau_m, tau_t, coins, margins, is_bonus,
                  draft)
 
@@ -181,12 +181,12 @@ def _ref_trispec_round(drafter, proxy, target, ctx, k, rule, temperature, stream
 def _ref_sd_round(drafter, verifier, ctx, k, temperature, streams, verifier_role):
     meter = PassMeter(drafter, **{verifier_role: verifier})
     draft = _ref_draft_chain(drafter, ctx, k, temperature, streams.draft)
-    trace = _ref_verify_chain(
+    verdict = _ref_verify_chain(
         draft, _ref_scores(verifier, ctx, draft.tokens), temperature,
         streams.coins_for(verifier_role), streams.correction,
     )
-    return Round(RoundCase.SD, trace.emitted, meter.passes(), tau_a=trace.tau, coins=trace.coins,
-                 correction_is_bonus=trace.correction_is_bonus, draft=draft)
+    return Round(RoundCase.SD, verdict.emitted, meter.passes(), tau_a=verdict.tau,
+                 coins=verdict.coins, correction_is_bonus=verdict.is_bonus, draft=draft)
 
 
 def _ref_decide(policy, draft_dist, target_dist, token):

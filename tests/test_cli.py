@@ -196,6 +196,31 @@ def test_sweep_refuses_a_repeated_grid_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["config", "override"])
+def test_a_key_given_twice_in_one_source_exits_2(source, tmp_path, capsys):
+    """A config file, and the ``-O`` options, may each set a key once,
+    under either spelling of an alias; an ``-O`` may still override a key
+    the file sets."""
+    config, out = tmp_path / "run.cfg", tmp_path / "out"
+    twice = {("k=4", "k=8"): "config key 'k' is given twice;",
+             ("lambda=0.3", "lam=0.9"): "config key 'lam' is given twice as 'lambda' and 'lam';"}
+    for settings, message in twice.items():
+        if source == "config":
+            config.write_text("# two settings\n" + "\n".join(settings) + "\n")
+            argv, where = ["--config", str(config)], f"{config}:3"
+        else:
+            argv, where = [arg for s in settings for arg in ("-O", s)], "override"
+        assert main(["run", *argv, "--out", str(out), *FAST]) == 2
+        assert f"error: {where}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+    config.write_text("k=4\nlambda=0.3\n")
+    argv = ["run", "--config", str(config), "-O", "k=8", "-O", "lam=0.9", "--out", str(out)]
+    assert main([*argv, *FAST]) == 0
+    capsys.readouterr()
+    settings = json.loads((out / "report.json").read_text())["config"]
+    assert (settings["k"], settings["lambda"]) == (8, 0.9)
+
+
 def test_sweep_csv_writes_a_grid_key_that_is_a_metric_column_once(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--grid", "seed=1,2", "--grid", "method=sd", "--out", str(out),

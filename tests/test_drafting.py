@@ -62,14 +62,23 @@ def _last_token_model() -> TableModel:
 
 def test_chain_requires_tokens():
     with pytest.raises(ValueError):
-        DraftChain((), ())
+        DraftChain.of_rows((), ())
     with pytest.raises(ValueError):
-        DraftChain((0, 1), np.array([[0.5, 0.5]]))
+        DraftChain.of_rows((0, 1), np.array([[0.5, 0.5]]))
 
 
 def test_chain_rejects_zero_probability_token():
     with pytest.raises(ValueError):
-        DraftChain((1,), np.array([[1.0, 0.0]]))
+        DraftChain.of_rows((1,), np.array([[1.0, 0.0]]))
+
+
+def test_a_chain_built_from_rows_keeps_a_read_only_copy():
+    rows = np.array([[0.25, 0.75], [0.5, 0.5]])
+    chain = DraftChain.of_rows([1, 0], rows)
+    rows[:] = 0.0
+    assert chain.tokens == (1, 0) and chain.k == 2
+    assert np.array_equal(chain.dists, [[0.25, 0.75], [0.5, 0.5]])
+    assert not chain.dists.flags.writeable and chain.walk.argmaxes == [1, 0]
 
 
 def test_draft_chain_greedy_matches_argmax_walk(ref_family):
@@ -576,8 +585,9 @@ def test_chain_memo_is_keyed_by_window_tail_and_length():
     data=st.data(),
 )
 def test_every_drawn_token_has_mass_in_its_own_row(model, k, temperature, data):
-    """Chains skip the per-token check; an argmax, or a token drawn by
-    inverse CDF (its fall-back included), never lands on a zero cell."""
+    """Drafted chains skip the per-token check; an argmax, or a token
+    drawn by inverse CDF (its fall-back included), never lands on a zero
+    cell."""
     ctx = tuple(data.draw(st.lists(st.integers(0, model.vocab.size - 1), max_size=3)))
     uniforms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.just(1 - 2**-53),
                                   min_size=k, max_size=k))
@@ -586,32 +596,34 @@ def test_every_drawn_token_has_mass_in_its_own_row(model, k, temperature, data):
     assert not chain.dists.flags.writeable
     states, ids = chain.walk  # the rows the acceptance rule reads are the chain's own
     assert len(ids) == k and np.array_equal(states.table[list(ids)], chain.dists)
-    with pytest.raises(ValueError):  # a chain built by hand is still checked
-        DraftChain((0,) + chain.tokens[1:], np.vstack([np.eye(2, model.vocab.size)[1],
-                                                       chain.dists[1:]]))
+    with pytest.raises(ValueError):  # a chain built from rows is still checked
+        DraftChain.of_rows((0,) + chain.tokens[1:], np.vstack([np.eye(2, model.vocab.size)[1],
+                                                               chain.dists[1:]]))
 
 
 def test_shared_drafts_stay_frozen_and_round_records_are_slotted():
     from trispec.harness import TraceRecord
-    from trispec.verification import AcceptanceTrace, Round, RoundCase, TreeVerifyResult
+    from trispec.verification import Round, RoundCase, Verdict
 
+    model = _last_token_model()
+    chain = draft_chain(model, (0,), 2, 0.0, FixedUniforms([]))
+    tree = draft_tree(model, (0,), depth=2, branch_topk=2, budget=4)
     rnd = Round(case=RoundCase.SD, emitted=(0,), passes=(1, 1, 0))
     records = [
         rnd,
-        AcceptanceTrace(coins=(), tau=0, correction_token=0, correction_is_bonus=True,
-                        emitted=(0,)),
-        TreeVerifyResult((), (), np.ones((1, 2)) / 2, 0, True),
+        chain,
+        DraftChain.of_rows((0,), [[0.5, 0.5]]),
+        Verdict((0,), (), True, chain.walk),
         TraceRecord("r", 0, "SD", 0, None, None, 1, False, True, 6.0),
     ]
     for rec in records:
         assert "__slots__" in vars(type(rec)) and not hasattr(rec, "__dict__")
         with pytest.raises(AttributeError):
             rec.extra = 1
-    model = _last_token_model()
-    chain = draft_chain(model, (0,), 2, 0.0, FixedUniforms([]))
-    tree = draft_tree(model, (0,), depth=2, branch_topk=2, budget=4)
-    for shared, name in [(chain, "tokens"), (chain, "dists"), (tree, "ctx"),
-                         (tree.nodes[0], "token")]:
+    for name in ("tokens", "walk", "dists", "k"):  # a memo hands one chain out again
+        with pytest.raises(AttributeError):
+            setattr(chain, name, getattr(chain, name))
+    for shared, name in [(tree, "ctx"), (tree.nodes[0], "token")]:
         with pytest.raises(FrozenInstanceError):
             setattr(shared, name, getattr(shared, name))
     with pytest.raises(AttributeError):  # a round table hands one round out again

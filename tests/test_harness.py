@@ -155,6 +155,19 @@ def test_default_run_ids_are_stable():
     )
 
 
+def test_a_run_id_names_a_tree_only_when_a_tree_round_runs():
+    """``use_tree`` leaves ``target_only`` and ``relax`` on their own
+    rounds, so their run ids name no tree."""
+    want = {"trispec": "trispec-margin0.5-tree-T0-seed0", "sd": "sd-tree-T0-seed0",
+            "relax": "relax-chow-T0-seed0", "target_only": "target_only-T0-seed0"}
+    for method, run_id in want.items():
+        cfg = ExperimentConfig(method=method, use_tree=True, max_new_tokens=4, num_prompts=1)
+        assert default_run_id(cfg) == run_id
+        result = run_experiment(cfg)
+        assert result.run_id == run_id and {r.run_id for r in result.records} == {run_id}
+    assert list(result.report.case_counts) == ["TargetOnly"]
+
+
 # ---------------------------------------------------------------------------
 # family construction
 # ---------------------------------------------------------------------------
@@ -518,9 +531,8 @@ def test_warm_greedy_decoding_builds_no_draft_chain(monkeypatch):
 
     family = build_family(ExperimentConfig())  # its own memo, cold
     built = []
-    init, drawn = DraftChain.__init__, DraftChain._drawn
-    monkeypatch.setattr(DraftChain, "__init__", lambda *a, **kw: built.append(1) or init(*a, **kw))
-    monkeypatch.setattr(DraftChain, "_drawn", lambda *a: built.append(1) or drawn(*a))
+    new = DraftChain.__new__
+    monkeypatch.setattr(DraftChain, "__new__", lambda *a, **kw: built.append(1) or new(*a, **kw))
     cfgs = [ExperimentConfig(max_new_tokens=16, num_prompts=2, method=m)
             for m in ("trispec", "sd", "relax")]
     cold = [run_experiment(cfg, family) for cfg in cfgs]

@@ -12,7 +12,6 @@ from trispec.models import TableModel, Walk
 from trispec.router import MarginRule, trusted_prefix_len
 from trispec.suites import first_token_law, mc_first_token_distance
 from trispec.verification import (
-    AcceptanceTrace,
     DecodeStreams,
     DegenerateResidualError,
     acceptance_coins,
@@ -36,7 +35,7 @@ class FixedUniforms:
 
 
 def _chain(tokens, dists):
-    return DraftChain(tuple(tokens), np.array(dists, dtype=float))
+    return DraftChain.of_rows(tokens, dists)
 
 
 def _walk(dists):
@@ -173,23 +172,39 @@ def test_verify_chain_needs_one_extra_dist():
 def test_verify_chain_emits_accepted_prefix_plus_correction():
     draft = _chain((0, 1), ([0.6, 0.4], [0.6, 0.4]))
     dists = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
-    trace = verify_chain(draft, _walk(dists), 0.0, FixedUniforms([]), FixedUniforms([]))
-    assert trace.coins == (1, 1)  # argmaxes match the drafted tokens
-    assert trace.tau == 2
-    assert trace.correction_is_bonus
-    assert trace.emitted == (0, 1, trace.correction_token)
+    verdict = verify_chain(draft, _walk(dists), 0.0, FixedUniforms([]), FixedUniforms([]))
+    assert verdict.coins == (1, 1)  # argmaxes match the drafted tokens
+    assert verdict.tau == 2
+    assert verdict.is_bonus
+    assert verdict.emitted == (0, 1, 0)  # the bonus is the last row's argmax
+    assert np.array_equal(verdict.walk.rows, dists)
+    with pytest.raises(AttributeError):
+        verdict.tau = 1
 
 
-def test_trace_consistency_is_enforced():
-    with pytest.raises(ValueError):
-        AcceptanceTrace(coins=(1, 0, 1), tau=1, correction_token=0,
-                        correction_is_bonus=False, emitted=(0, 0))
-    with pytest.raises(ValueError):
-        AcceptanceTrace(coins=(1, 1), tau=1, correction_token=0,
-                        correction_is_bonus=False, emitted=(0, 0))
-    with pytest.raises(ValueError):
-        AcceptanceTrace(coins=(1, 1), tau=2, correction_token=0,
-                        correction_is_bonus=True, emitted=(0, 0))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vocab=st.integers(2, 4), temperature=st.sampled_from([0.0, 1.0]), data=st.data())
+def test_a_chain_verdict_is_accepted_tokens_then_one_correction(vocab, temperature, data):
+    """From any start: coins are all 1s with at most one trailing 0, the
+    tau accepted tokens are the draft's from ``start`` on, the walk is the
+    verifier's first tau + 1 states, the correction is a bonus exactly
+    after full acceptance, and at T=0 it is the last state's argmax."""
+    drafter, verifier = data.draw(_table(vocab), "drafter"), data.draw(_table(vocab), "verifier")
+    ctx = tuple(data.draw(st.lists(st.integers(0, vocab - 1), max_size=3), "ctx"))
+    k = data.draw(st.integers(1, 3), "k")
+    start = data.draw(st.integers(0, k), "start")
+    stream = RandomStream(data.draw(st.integers(0, 2**16), "seed"), "verdict")
+    draft = draft_chain(drafter, ctx, k, temperature, stream)
+    walk = verifier.batch_score(ctx + draft.tokens[:start], draft.tokens[start:])
+    verdict = verify_chain(draft, walk, temperature, stream, stream, start)
+    tau = verdict.tau
+    assert verdict.coins == (1,) * tau + (() if verdict.is_bonus else (0,))
+    assert verdict.emitted[:-1] == draft.tokens[start : start + tau]
+    assert verdict.walk.states is walk.states
+    assert list(verdict.walk.ids) == list(walk.ids[: tau + 1])
+    assert verdict.is_bonus == (start + tau == k)
+    if temperature == 0.0:
+        assert verdict.emitted[-1] == verdict.walk.argmaxes[-1]
 
 
 def test_first_token_law_is_exact_and_holds_empirically():
@@ -273,11 +288,10 @@ def test_tree_verify_divergence_with_siblings_left():
         default=Distribution([0.2, 0.6, 0.2]),
     )
     result = verify_tree_greedy(tree, verifier)
-    assert result.path_tokens == (1,)  # root argmax picks the drafted 1-branch
-    assert not result.exhausted  # the walk stopped on a divergence, not a leaf
-    assert result.correction_token == 0
-    assert result.emitted == (1, 0)
-    assert result.path_walk.argmaxes[0] == 1
+    assert result.emitted == (1, 0)  # root argmax picks the drafted 1-branch, then 0
+    assert not result.is_bonus  # the walk stopped on a divergence, not a leaf
+    assert result.tau == 1 and result.coins == (1,)
+    assert result.walk.argmaxes == [1, 0]
     assert verifier.invocation_count == 1  # whole tree scored in one pass
 
 
@@ -292,11 +306,35 @@ def test_tree_verify_full_path_is_exhausted():
         default=Distribution([0.6, 0.2, 0.2]),
     )
     result = verify_tree_greedy(tree, verifier)
-    assert result.path_tokens == (0, 0)
-    assert result.exhausted  # accepted node is a leaf of the draft
-    assert result.correction_token == 2
-    assert result.emitted == (0, 0, 2)
-    assert result.path_walk.argmaxes[-1] == 2
+    assert result.emitted == (0, 0, 2)  # the accepted path, then the bonus 2
+    assert result.is_bonus  # accepted node is a leaf of the draft
+    assert result.tau == 2 and result.coins == (1, 1)
+    assert result.walk.argmaxes[-1] == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vocab=st.integers(2, 4), data=st.data())
+def test_a_tree_verdict_is_a_root_anchored_path_then_one_correction(vocab, data):
+    """On drafted and pruned trees (an empty remainder too): the accepted
+    tokens are a root-anchored path, every coin is 1, the walk has one
+    state per accepted token plus the root's and ends on the correction,
+    and the correction is a bonus exactly when the last accepted node is
+    childless."""
+    drafter, verifier = data.draw(_table(vocab), "drafter"), data.draw(_table(vocab), "verifier")
+    ctx = tuple(data.draw(st.lists(st.integers(0, vocab - 1), max_size=3), "ctx"))
+    shape = [data.draw(st.integers(1, n), name) for n, name in ((3, "depth"), (vocab, "topk"),
+                                                                 (8, "budget"))]
+    tree = draft_tree(drafter, ctx, *shape)
+    leaf = data.draw(st.integers(-1, len(tree) - 1), "cut below")
+    tree = prune_tree_prefix(tree, tree.path_tokens(leaf))
+    verdict = verify_tree_greedy(tree, verifier)
+    tau, cur = verdict.tau, -1
+    for token in verdict.emitted[:-1]:
+        (cur,) = [c for c in tree.children(cur) if tree.nodes[c].token == token]
+    assert verdict.coins == (1,) * tau
+    assert len(verdict.walk.ids) == tau + 1
+    assert verdict.emitted[-1] == verdict.walk.argmaxes[-1]
+    assert verdict.is_bonus == (not tree.children(cur))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -333,9 +371,8 @@ def test_tree_verify_scores_every_node_path_after_the_root(ref_family, start, le
                     break
                 cur = kids[0]
                 ids.append(cur)
-            assert result.path_ids == tuple(ids)
-            assert np.array_equal(result.path_walk.rows, want[[0] + [i + 1 for i in ids]])
-            assert result.correction_token == best[cur + 1]
+            assert result.emitted == tuple(tree.nodes[i].token for i in ids) + (best[cur + 1],)
+            assert np.array_equal(result.walk.rows, want[[0] + [i + 1 for i in ids]])
 
 
 def test_tree_round_with_unit_branching_matches_chain_round(ref_family):
@@ -379,6 +416,12 @@ def _table(draw, vocab):
     return TableModel(Vocabulary(vocab), {key: row() for key in keys}, default=row())
 
 
+def _plain(verdict):
+    """A verdict with its walk read as rows: walks over other states
+    compare unequal even where their rows agree."""
+    return verdict._replace(walk=verdict.walk.rows.tolist())
+
+
 def _read(seed, call):
     """What ``call(stream)`` returns, and the uniforms it drew."""
     stream = RandomStream(seed, "read")
@@ -406,7 +449,7 @@ def test_every_rule_reads_a_pass_walk_as_the_block_it_returned(vocab, temperatur
     assert walk == verifier.walk()  # the pass records the states it returns
     block = walk.rows
     rows = Walk.of_rows(block)
-    drafts = (drafted, DraftChain(drafted.tokens, drafted.dists))
+    drafts = (drafted, DraftChain.of_rows(drafted.tokens, drafted.dists))
 
     def agree(read):
         got = [_read(seed, lambda s: read(d, w, s)) for d in drafts for w in (walk, rows, walk)]
@@ -414,7 +457,7 @@ def test_every_rule_reads_a_pass_walk_as_the_block_it_returned(vocab, temperatur
 
     T = temperature
     agree(lambda d, w, s: acceptance_coins(d, w, T, s, start=start))
-    agree(lambda d, w, s: verify_chain(d, w, T, s, s, start))
+    agree(lambda d, w, s: _plain(verify_chain(d, w, T, s, s, start)))
     for tau in range(k - start + 1):
         residual = block[tau] - drafted.dists[start + tau] if tau < k - start else block[tau]
         if T == 0.0 or (residual > 0.0).any():  # else no rejection can happen at tau

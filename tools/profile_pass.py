@@ -37,46 +37,75 @@ SORTS = ("tottime", "cumtime", "ncalls")
 ROWS = 30  # rows of the profile table to print
 
 
-def parse_args(argv: list[str] | None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+def arguments(doc: str) -> argparse.ArgumentParser:
+    """The options every pass tool takes: ``--workload``, ``--seed`` and
+    ``--cold``."""
+    parser = argparse.ArgumentParser(description=doc.split("\n", 1)[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--sort", choices=SORTS, default="tottime")
     parser.add_argument("--cold", action="store_true",
-                        help="profile each request on its own freshly set-up family")
+                        help="run each request on its own freshly set-up family")
+    return parser
+
+
+def parse_args(
+    argv: list[str] | None, parser: argparse.ArgumentParser | None = None
+) -> argparse.Namespace:
+    """``argv`` parsed by ``parser``, this tool's when None."""
+    if parser is None:
+        parser = arguments(__doc__)
+        parser.add_argument("--sort", choices=SORTS, default="tottime")
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     return args
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = parse_args(argv)
+def warmed(args: argparse.Namespace, workdir: Path):
+    """The workload's benchmark ``Run`` in ``workdir``, set up and past one
+    untimed, checked pass; or the exit code when it cannot be (2 for an
+    unknown workload, 1 when the pass fails a check)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.bench import Run
-    from perfbench.workloads import WORKLOADS, setup
+    from perfbench.workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
         print(f"error: unknown workload {args.workload!r}; one of {sorted(WORKLOADS)}",
               file=sys.stderr)
         return 2
     workload = WORKLOADS[args.workload]
-    with tempfile.TemporaryDirectory(prefix="profile-pass-") as tmp:
-        bench = Run(workload, args.seed, Path(tmp), tracer=None)
-        bench.set_up(keep=True)
-        if workload.base_config().temperature != 0.0:
-            bench.sentinel_references()
-        bench.run_pass(timed=False)  # fills the draft memo, checks every request
-        if bench.problems:
-            for problem in bench.problems[:20]:
-                print(problem, file=sys.stderr)
-            return 1
+    bench = Run(workload, args.seed, workdir, tracer=None)
+    bench.set_up(keep=True)
+    if workload.base_config().temperature != 0.0:
+        bench.sentinel_references()
+    bench.run_pass(timed=False)  # fills the draft memo, checks every request
+    if bench.problems:
+        for problem in bench.problems[:20]:
+            print(problem, file=sys.stderr)
+        return 1
+    return bench
 
+
+def requests(bench, cold: bool):
+    """Each request of one more pass; with ``cold``, each on a family set
+    up afresh just before it is yielded."""
+    from perfbench.workloads import setup
+
+    for req in bench.requests:
+        if cold:
+            bench.groups = setup(bench.workload, bench.seed)
+        yield req
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="profile-pass-") as tmp:
+        bench = warmed(args, Path(tmp))
+        if isinstance(bench, int):
+            return bench
         profiler = cProfile.Profile(builtins=False)
         elapsed = 0.0
-        for req in bench.requests:
-            if args.cold:
-                bench.groups = setup(workload, args.seed)
+        for req in requests(bench, args.cold):
             start = time.perf_counter()
             profiler.enable()
             bench.do_request(req)
