@@ -127,17 +127,10 @@ def sweep_cmd(
 ) -> None:
     """Run every grid point off one base config into a single CSV."""
     cfg = load_config(config_path, _overrides(sets))
-    grid: dict[str, list[str]] = {}
-    for spec_str in grid_specs:
-        if "=" not in spec_str:
-            raise ConfigError(f"grid axis must look like key=v1,v2,..., got {spec_str!r}")
-        key, values = spec_str.split("=", 1)
-        key = key.strip()
-        if key in ("orders",):
-            raise ConfigError("orders cannot be swept from the command line")
-        if key in grid:
-            raise ConfigError(f"grid key {key!r} is given twice; list its values once")
-        grid[key] = [v.strip() for v in values.split(",") if v.strip()]
+    axes = config_items((spec, "--grid") for spec in grid_specs)
+    if "orders" in axes:
+        raise ConfigError("orders cannot be swept from the command line")
+    grid = {key: [v.strip() for v in vals.split(",") if v.strip()] for key, vals in axes.items()}
     columns, rows = run_sweep(cfg, grid)
     write_sweep_csv(columns, rows, out)
     click.echo(f"swept {len(rows)} points into {out}")

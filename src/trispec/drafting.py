@@ -126,7 +126,7 @@ def draft_chain(
         if key is not None:
             contexts.append(tuple(cut))
         next_dist(cut)
-        s = drafter.walked[0]
+        s = drafter._walked[0]  # ``next_dist`` leaves a list: no need for ``walked``
         token = best[s] if temperature == 0.0 else draw(s, stream)
         tokens.append(token)
         walked.append(s)
@@ -235,9 +235,9 @@ class DraftTree:
             raise ValueError("tree exceeds its token budget")
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    """Draft-tree shape: expansion depth, per-node top-k, token budget."""
+class TreeParams(NamedTuple):
+    """Draft-tree shape: expansion depth, per-node top-k, token budget. A
+    named tuple, so the round table hashes and compares it in C."""
 
     depth: int = 6
     branch_topk: int = 10
@@ -273,7 +273,7 @@ def draft_tree(
     shape, with the cut paths of every level, in a memo that its forks
     share. A repeat makes the same drafter passes, level for level, so
     every pass is still counted, and returns that tree rebased onto
-    ``ctx``.
+    ``ctx``; nothing reads those passes' walks, so they walk nothing.
     """
     if depth < 1 or branch_topk < 1 or budget < 1:
         raise ValueError("depth, branch_topk and budget must all be >= 1")
@@ -323,7 +323,8 @@ def draft_tree(
     columns = (col.tolist() for col in (tok, parent, dep, prob, path_prob))
     nodes = [TreeNode(*fields) for fields in zip(*columns)]
     tree = DraftTree(ctx=base, nodes=nodes, mask=_ancestor_mask(nodes), budget=budget)
-    drafter._drafts[key] = (tree._rebased(key[0]), tuple(levels))
+    # each level as a tuple, which a hit's pass keeps as it is
+    drafter._drafts[key] = (tree._rebased(key[0]), tuple(map(tuple, levels)))
     return tree
 
 

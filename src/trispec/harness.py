@@ -624,8 +624,8 @@ def _ppl_under_target(
     for prompt, emitted in continuations:
         if not emitted:
             continue
-        states, walked = probe.batch_score(prompt, emitted)
-        for p in states.table[walked[:-1], emitted].tolist():
+        walk = probe.batch_score(prompt, emitted)
+        for p in walk.states.table[walk.ids[:-1], emitted].tolist():
             nll += -math.log(max(p, 1e-300))
         count += len(emitted)
     return math.exp(nll / count) if count else None

@@ -23,9 +23,12 @@ base's), built whole with the oracle. A pass walks from the root over the
 context's last ``window`` tokens, then over the drafted tokens or each
 path. A state keeps its row's argmax and top-2 margin, and its CDF from
 its first draw on; a verifier's states keep the CDFs of the rejection
-residuals drawn against them. Every pass records the states it walked
-(``walk()``), so greedy decisions, T=1 draws, acceptance ratios and
-margins read those instead of the rows.
+residuals drawn against them. Every pass is counted when it is called, and
+records the states it walked (``walk()``), so greedy decisions, T=1 draws,
+acceptance ratios and margins read those instead of the rows. A tree pass
+(``batch_score_paths``) enters the context at once but walks its paths
+only when its walk is first read: the passes a round-table or draft-memo
+hit makes only to be counted walk nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Collection, NamedTuple, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -158,17 +161,27 @@ class _States:
         return idx if idx < len(cdf) else int(np.flatnonzero(self.table[s] > 0.0)[-1])
 
 
-class Walk(NamedTuple):
+class Walk:
     """Rows addressed by state: row ``i`` is ``states.table[ids[i]]``.
 
     A pass's walk is the oracle's states and the ids it walked; a block's
     is one state per row (``Walk.of_rows``). Every rule reads a pass this
     way: its rows' argmaxes and top-2 margins as the states keep them, and
     a draw from row ``i`` through the CDF its state keeps.
+
+    A tree pass's walk is a ``_PendingWalk``, which walks its paths when
+    its ``ids`` are first read.
     """
 
-    states: _States
-    ids: Sequence[int]
+    __slots__ = ("states", "ids")
+
+    def __init__(self, states: _States, ids: Sequence[int]) -> None:
+        self.states, self.ids = states, ids
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Walk):
+            return NotImplemented
+        return self.states is other.states and self.ids == other.ids
 
     @classmethod
     def of_rows(cls, rows: np.ndarray) -> "Walk":
@@ -192,6 +205,35 @@ class Walk(NamedTuple):
     def draw(self, i: int, stream: RandomStream) -> int:
         """``sample`` from row ``i``."""
         return self.states.draw(self.ids[i], stream)
+
+
+class _PendingWalk(Walk):
+    """A tree pass's walk, pending: it keeps the state the pass entered and
+    the paths, and walks them on the first read of ``ids``. After that
+    ``ids`` is a plain attribute, and a pass whose walk nobody reads walks
+    nothing. Only this class looks attributes up through ``__getattr__``,
+    which keeps every other walk's reads on the interpreter's fast path."""
+
+    __slots__ = ("_start", "_paths")
+
+    def __init__(self, states: _States, start: int, paths: tuple[tuple[int, ...], ...]) -> None:
+        self.states, self._start, self._paths = states, start, paths
+
+    def __getattr__(self, name: str):
+        """The first read of ``ids``: one state per path, the one after
+        the path from the state the pass entered."""
+        if name != "ids":
+            raise AttributeError(f"'Walk' object has no attribute {name!r}")
+        states = self.states
+        step, root, size = states.step, states.root, states.table.shape[1]
+        ends = []
+        for path in self._paths:
+            s = self._start
+            for t in path:
+                s = step[s][t] if 0 <= t < size else root
+            ends.append(s)
+        self.ids = ends
+        return ends
 
 
 def _automaton(
@@ -252,8 +294,8 @@ class ModelOracle:
         # Drafts by window tail and shape (kept by ``draft_tree`` and greedy
         # ``draft_chain``); fork() shares them, as it shares the states.
         self._drafts: dict[tuple, tuple] = {}
-        # The states the last pass walked, one per row it returned.
-        self.walked: list[int] = []
+        # The last pass's walked states (``walked``), or its pending walk.
+        self._walked: list[int] | _PendingWalk = []
 
     @property
     def vocab_size(self) -> int:
@@ -283,8 +325,15 @@ class ModelOracle:
         states = self._states
         if states.rowless and max(ids, default=-1) >= len(states.table):
             raise IndexError("the pass reached a state with no row")
-        self.walked = ids
+        self._walked = ids
         return Walk(states, ids)
+
+    @property
+    def walked(self) -> list[int]:
+        """The states the last pass walked, one per row it returned; the
+        first read after a tree pass walks its paths."""
+        walked = self._walked
+        return walked if walked.__class__ is list else walked.ids
 
     def walk(self) -> Walk:
         """The states the last pass walked."""
@@ -296,7 +345,7 @@ class ModelOracle:
         self._passes += 1
         s = self._enter(ctx)
         row = self._states.table[s]
-        self.walked = [s]
+        self._walked = [s]
         return row
 
     def batch_score(self, ctx: Sequence[int], drafted: Sequence[int]) -> Walk:
@@ -322,19 +371,17 @@ class ModelOracle:
 
         The flattened-tree analogue of ``batch_score``: its walk holds one
         state per path, the one after ``ctx + path``, for a single counter
-        bump for all.
+        bump for all. The pass enters ``ctx`` now and returns a pending
+        walk, which walks the paths when its ``ids`` are first read; a pass
+        on states some of which have no row walks now, so that reaching
+        one raises here.
         """
         self._passes += 1
-        states = self._states
-        step, root, size = states.step, states.root, self.vocab.size
-        start = self._enter(ctx)
-        ends = []
-        for path in paths:
-            s = start
-            for t in path:
-                s = step[s][t] if 0 <= t < size else root
-            ends.append(s)
-        return self._reached(ends)
+        walk = _PendingWalk(self._states, self._enter(ctx), tuple(paths))
+        if self._states.rowless:
+            return self._reached(walk.ids)
+        self._walked = walk
+        return walk
 
     def fork(self) -> "ModelOracle":
         """A view sharing this oracle's tables but with a fresh counter."""

@@ -30,15 +30,16 @@ A greedy round reads no randomness, and each oracle reads only its window,
 so it is a pure function of the context's last ``max(window)`` tokens, the
 round shape, the trust rule and the three oracles' states. The target's
 states keep a round table under that key (``_round_key``): a repeated
-greedy round drafts as before, replays the proxy's pass (and the target's,
-if it escalated) from the key's window tail, and returns the stored
-``Round``.
+greedy round drafts as before, makes the proxy's pass again (and the
+target's, if it escalated) from the key's window tail, and returns the
+stored ``Round``. Those passes are counted but walked only if read: a
+tree round's are pending walks nobody reads, so they walk nothing; a
+chain round's ``batch_score`` still walks its states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +66,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MarginRule:
+class _Margin(NamedTuple):
+    lam: float
+
+
+class MarginRule(_Margin):
     """Trust a row iff its top1-top2 gap reaches ``lam``.
 
     ``lam <= 0`` is the always-trust sentinel (margins are never negative),
@@ -74,13 +78,17 @@ class MarginRule:
     are both legal. NaN is refused: every comparison with it is False, so
     it would silently trust nothing. Given a block, ``trusted`` answers for
     every row.
+
+    A rule is a named tuple, so the round table hashes and compares it in
+    C on every greedy round; two rules are equal iff their ``lam`` are.
     """
 
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lam != self.lam:
+    def __new__(cls, lam: float) -> "MarginRule":
+        if lam != lam:
             raise ValueError("margin threshold lam must not be NaN")
+        return super().__new__(cls, lam)
 
     def trusted(self, probs: np.ndarray) -> bool | np.ndarray:
         return top2_margin(probs) >= self.lam
@@ -165,9 +173,9 @@ def trispec_round(
     the proxy's argmax, so it has no effect there.
 
     A greedy round is kept in the target's round table. A repeat drafts
-    (a draft-memo hit), replays the proxy's pass over the draft on the
-    key's window tail, and the target's over the suffix if the round
-    escalated, and returns the stored round.
+    (a draft-memo hit), makes the proxy's pass over the draft on the key's
+    window tail again, and the target's over the suffix if the round
+    escalated, so that they are counted, and returns the stored round.
     """
     apply_temperature(None, temperature)
     meter = PassMeter(drafter, proxy, target)
@@ -240,9 +248,10 @@ def trispec_tree_round(
     Every tree round is kept in the target's round table, with the
     committed prefix and the pruned tree's paths when it escalated: the
     paths the target's pass scored. A repeat drafts (a draft-memo hit),
-    replays the proxy's pass over the whole tree from the key's window
-    tail, and the target's over those paths from that tail and the
-    committed prefix, and returns the stored round.
+    makes the proxy's pass over the whole tree from the key's window tail
+    again, and the target's over those paths from that tail and the
+    committed prefix, and returns the stored round. Those passes are
+    counted, and since nobody reads their walks, they walk nothing.
     """
     meter = PassMeter(drafter, proxy, target)
 

@@ -256,8 +256,8 @@ def acceptance_coins(
     apply_temperature(None, temperature)
     coins: list[int] = []
     tokens = draft.tokens[start:] if start else draft.tokens
-    (v_states, v_ids), (d_states, d_ids) = scores, draft.walk
-    best, v_item, d_item = v_states.best, v_states.table.item, d_states.table.item
+    v_states, v_ids, d_ids = scores.states, scores.ids, draft.walk.ids
+    best, v_item, d_item = v_states.best, v_states.table.item, draft.walk.states.table.item
     for i, token in enumerate(tokens):
         accept = None if decide is None else decide(i, token)
         if accept is None:
@@ -353,13 +353,13 @@ def draw_correction(
     """
     apply_temperature(None, temperature)
     is_bonus = start + tau >= draft.k
-    v_states, v_ids = scores
+    v_states, v = scores.states, scores.ids[tau]
     if temperature == 0.0:
-        return v_states.best[v_ids[tau]], is_bonus
+        return v_states.best[v], is_bonus
     if is_bonus:
-        return scores.draw(tau, correction_stream), True
-    d_states, d_ids = draft.walk
-    token = _draw_residual(d_states, d_ids[start + tau], v_states, v_ids[tau], correction_stream)
+        return v_states.draw(v, correction_stream), True
+    drafted = draft.walk
+    token = _draw_residual(drafted.states, drafted.ids[start + tau], v_states, v, correction_stream)
     return token, False
 
 
@@ -435,7 +435,8 @@ def verify_tree_greedy(tree: DraftTree, verifier: ModelOracle) -> Verdict:
     first divergence, or extends a fully accepted path). The correction is
     a bonus iff the last accepted node (or the root) is childless.
     """
-    states, walked = verifier.batch_score_paths(tree.ctx, tree._paths)  # root, then node i at i + 1
+    scored = verifier.batch_score_paths(tree.ctx, tree._paths)  # root, then node i at i + 1
+    states, walked = scored.states, scored.ids
     best = states.best
 
     path: list[int] = []  # the accepted node ids

@@ -188,11 +188,12 @@ def test_sweep_refuses_orders_axis(capsys):
 def test_sweep_refuses_a_repeated_grid_key(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--grid", "seed=1", "--grid", "seed=2", "--out", str(out), *FAST]) == 2
-    assert "error: grid key 'seed' is given twice" in capsys.readouterr().err
+    assert "error: --grid: config key 'seed' is given twice; give it once" in capsys.readouterr().err
     # an alias and its key name one config key too
     argv = ["sweep", "--grid", "lambda=0.5", "--grid", "lam=1.01", "--out", str(out), *FAST]
     assert main(argv) == 2
-    assert "error: sweep keys 'lambda' and 'lam' name one config key" in capsys.readouterr().err
+    assert ("error: --grid: config key 'lam' is given twice as 'lambda' and 'lam'; give it once"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

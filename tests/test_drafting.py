@@ -594,7 +594,7 @@ def test_every_drawn_token_has_mass_in_its_own_row(model, k, temperature, data):
     chain = draft_chain(model, ctx, k, temperature, FixedUniforms(uniforms))
     assert all(chain.dists[i, t] > 0.0 for i, t in enumerate(chain.tokens))
     assert not chain.dists.flags.writeable
-    states, ids = chain.walk  # the rows the acceptance rule reads are the chain's own
+    states, ids = chain.walk.states, chain.walk.ids  # the rows the acceptance rule reads
     assert len(ids) == k and np.array_equal(states.table[list(ids)], chain.dists)
     with pytest.raises(ValueError):  # a chain built from rows is still checked
         DraftChain.of_rows((0,) + chain.tokens[1:], np.vstack([np.eye(2, model.vocab.size)[1],

@@ -566,6 +566,32 @@ def test_warm_greedy_ternary_requests_copy_no_rows(monkeypatch):
         assert warm.continuations == cold.continuations
 
 
+def test_warm_greedy_tree_requests_walk_no_paths(monkeypatch):
+    """A tree pass walks its paths only when its walk is read. A cold
+    greedy tree request reads the walks it ranks and verifies; a warm one,
+    all round-table hits, makes and counts the same passes, walks none of
+    them, and decodes as the cold one did."""
+    from trispec.models import _PendingWalk
+
+    family = build_family(ExperimentConfig())  # its own memos and round table, cold
+    walks = []
+    walk_paths = _PendingWalk.__getattr__
+    monkeypatch.setattr(_PendingWalk, "__getattr__", lambda walk, name: walks.append(name)
+                        or walk_paths(walk, name))
+    cfg = ExperimentConfig(max_new_tokens=24, num_prompts=3, use_tree=True)
+    assert cfg.method == "trispec" and cfg.temperature == 0.0
+    cold = run_experiment(cfg, family)
+    assert walks and set(walks) == {"ids"}
+    walks.clear()
+    warm = run_experiment(cfg, family)
+    assert walks == []
+    passes = [(r.report.drafter_passes, r.report.proxy_passes, r.report.target_passes)
+              for r in (cold, warm)]
+    assert passes[0] == passes[1] and min(passes[0]) > 0  # counted all the same
+    assert warm.to_dict() == cold.to_dict() and warm.records == cold.records
+    assert warm.continuations == cold.continuations
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 # ---------------------------------------------------------------------------
@@ -791,3 +817,6 @@ def test_sweep_rejects_bad_grids():
         sweep(base, {"beam": ["1"]})
     with pytest.raises(ConfigError):
         sweep(base, {"k": []})
+    # a library caller may still name one config key under both spellings
+    with pytest.raises(ConfigError, match="sweep keys 'lambda' and 'lam' name one config key"):
+        sweep(base, {"lambda": ["0.5"], "lam": ["1.01"]})

@@ -44,11 +44,14 @@ def test_table_model_missing_default_raises():
     model = TableModel(Vocabulary(2), {(1,): Distribution([1.0, 0.0])})
     with pytest.raises(LookupError):
         model.next_dist((0,))
-    # a batched pass copies no rows, yet still refuses a state without one
+    # a batched pass copies no rows, yet still refuses a state without one;
+    # over such states a tree pass walks at once, so it raises at the pass
     with pytest.raises(LookupError):
         model.batch_score((1,), (1, 0))
+    walked = model.walked
     with pytest.raises(LookupError):
         model.batch_score_paths((1,), [(), (0,)])
+    assert model.invocation_count == 3 and model.walked is walked
     assert model.batch_score((1,), (1,)).rows.tolist() == [[1.0, 0.0], [1.0, 0.0]]
     assert model.batch_score_paths((0,), []).ids == []
 
@@ -560,6 +563,46 @@ def test_states_keep_their_rows_argmax_and_margin_and_passes_record_their_states
     fresh.batch_score(ctx, ())
     twin.batch_score(ctx, ())
     assert fresh.walked == twin.walked and len(states.keys) == len(table)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(oracle=_state_oracles(), data=st.data())
+def test_a_tree_pass_walks_its_paths_on_the_first_read(oracle, data):
+    """A tree pass is counted and enters its context when it is made, and
+    walks its paths when its walk's ``ids`` are first read: each path's
+    state is the one stepped over the path from ``_enter(ctx)``, an id
+    outside the vocabulary stepping to the root, the empty path's the
+    entered state. Later reads, and ``walked``, hand out the same list;
+    ``walked`` read first walks a pass nobody read."""
+    size = oracle.vocab_size
+    token = st.integers(-1, size)  # -1 and ``size`` lie outside the vocabulary
+    ctx = data.draw(st.lists(token, max_size=oracle.window + 3), label="ctx")
+    paths = [()] + data.draw(st.lists(st.lists(token, max_size=4).map(tuple), max_size=5),
+                             label="paths")
+    step, root = oracle._states.step, oracle._states.root
+
+    def stepped(path):
+        s = oracle._enter(ctx)
+        for t in path:
+            s = step[s][t] if 0 <= t < size else root
+        return s
+
+    want = [stepped(path) for path in paths]
+    scorer = oracle.fork()
+    walk = scorer.batch_score_paths(ctx, paths)
+    assert scorer.invocation_count == 1
+    again = scorer.fork().batch_score_paths(tuple(ctx), tuple(paths))
+    ctx.clear()  # the pass holds neither the context nor the caller's list of paths
+    paths.clear()
+    ids = walk.ids
+    assert ids == want and walk.ids is ids
+    assert scorer.walked is ids and scorer.walked is ids  # filled from the walk, then kept
+    assert walk.states is oracle._states and scorer.walk() == walk
+
+    twin = scorer.fork()
+    unread = twin.batch_score_paths((), [(-1,), ()])
+    assert twin.walked == [root, root] and unread.ids is twin.walked
+    assert again.ids == want
 
 
 def test_a_broken_mixture_row_raises_and_adds_no_state():

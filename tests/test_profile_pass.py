@@ -1,5 +1,5 @@
-"""``tools/profile_pass.py`` and ``tools/digest_outputs.py`` drive the
-benchmark's ``Run`` from outside, so a change to either side can break them
+"""``tools/profile_pass.py``, ``tools/digest_outputs.py`` and
+``tools/time_pass.py`` drive the benchmark's ``Run`` from outside, so a change to either side can break them
 while nothing else notices. These tests run each tool's ``main`` on a
 shrunken workload in a fresh interpreter, as a real run would. They import
 perfbench and change nothing in it."""
@@ -97,3 +97,29 @@ def test_digest_outputs_tells_seeds_apart(tmp_path):
            for seed in ("3", "4")]
     assert [proc.returncode for proc in out] == [0, 0]
     assert len({proc.stdout.split("sha256 ")[1].split()[0] for proc in out}) == 2
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("cold", [False, True])
+def test_time_pass_prints_the_fastest_and_median_pass(name, cold, tmp_path):
+    mode = ["--cold"] if cold else []
+    proc = _run_tool(["--workload", name, "--seed", "3", "--passes", "3", *mode], tmp_path,
+                     "time_pass")
+    assert proc.returncode == 0, proc.stderr
+    found = re.search(rf"^{name} seed 3: 1 requests{', cold' if cold else ''}, 3 passes,"
+                      r" fastest (\d+\.\d) ms, median (\d+\.\d) ms$", proc.stdout, re.MULTILINE)
+    assert found, proc.stdout
+    assert 0.0 < float(found.group(1)) <= float(found.group(2))
+    assert f"fresh set-ups: {3 if cold else 0}" in proc.stdout  # one per request per pass
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--workload", "greedy-chain", "--seed", "3", "--passes", "0"], "--passes must be >= 1"),
+    (["--workload", "greedy-chain", "--seed", "-1"], "--seed must be >= 0"),
+    (["--workload", "no-such-workload", "--seed", "3"], "unknown workload 'no-such-workload'"),
+])
+def test_time_pass_refuses_bad_arguments(argv, message, tmp_path):
+    proc = _run_tool(argv, tmp_path, "time_pass")
+    assert proc.returncode == 2
+    assert message in proc.stderr

@@ -231,6 +231,17 @@ def test_shapes_rules_and_families_never_collide(ref_family):
         assert len(table) == len(plays) + 2
 
 
+def test_the_rule_and_shape_in_a_key_hash_and_compare_in_c():
+    """Every greedy round looks its key up: the margin rule and the tree
+    shape in it hash and compare as tuples do, with no Python-level
+    ``__hash__`` or ``__eq__``, and still refuse what they refused."""
+    for cls in (MarginRule, TreeParams):
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
+    assert isinstance(MarginRule(0.5), MarginRule) and MarginRule(lam=0.5).lam == 0.5
+    with pytest.raises(ValueError, match="NaN"):
+        MarginRule(float("nan"))
+
+
 def test_a_lambda_sweep_on_one_family_writes_what_fresh_families_write(tmp_path):
     """A sweep runs every point on one family, so later points read rounds
     that earlier ones stored; the rows are those of a family per point."""
