@@ -31,12 +31,11 @@ from .metrics import CostModel, RunReport, accumulate, lemma_check
 from .models import (
     MixtureProxy,
     ModelOracle,
-    NGramSpec,
     NgramModel,
     ProxyDerivation,
     derive_proxy,
     load_oracle,
-    train_ngram,
+    train_ngrams,
 )
 from .router import MarginRule, trispec_round, trispec_tree_round
 from .verification import (
@@ -289,7 +288,13 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
 
 def load_corpus(path: str | Path, tokenizer: str) -> tuple[np.ndarray, Vocabulary]:
     """Tokenize a text file: bytes (fixed V=256) or sorted distinct chars,
-    into one array of the narrowest unsigned dtype that holds the ids."""
+    into one array of the narrowest unsigned dtype that holds the ids.
+
+    Every char corpus takes one route, in C: one ``str.translate`` maps
+    each character to its id, one encode in the codec as wide as that
+    dtype writes the ids out as little-endian units, and the array is a
+    view of those bytes, so the working memory stays near the corpus size.
+    """
     data = Path(path).read_bytes()
     if not data:
         raise EmptyCorpusError(f"corpus file {path} is empty")
@@ -301,10 +306,15 @@ def load_corpus(path: str | Path, tokenizer: str) -> tuple[np.ndarray, Vocabular
         except UnicodeDecodeError as exc:
             raise ConfigError(f"corpus file {path} is not UTF-8 at byte {exc.start}") from exc
         symbols = tuple(sorted(set(text)))
+        if len(symbols) < 2:
+            raise ConfigError(
+                f"corpus file {path} holds one distinct character; the char tokenizer needs two"
+            )
         vocab = Vocabulary(len(symbols), symbols)
-        index = {ch: i for i, ch in enumerate(symbols)}
-        dtype = np.min_scalar_type(len(symbols) - 1)
-        return np.fromiter(map(index.__getitem__, text), dtype, len(text)), vocab
+        dtype = np.dtype(np.min_scalar_type(len(symbols) - 1)).newbyteorder("<")
+        codec = {1: "latin-1", 2: "utf-16-le", 4: "utf-32-le"}[dtype.itemsize]
+        ids = text.translate({ord(ch): i for i, ch in enumerate(symbols)})
+        return np.frombuffer(ids.encode(codec, "surrogatepass"), dtype), vocab
     raise ConfigError(f"unknown tokenizer {tokenizer!r}")
 
 
@@ -342,7 +352,13 @@ def family_signature(cfg: ExperimentConfig) -> tuple:
 
 
 def build_family(cfg: ExperimentConfig) -> Family:
-    """Load the corpus, split train/held-out, and train (or load) oracles."""
+    """Load the corpus, split train/held-out, and train (or load) oracles.
+
+    The n-grams are counted once per family: ``train_ngrams`` counts at the
+    family's highest order, and the lower-order drafter (and proxy, for
+    ``family=ngram``) share that count's tables, read-only. A loaded family
+    must match the corpus (``_check_loaded``) and the config's shape
+    (``_check_shape``)."""
     corpus_path = Path(cfg.corpus) if cfg.corpus else reference_corpus_path()
     tokens, vocab = load_corpus(corpus_path, cfg.tokenizer)
     split = int(len(tokens) * cfg.train_fraction)
@@ -360,14 +376,14 @@ def build_family(cfg: ExperimentConfig) -> Family:
                 raise ConfigError(f"cannot load the {role} from {path}: {exc}") from exc
             _check_loaded(role, oracle, vocab, train)
             loaded.append(oracle)
+        _check_shape(cfg, *loaded)
         return Family(*loaded, vocab, train, held)
 
-    d_order, p_order, t_order = cfg.orders
-    drafter = train_ngram(train, NGramSpec(d_order, cfg.alpha), vocab)
-    target = train_ngram(train, NGramSpec(t_order, cfg.alpha), vocab)
     if cfg.family == "ngram":
-        proxy: ModelOracle = train_ngram(train, NGramSpec(p_order, cfg.alpha), vocab)
-    else:
+        drafter, proxy, target = train_ngrams(train, cfg.orders, cfg.alpha, vocab)
+    else:  # the proxy is the target's mixture, so its order goes unread
+        d_order, _, t_order = cfg.orders
+        drafter, target = train_ngrams(train, (d_order, t_order), cfg.alpha, vocab)
         proxy = derive_proxy(target, ProxyDerivation(cfg.epsilon, cfg.noise))
     return Family(drafter, proxy, target, vocab, train, held)
 
@@ -390,6 +406,37 @@ def _check_loaded(role: str, oracle: ModelOracle, vocab: Vocabulary, train: np.n
             f"loaded {role} was not trained on this corpus's training split "
             f"(its fingerprint does not match)"
         )
+
+
+def _check_shape(
+    cfg: ExperimentConfig, drafter: ModelOracle, proxy: ModelOracle, target: ModelOracle
+) -> None:
+    """A loaded family must be the one the config records: n-grams of its
+    ``orders`` and ``alpha``, and a proxy of its ``family``'s kind, which
+    for ``perturbed`` is a mixture of its ``epsilon`` and ``noise`` over
+    the target's n-gram."""
+    d_order, p_order, t_order = cfg.orders
+    ngrams = [("drafter", drafter, d_order), ("target", target, t_order)]
+    if cfg.family == "ngram":
+        ngrams.append(("proxy", proxy, p_order))
+    elif not isinstance(proxy, MixtureProxy):
+        raise ConfigError(f"loaded proxy is of kind {proxy.kind!r}, but family={cfg.family} "
+                          f"needs kind 'mixture'")
+    else:
+        ngrams.append(("proxy's base", proxy.base, t_order))
+        for key, want, got in (("epsilon", cfg.epsilon, proxy.deriv.epsilon),
+                               ("noise", cfg.noise, proxy.deriv.noise_kind)):
+            if got != want:
+                raise ConfigError(f"loaded proxy does not match {key}: the config gives "
+                                  f"{want!r}, the model has {got!r}")
+    for role, oracle, order in ngrams:
+        if not isinstance(oracle, NgramModel):
+            raise ConfigError(f"loaded {role} is of kind {oracle.kind!r}, but family={cfg.family} "
+                              f"needs kind 'ngram'")
+        for key, want, got in (("orders", order, oracle.order), ("alpha", cfg.alpha, oracle.spec.alpha)):
+            if got != want:
+                raise ConfigError(f"loaded {role} does not match {key}: the config gives "
+                                  f"{want!r}, the model has {got!r}")
 
 
 def derive_prompts(

@@ -61,6 +61,7 @@ __all__ = [
     "load_oracle",
     "save_oracle",
     "train_ngram",
+    "train_ngrams",
 ]
 
 MODEL_FORMAT = "trispec-model"
@@ -461,7 +462,9 @@ class NgramModel(ModelOracle):
 
     The seen contexts are the keys of its states. They are prefix-closed,
     so each state is a seen context, and the longest seen suffix of a
-    context, its backoff key, is the state a pass walks to.
+    context, its backoff key, is the state a pass walks to. Its count
+    tables may be shared with the other n-grams of its family
+    (``train_ngrams``); nothing writes them.
     """
 
     kind = "ngram"
@@ -555,7 +558,10 @@ def train_ngram(corpus: Sequence[int], spec: NGramSpec, vocab: Vocabulary) -> Ng
     every array takes the narrowest dtype that holds it, which keeps the
     transient memory near the corpus size.
 
-    Raises CorpusTooShortError when the corpus has fewer tokens than the
+    Counting order n counts every order 1..n, so this is the one counting
+    routine: ``train_ngrams`` builds a family's lower orders on the count
+    tables of one call here, shared and read-only. Raises
+    CorpusTooShortError when the corpus has fewer tokens than the
     requested order (no full window exists).
     """
     if len(corpus) < spec.order:
@@ -593,6 +599,28 @@ def train_ngram(corpus: Sequence[int], spec: NGramSpec, vocab: Vocabulary) -> Ng
         counts[j], grams = table, ranked
     stamped = replace(spec, fingerprint=_fingerprint(tokens, spec.order, spec.alpha))
     return NgramModel(vocab, stamped, counts)
+
+
+def train_ngrams(
+    corpus: Sequence[int], orders: Sequence[int], alpha: float, vocab: Vocabulary
+) -> list[NgramModel]:
+    """One n-gram per entry of ``orders`` (in any order, repeats allowed),
+    each equal to ``train_ngram`` at its order, from one count.
+
+    ``train_ngram`` counts once, at the highest order. Every other model is
+    built on that model's count tables for orders 1..n, which the models
+    share and never write, and is fingerprinted as ``train_ngram`` would
+    fingerprint it. Each entry is its own model, with its own states.
+    """
+    top = train_ngram(corpus, NGramSpec(max(orders), alpha), vocab)
+    first = list(orders).index(top.order)
+    return [
+        top if i == first else NgramModel(
+            vocab, NGramSpec(order, alpha, _fingerprint(corpus, order, alpha)),
+            {j: top._counts[j] for j in range(1, order + 1)},
+        )
+        for i, order in enumerate(orders)
+    ]
 
 
 def derive_proxy(target: ModelOracle, deriv: ProxyDerivation) -> MixtureProxy:

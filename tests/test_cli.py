@@ -13,9 +13,11 @@ from trispec.harness import (
     SWEEP_SCHEMA,
     TRACE_SCHEMA,
     ExperimentConfig,
+    load_corpus,
     read_trace_csv,
     reference_corpus_path,
 )
+from trispec.models import NGramSpec, save_oracle, train_ngram
 
 FAST = ("-O", "max_new_tokens=4", "-O", "num_prompts=2")
 
@@ -128,6 +130,47 @@ def test_train_then_run_from_saved_models(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads((outdir / "report.json").read_text())
     assert data["report"]["N"] >= 8
+
+
+@pytest.mark.parametrize("family", ["ngram", "perturbed"])
+def test_a_family_saved_by_train_loads_and_decodes_as_trained(tmp_path, capsys, family):
+    """``train`` writes each n-gram as training it alone would, and a run on
+    the saved files reports what a run that trains does."""
+    models = tmp_path / "models"
+    assert main(["train", "-O", f"family={family}", "--out", str(models)]) == 0
+    cfg = ExperimentConfig(family=family)
+    tokens, vocab = load_corpus(reference_corpus_path(), "char")
+    train = tokens[: int(len(tokens) * cfg.train_fraction)]
+    roles = ("drafter", "proxy", "target") if family == "ngram" else ("drafter", "target")
+    for role, order in zip(roles, cfg.orders if family == "ngram" else cfg.orders[::2]):
+        save_oracle(train_ngram(train, NGramSpec(order, cfg.alpha), vocab), tmp_path / "alone.json")
+        assert (models / f"{role}.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+    reports = []
+    for extra in ((), ("-O", f"model_dir={models}")):
+        out = tmp_path / f"out{len(extra)}"
+        assert main(["run", "--out", str(out), "-O", f"family={family}", *extra, *FAST]) == 0
+        reports.append(json.loads((out / "report.json").read_text())["report"])
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("override, message", [
+    ("orders=3,3,5", "error: loaded drafter does not match orders: the config gives 3, the model has 2"),
+    ("alpha=0.5", "error: loaded drafter does not match alpha: the config gives 0.5, the model has 0.1"),
+    ("family=perturbed",
+     "error: loaded proxy is of kind 'ngram', but family=perturbed needs kind 'mixture'"),
+])
+def test_run_refuses_models_of_another_shape_than_the_config(tmp_path, capsys, override, message):
+    """``report.json`` records the config's family keys, so a run on saved
+    models that those keys do not describe would report a family it did not
+    decode with."""
+    models = tmp_path / "models"
+    assert main(["train", "--out", str(models)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "-O", f"model_dir={models}", "-O", override, *FAST]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_run_refuses_models_trained_on_another_corpus(tmp_path, capsys):
@@ -305,6 +348,16 @@ def test_run_refuses_a_corpus_that_is_not_utf8(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "out"), "-O", f"corpus={corpus}", *FAST]) == 2
     err = capsys.readouterr().err
     assert f"error: corpus file {corpus} is not UTF-8 at byte 20" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_refuses_a_corpus_of_one_distinct_character(tmp_path, capsys):
+    corpus = tmp_path / "a.txt"
+    corpus.write_text("a" * 4000, encoding="utf-8")
+    assert main(["run", "--out", str(tmp_path / "out"), "-O", f"corpus={corpus}", *FAST]) == 2
+    err = capsys.readouterr().err
+    assert f"error: corpus file {corpus} holds one distinct character" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 
 

@@ -3,8 +3,10 @@
 import csv
 import io
 import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,70 @@ def test_corpus_error_cases(tmp_path):
     full.write_text("hello")
     with pytest.raises(ConfigError):
         load_corpus(full, "words")
+
+
+def _reference_char_tokens(text):
+    """The char tokenizer as it mapped each character through a dict in
+    Python, kept as an oracle for the one route in C."""
+    symbols = tuple(sorted(set(text)))
+    index = {ch: i for i, ch in enumerate(symbols)}
+    dtype = np.min_scalar_type(len(symbols) - 1)
+    return np.fromiter(map(index.__getitem__, text), dtype, len(text)), symbols
+
+
+def _assert_tokenizes_as_the_reference(text, path):
+    path.write_bytes(text.encode("utf-8"))
+    tokens, vocab = load_corpus(path, "char")
+    want, symbols = _reference_char_tokens(text)
+    assert vocab.symbols == symbols and vocab.size == len(symbols)
+    assert tokens.dtype == want.dtype and tokens.dtype.isnative
+    assert np.array_equal(tokens, want)
+
+
+# every code point UTF-8 can hold: the surrogates are not characters
+_CHARS = st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=("Cs",))
+
+
+@st.composite
+def _texts(draw):
+    """Any Unicode, astral characters included; often over more than 256
+    distinct characters, so that the ids take ``uint16``."""
+    alphabet = draw(st.one_of(
+        st.lists(_CHARS, min_size=2, max_size=40, unique=True),
+        st.lists(_CHARS, min_size=257, max_size=700, unique=True),
+    ))
+    extra = draw(st.lists(st.sampled_from(alphabet), max_size=200))
+    return "".join(draw(st.permutations(alphabet + extra)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=_texts())
+def test_char_tokenizer_equals_the_dict_mapping(text, tmp_path_factory):
+    _assert_tokenizes_as_the_reference(text, tmp_path_factory.mktemp("corpus") / "c.txt")
+
+
+@pytest.mark.parametrize("distinct", [256, 257, 0xD800 + 10, 0x10000 + 10])
+def test_char_tokenizer_equals_the_dict_mapping_at_each_id_width(distinct, tmp_path):
+    """Ids cross into ``uint16``, into the surrogate range that the UTF-16
+    route must pass through, and into ``uint32``."""
+    chars = [chr(c) for c in range(0x10FFFF + 1) if not 0xD800 <= c <= 0xDFFF][:distinct]
+    text = "".join(chars[::-1] + chars[: distinct // 2])
+    _assert_tokenizes_as_the_reference(text, tmp_path / "c.txt")
+
+
+def test_char_tokenizer_reports_the_byte_offset_of_invalid_utf8(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes("a\U0001F600b".encode("utf-8") + b"\xff tail")  # a 4-byte char first
+    with pytest.raises(ConfigError, match=rf"^corpus file {re.escape(str(p))} is not UTF-8 at byte 6$"):
+        load_corpus(p, "char")
+
+
+def test_char_tokenizer_refuses_one_distinct_character(tmp_path):
+    p = tmp_path / "a.txt"
+    p.write_text("a" * 40)
+    with pytest.raises(ConfigError, match="holds one distinct character"):
+        load_corpus(p, "char")
+    assert load_corpus(p, "byte")[1].size == 256  # the byte tokenizer's V is fixed
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +464,87 @@ def test_model_dir_mixture_base_fingerprint_is_checked(ref_family, tmp_path):
     save_oracle(ref_family.drafter, tmp_path / "drafter.json")
     save_oracle(derive_proxy(other, ProxyDerivation(0.3)), tmp_path / "proxy.json")
     save_oracle(ref_family.target, tmp_path / "target.json")
+    cfg = ExperimentConfig(model_dir=str(tmp_path), family="perturbed")
     with pytest.raises(ConfigError, match="loaded proxy was not trained on"):
-        build_family(ExperimentConfig(model_dir=str(tmp_path)))
+        build_family(cfg)
     # the same mixture over the real target loads
     save_oracle(derive_proxy(ref_family.target, ProxyDerivation(0.3)), tmp_path / "proxy.json")
-    assert isinstance(build_family(ExperimentConfig(model_dir=str(tmp_path))).proxy, MixtureProxy)
+    assert isinstance(build_family(cfg).proxy, MixtureProxy)
+
+
+def _save_family(family, model_dir, **replaced):
+    model_dir.mkdir(exist_ok=True)
+    for role in ("drafter", "proxy", "target"):
+        save_oracle(replaced.get(role, getattr(family, role)), model_dir / f"{role}.json")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"orders": (3, 3, 4)}, "loaded drafter does not match orders: the config gives 3, the model has 2"),
+    ({"orders": (2, 2, 4)}, "loaded proxy does not match orders: the config gives 2, the model has 3"),
+    ({"orders": (2, 3, 5)}, "loaded target does not match orders: the config gives 5, the model has 4"),
+    ({"alpha": 0.5}, "loaded drafter does not match alpha: the config gives 0.5, the model has 0.1"),
+    ({"family": "perturbed"}, "loaded proxy is of kind 'ngram', but family=perturbed needs kind 'mixture'"),
+])
+def test_model_dir_refuses_an_ngram_family_of_another_shape(ref_family, tmp_path, overrides, message):
+    _save_family(ref_family, tmp_path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build_family(ExperimentConfig(model_dir=str(tmp_path), **overrides))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"family": "ngram"}, "loaded proxy is of kind 'mixture', but family=ngram needs kind 'ngram'"),
+    ({"epsilon": 0.5}, "loaded proxy does not match epsilon: the config gives 0.5, the model has 0.3"),
+    ({"noise": "uniform"},
+     "loaded proxy does not match noise: the config gives 'uniform', the model has 'unigram'"),
+])
+def test_model_dir_refuses_a_mixture_of_another_shape(perturbed_family, tmp_path, overrides, message):
+    _save_family(perturbed_family, tmp_path)
+    cfg = ExperimentConfig(model_dir=str(tmp_path), family="perturbed")
+    assert build_family(cfg).proxy.deriv == perturbed_family.proxy.deriv
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build_family(replace(cfg, **overrides))
+
+
+def test_model_dir_refuses_a_mixture_over_another_ngram(perturbed_family, tmp_path):
+    """The mixture's base must be the target's n-gram, not only an n-gram
+    of the corpus."""
+    from trispec.models import ProxyDerivation, derive_proxy
+
+    drafter = perturbed_family.drafter
+    _save_family(perturbed_family, tmp_path, proxy=derive_proxy(drafter, ProxyDerivation(0.3)))
+    with pytest.raises(ConfigError, match="^loaded proxy's base does not match orders: "
+                                          "the config gives 4, the model has 2$"):
+        build_family(ExperimentConfig(model_dir=str(tmp_path), family="perturbed"))
+
+
+def test_model_dir_refuses_a_table_where_an_ngram_belongs(ref_family, tmp_path):
+    from trispec.core import Distribution
+    from trispec.models import TableModel
+
+    size = ref_family.vocab.size
+    table = TableModel(ref_family.vocab, {}, Distribution(np.full(size, 1.0 / size)))
+    _save_family(ref_family, tmp_path, target=table)
+    with pytest.raises(ConfigError, match="^loaded target is of kind 'table', but family=ngram "
+                                          "needs kind 'ngram'$"):
+        build_family(ExperimentConfig(model_dir=str(tmp_path)))
+
+
+@pytest.mark.parametrize("use_tree, temperature", [(False, 0.0), (False, 1.0), (True, 0.0)])
+def test_decoding_leaves_the_shared_count_tables_unchanged(use_tree, temperature):
+    """The family's n-grams share one count's tables; no decode writes them."""
+    import copy
+
+    family = build_family(ExperimentConfig())
+    counts = family.target._counts
+    assert all(family.drafter._counts[j] is counts[j] for j in (1, 2))
+    assert all(family.proxy._counts[j] is counts[j] for j in (1, 2, 3))
+    before = copy.deepcopy(counts)
+    cfg = ExperimentConfig(use_tree=use_tree, temperature=temperature, num_prompts=4,
+                           max_new_tokens=24)
+    for lam in (0.0, 0.5, 1.01):
+        run_experiment(replace(cfg, lam=lam), family)
+    assert counts == before
+    assert [list(t) for t in counts.values()] == [list(t) for t in before.values()]
 
 
 def test_model_dir_counts_must_be_prefix_closed(ref_family, tmp_path):

@@ -23,7 +23,9 @@ from trispec.models import (
     load_oracle,
     save_oracle,
     train_ngram,
+    train_ngrams,
 )
+from trispec.models import _oracle_payload
 
 AB = Vocabulary(2, ("a", "b"))
 ABAB = [0, 1, 0, 1]  # "abab"
@@ -168,6 +170,53 @@ def test_train_ngram_matches_the_counting_loop_on_the_bundled_corpus(ref_family)
         model = train_ngram(train, NGramSpec(order=order), ref_family.vocab)
         assert model._counts == _reference_counts(train, order)
         assert model.spec.fingerprint == _reference_fingerprint(train, order, 0.1)
+
+
+def _assert_trained_alone(together, corpus, orders, alpha, vocab):
+    """Each model of ``train_ngrams`` is the model ``train_ngram`` trains
+    alone at its order, byte for byte, and its own object over tables shared
+    with the highest order's model."""
+    assert [model.order for model in together] == list(orders)
+    assert len({id(model) for model in together}) == len(orders)
+    assert len({id(model._states) for model in together}) == len(orders)
+    top = next(model for model in together if model.order == max(orders))
+    for model in together:
+        alone = train_ngram(corpus, NGramSpec(model.order, alpha), vocab)
+        assert model.spec == alone.spec  # the fingerprint included
+        assert model._counts == alone._counts
+        assert [list(t) for t in model._counts.values()] == [list(t) for t in alone._counts.values()]
+        assert all(model._counts[j] is top._counts[j] for j in model._counts)
+        assert model._states.keys == alone._states.keys
+        assert model._states.step == alone._states.step
+        assert model._states.table.tobytes() == alone._states.table.tobytes()
+        assert json.dumps(_oracle_payload(model), sort_keys=True) == json.dumps(
+            _oracle_payload(alone), sort_keys=True)
+
+
+@pytest.mark.parametrize("orders", [(2, 3, 4), (4, 3, 2), (2, 2, 2), (1, 1, 1), (4, 2, 4)])
+def test_ngrams_trained_together_equal_ngrams_trained_alone(orders, ref_family, tmp_path):
+    corpus, vocab = ref_family.train_tokens, ref_family.vocab
+    together = train_ngrams(corpus, orders, 0.1, vocab)
+    _assert_trained_alone(together, corpus, orders, 0.1, vocab)
+    for i, model in enumerate(together):  # and saves the same file
+        save_oracle(model, tmp_path / f"together{i}.json")
+        save_oracle(train_ngram(corpus, NGramSpec(model.order), vocab), tmp_path / f"alone{i}.json")
+        assert (tmp_path / f"together{i}.json").read_bytes() == (tmp_path / f"alone{i}.json").read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_corpora(), data=st.data())
+def test_ngrams_trained_together_equal_ngrams_trained_alone_on_any_corpus(case, data):
+    size, corpus, order = case
+    orders = data.draw(st.lists(st.integers(1, order), min_size=1, max_size=4))
+    alpha = data.draw(st.sampled_from([0.0, 0.1, 1.0]))
+    together = train_ngrams(corpus, orders, alpha, Vocabulary(size))
+    _assert_trained_alone(together, corpus, orders, alpha, Vocabulary(size))
+
+
+def test_ngrams_trained_together_refuse_an_order_the_corpus_cannot_train():
+    with pytest.raises(CorpusTooShortError):
+        train_ngrams(ABAB, (2, 5), 0.1, AB)
 
 
 def test_ngram_counts_must_cover_all_orders():

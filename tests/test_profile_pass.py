@@ -1,8 +1,10 @@
-"""``tools/profile_pass.py``, ``tools/digest_outputs.py`` and
-``tools/time_pass.py`` drive the benchmark's ``Run`` from outside, so a change to either side can break them
-while nothing else notices. These tests run each tool's ``main`` on a
-shrunken workload in a fresh interpreter, as a real run would. They import
-perfbench and change nothing in it."""
+"""``tools/profile_pass.py``, ``tools/digest_outputs.py``,
+``tools/time_pass.py`` and ``tools/time_setup.py`` drive the benchmark
+from outside, so a change to either side can break them while nothing else
+notices. These tests run each tool's ``main`` on a shrunken workload in a
+fresh interpreter, as a real run would; one more runs ``digest_outputs``
+on the full workloads and pins what they write. They import perfbench and
+change nothing in it."""
 
 import re
 import subprocess
@@ -123,3 +125,74 @@ def test_time_pass_refuses_bad_arguments(argv, message, tmp_path):
     proc = _run_tool(argv, tmp_path, "time_pass")
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_time_setup_prints_the_fastest_and_median_set_up(name, tmp_path):
+    proc = _run_tool(["--workload", name, "--seed", "3", "--repeats", "3"], tmp_path, "time_setup")
+    assert proc.returncode == 0, proc.stderr
+    found = re.search(rf"^{name} seed 3: 3 set-ups, fastest (\d+\.\d\d) ms, median (\d+\.\d\d) ms$",
+                      proc.stdout, re.MULTILINE)
+    assert found, proc.stdout
+    assert 0.0 < float(found.group(1)) <= float(found.group(2))
+    assert "fresh set-ups: 4" in proc.stdout  # one untimed, then one per repeat
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--workload", "greedy-chain", "--seed", "3", "--repeats", "0"], "--repeats must be >= 1"),
+    (["--workload", "greedy-chain", "--seed", "-1"], "--seed must be >= 0"),
+    (["--workload", "no-such-workload", "--seed", "3"], "unknown workload 'no-such-workload'"),
+])
+def test_time_setup_refuses_bad_arguments(argv, message, tmp_path):
+    proc = _run_tool(argv, tmp_path, "time_setup")
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
+# What one pass of each full-size workload writes, warm at seeds 0 and 3:
+# the byte-identical report.json and trace.csv of the benchmark's configs.
+PINNED_DIGESTS = {
+    "greedy-chain": {
+        0: "fd272feb20039fea3a87433b410c2bcabed425050692c269e9aae73fc1245085",
+        3: "c7260bc0be897e5556a87f41f7d5d566cc426c00a95e504285eb575014be9a6c",
+    },
+    "sampled-perturbed": {
+        0: "4d1c327f59f510bceabba3842bdac7ad2f992311f84a3b4644f4c6d12a770f1c",
+        3: "527c475b910a9c0119bbb432fb530e0e14614d82b47d83d6f89fb45eca472386",
+    },
+    "greedy-tree": {
+        0: "bf5d3afcae5140c93e3865ad0b46a12470bc0cec06f004b683ae59c8dae9cd6a",
+        3: "7bfe8ac96cd2dfdef891b80082ad3afb2783bf2e089a0712b744fd624e9c6932",
+    },
+}
+
+DIGEST_SCRIPT = """
+import sys
+sys.path[:0] = [{src!r}, {root!r}, {tools!r}]
+import digest_outputs
+for argv in {argvs!r}:
+    rc = digest_outputs.main(argv)
+    if rc:
+        sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_benchmark_workloads_write_their_pinned_outputs(name, tmp_path):
+    """Warm at seeds 0 and 3 and cold at seed 0, which must write what the
+    warm pass does: a change that should leave every output alone must
+    leave these digests alone."""
+    argvs = [["--workload", name, "--seed", "0"], ["--workload", name, "--seed", "3"],
+             ["--workload", name, "--seed", "0", "--cold"]]
+    script = DIGEST_SCRIPT.format(
+        src=str(ROOT / "src"), root=str(ROOT), tools=str(ROOT / "tools"), argvs=argvs
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = re.findall(rf"^{name} seed (\d): \d+ requests(, cold)?, sha256 ([0-9a-f]{{64}})$",
+                     proc.stdout, re.MULTILINE)
+    want = PINNED_DIGESTS[name]
+    assert got == [("0", "", want[0]), ("3", "", want[3]), ("0", ", cold", want[0])]
+    assert list(tmp_path.iterdir()) == []

@@ -61,19 +61,28 @@ def parse_args(
     return args
 
 
-def warmed(args: argparse.Namespace, workdir: Path):
-    """The workload's benchmark ``Run`` in ``workdir``, set up and past one
-    untimed, checked pass; or the exit code when it cannot be (2 for an
-    unknown workload, 1 when the pass fails a check)."""
+def workload_of(args: argparse.Namespace):
+    """The benchmark workload ``args.workload`` names, with ``perfbench``
+    importable; or 2, the exit code, when there is no such workload."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    from perfbench.bench import Run
     from perfbench.workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
         print(f"error: unknown workload {args.workload!r}; one of {sorted(WORKLOADS)}",
               file=sys.stderr)
         return 2
-    workload = WORKLOADS[args.workload]
+    return WORKLOADS[args.workload]
+
+
+def warmed(args: argparse.Namespace, workdir: Path):
+    """The workload's benchmark ``Run`` in ``workdir``, set up and past one
+    untimed, checked pass; or the exit code when it cannot be (2 for an
+    unknown workload, 1 when the pass fails a check)."""
+    workload = workload_of(args)
+    if isinstance(workload, int):
+        return workload
+    from perfbench.bench import Run
+
     bench = Run(workload, args.seed, workdir, tracer=None)
     bench.set_up(keep=True)
     if workload.base_config().temperature != 0.0:
