@@ -293,7 +293,8 @@ def load_corpus(path: str | Path, tokenizer: str) -> tuple[np.ndarray, Vocabular
     Every char corpus takes one route, in C: one ``str.translate`` maps
     each character to its id, one encode in the codec as wide as that
     dtype writes the ids out as little-endian units, and the array is a
-    view of those bytes, so the working memory stays near the corpus size.
+    view of those bytes. Each copy of the corpus goes once the next one
+    exists, so the working memory stays near two copies.
     """
     data = Path(path).read_bytes()
     if not data:
@@ -305,6 +306,7 @@ def load_corpus(path: str | Path, tokenizer: str) -> tuple[np.ndarray, Vocabular
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"corpus file {path} is not UTF-8 at byte {exc.start}") from exc
+        del data
         symbols = tuple(sorted(set(text)))
         if len(symbols) < 2:
             raise ConfigError(
@@ -313,8 +315,8 @@ def load_corpus(path: str | Path, tokenizer: str) -> tuple[np.ndarray, Vocabular
         vocab = Vocabulary(len(symbols), symbols)
         dtype = np.dtype(np.min_scalar_type(len(symbols) - 1)).newbyteorder("<")
         codec = {1: "latin-1", 2: "utf-16-le", 4: "utf-32-le"}[dtype.itemsize]
-        ids = text.translate({ord(ch): i for i, ch in enumerate(symbols)})
-        return np.frombuffer(ids.encode(codec, "surrogatepass"), dtype), vocab
+        text = text.translate({ord(ch): i for i, ch in enumerate(symbols)})
+        return np.frombuffer(text.encode(codec, "surrogatepass"), dtype), vocab
     raise ConfigError(f"unknown tokenizer {tokenizer!r}")
 
 
