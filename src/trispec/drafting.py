@@ -107,16 +107,18 @@ def draft_chain(
     apply_temperature(None, temperature)
     if k < 1:
         raise ValueError("draft length k must be >= 1")
-    w, cut = drafter.window, list(drafter._tail(ctx))
+    w, tail = drafter.window, drafter._tail(ctx)
     key = None
     if temperature == 0.0:
-        key = (tuple(cut), k)  # tree keys have four fields, so none collides
+        key = (tail, k)  # tree keys have four fields, so none collides
         hit = drafter._drafts.get(key)
         if hit is not None:
             chain, contexts = hit
+            next_dist = drafter.next_dist
             for c in contexts:
-                drafter.next_dist(c)
+                next_dist(c)
             return chain
+    cut = list(tail)
     states, next_dist = drafter._states, drafter.next_dist
     best, draw = states.best, states.draw
     tokens: list[int] = []

@@ -17,7 +17,9 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+import operator
+from dataclasses import dataclass, fields, replace
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -193,7 +195,9 @@ class ExperimentConfig:
             raise ConfigError("; ".join(problems))
 
     def as_dict(self) -> dict:
-        out = asdict(self)
+        """The fields by name, ``lam`` as ``lambda`` and ``orders`` a list.
+        A shallow copy: every other field is immutable."""
+        out = dict(vars(self))
         out["lambda"] = out.pop("lam")
         out["orders"] = list(self.orders)
         return out
@@ -562,7 +566,7 @@ def _csv_lines(rows: Iterable[Sequence[str]]) -> list[str]:
 
 def _write_csv(path: str | Path, schema: str, header: Sequence[str], lines: Iterable[str]) -> None:
     text = schema + "\n" + _csv_lines([header])[0] + "".join(lines)
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 class _TextCells(dict):
@@ -576,15 +580,28 @@ class _TextCells(dict):
 
 def write_trace_csv(records: Sequence[TraceRecord], path: str | Path) -> None:
     """One line per record in ``TRACE_COLUMNS`` order: None is an empty
-    cell, a bool 1 or 0, and the text cells are quoted as csv quotes them."""
+    cell, a bool 1 or 0, and the text cells are quoted as csv quotes them.
+
+    A run repeats few row tails, the cells after ``round_index``, so each
+    distinct tail is formatted once per file. Its key holds each number's
+    class, and a zero cost's text, so that equal values that print apart
+    (``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``) key apart."""
     text = _TextCells()
-    _write_csv(path, TRACE_SCHEMA, TRACE_COLUMNS, [
-        f"{text[r.run_id]},{r.round_index},{text[r.case]},{'' if r.tau_a is None else r.tau_a},"
-        f"{'' if r.tau_m is None else r.tau_m},{'' if r.tau_t is None else r.tau_t},"
-        f"{r.emitted_count},{1 if r.proxy_called else 0},{1 if r.target_called else 0},"
-        f"{r.round_cost}\n"
-        for r in records
-    ])
+    tails: dict[tuple, str] = {}
+    lines = []
+    for r in records:
+        a, m, t, n, cost = r.tau_a, r.tau_m, r.tau_t, r.emitted_count, r.round_cost
+        key = (r.case, a, m, t, n, r.proxy_called, r.target_called, cost, a.__class__,
+               m.__class__, t.__class__, n.__class__, cost.__class__, cost or f"{cost}")
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                f"{text[r.case]},{'' if a is None else a},{'' if m is None else m},"
+                f"{'' if t is None else t},{n},{1 if r.proxy_called else 0},"
+                f"{1 if r.target_called else 0},{cost}\n"
+            )
+        lines.append(f"{text[r.run_id]},{r.round_index},{tail}")
+    _write_csv(path, TRACE_SCHEMA, TRACE_COLUMNS, lines)
 
 
 def read_trace_csv(path: str | Path) -> list[TraceRecord]:
@@ -668,14 +685,19 @@ def _trust_rule(cfg: ExperimentConfig):
 def _ppl_under_target(
     target: ModelOracle, continuations: Sequence[tuple[tuple[int, ...], list[int]]]
 ) -> float | None:
+    """Perplexity of the continuations under the target: ``exp`` of the
+    mean of ``-log(max(p, 1e-300))`` over every emitted token, the terms
+    subtracted one at a time in token order (``reduce``), so the sum is
+    the per-token loop's bit for bit. Each log is ``math.log``: ``np.log``
+    differs from it in the last bit on some inputs."""
     probe = target.fork()
     nll, count = 0.0, 0
     for prompt, emitted in continuations:
         if not emitted:
             continue
         walk = probe.batch_score(prompt, emitted)
-        for p in walk.states.table[walk.ids[:-1], emitted].tolist():
-            nll += -math.log(max(p, 1e-300))
+        probs = np.maximum(walk.states.table[walk.ids[:-1], emitted], 1e-300)
+        nll = reduce(operator.sub, map(math.log, probs.tolist()), nll)
         count += len(emitted)
     return math.exp(nll / count) if count else None
 
@@ -715,15 +737,19 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
             emitted_all.extend(rnd.emitted)
         continuations.append((prompt, emitted_all))
 
+    # the fields read directly: ``case.value`` and ``proxy_called`` are Python-level descriptors
     records = [
-        TraceRecord(run_id, i, rnd.case.value, rnd.tau_a, rnd.tau_m, rnd.tau_t, len(rnd.emitted),
-                    rnd.proxy_called, rnd.target_called, cost)
+        TraceRecord(run_id, i, rnd.case._value_, rnd.tau_a, rnd.tau_m, rnd.tau_t, len(rnd.emitted),
+                    rnd.passes[1] > 0, rnd.passes[2] > 0, cost)
         for i, (rnd, cost) in enumerate(zip(played, accumulate(report, played)))
     ]
 
     report.continuation_ppl = _ppl_under_target(target, continuations)
     if not math.isfinite(report.L):
         raise ConfigError(f"the cost constants overflow the latency ledger: L = {report.L}")
+    if not report.L > 0.0:
+        raise ConfigError("the cost constants give the run zero latency (L = 0), "
+                          "so its speedup is undefined")
     residual = lemma_check(report)
     if not residual <= 1e-9 * max(report.L, 1.0):  # NaN fails too
         raise AssertionError(f"latency decomposition identity violated: residual {residual}")
@@ -732,7 +758,7 @@ def run_experiment(cfg: ExperimentConfig, family: Family | None = None) -> Exper
 
 def write_report_json(result: ExperimentResult, path: str | Path) -> None:
     text = json.dumps(result.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_bytes((text + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,11 @@ token, taken straight from the oracle invocation counters.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -144,21 +148,47 @@ class RunReport:
             "target_passes": self.target_passes,
             "case_counts": dict(sorted(self.case_counts.items())),
             "continuation_ppl": self.continuation_ppl,
-            "cost_model": asdict(self.cost),
+            "cost_model": dict(vars(self.cost)),  # every field a number: a shallow copy
         }
 
 
 def accumulate(report: RunReport, rounds: Iterable[Round]) -> list[float]:
     """Fold a run's rounds into its report and return what each round cost.
 
-    The report is a fold over the rounds: one ``add_round`` per round, in
-    round order, so every float sum adds its terms sequentially (a pairwise
-    or compensated sum would change the last bits). Pass counts come from
-    each round's meter, so a proxy-only round costs ``k * c_d + c_p + t_o``
-    and an escalated round additionally pays ``c_t``.
+    The report is a fold over the rounds, in round order, that leaves what
+    one ``add_round`` per round would: every float sum adds its terms
+    sequentially, as ``reduce`` does (a pairwise or compensated sum, such
+    as ``math.fsum``, or builtin ``sum`` of floats on recent Pythons, would
+    change the last bits), integer sums are exact in any order, and cases
+    are counted in first-seen order. Pass counts come from each round's
+    meter, so a proxy-only round costs ``k * c_d + c_p + t_o`` and an
+    escalated round additionally pays ``c_t``. A round that emits nothing
+    raises before the report is touched.
     """
-    add = report.add_round
-    return [add(len(rnd.emitted), *rnd.passes, rnd.case.value) for rnd in rounds]
+    rounds = list(rounds)
+    if not rounds:
+        return []
+    emitted = [len(rnd.emitted) for rnd in rounds]
+    if min(emitted) < 1:
+        raise ValueError("a round emits at least one token")
+    d, p, t = zip(*[rnd.passes for rnd in rounds])
+    cost = report.cost
+    draft = list(map(mul, d, repeat(cost.c_d)))
+    verify = list(map(add, map(mul, p, repeat(cost.c_p)), map(mul, t, repeat(cost.c_t))))
+    n, tokens = len(rounds), sum(emitted)
+    report.N += tokens
+    report.rounds += n
+    report.accepted_total += tokens - n
+    report.draft_time = reduce(add, draft, report.draft_time)
+    report.verify_time = reduce(add, verify, report.verify_time)
+    report.overhead_time = reduce(add, repeat(cost.t_o, n), report.overhead_time)
+    report.drafter_passes += sum(d)
+    report.proxy_passes += sum(p)
+    report.target_passes += sum(t)
+    counts = report.case_counts
+    for label, times in Counter([rnd.case._value_ for rnd in rounds]).items():
+        counts[label] = counts.get(label, 0) + times
+    return list(map(add, map(add, draft, verify), repeat(cost.t_o)))
 
 
 def lemma_check(report: RunReport) -> float:

@@ -313,7 +313,8 @@ class ModelOracle:
 
     def _enter(self, ctx: Sequence[int]) -> int:
         """The state after ``ctx``, walked from the root over its tail. An id
-        outside the vocabulary steps to the root, as no key holds one."""
+        outside the vocabulary steps to the root, as no key holds one. The
+        three pass methods make this walk inline, a call fewer per pass."""
         states, w = self._states, self.window
         step, root, size = states.step, states.root, self.vocab.size
         s = root
@@ -344,8 +345,12 @@ class ModelOracle:
         """Score one position: the read-only row after ``ctx``. One forward
         pass."""
         self._passes += 1
-        s = self._enter(ctx)
-        row = self._states.table[s]
+        states, w = self._states, self.window
+        step, size = states.step, self.vocab.size
+        s = root = states.root
+        for t in ctx[len(ctx) - w :] if len(ctx) > w else ctx:  # ``_enter``, inline
+            s = step[s][t] if 0 <= t < size else root
+        row = states.table[s]
         self._walked = [s]
         return row
 
@@ -358,14 +363,19 @@ class ModelOracle:
         ``next_dist`` would return for that prefix. No row is copied.
         """
         self._passes += 1
-        states = self._states
-        step, root, size = states.step, states.root, self.vocab.size
-        s = self._enter(ctx)
+        states, w = self._states, self.window
+        step, size = states.step, self.vocab.size
+        s = root = states.root
+        for t in ctx[len(ctx) - w :] if len(ctx) > w else ctx:  # ``_enter``, inline
+            s = step[s][t] if 0 <= t < size else root
         walked = [s]
         for t in drafted:
             s = step[s][t] if 0 <= t < size else root
             walked.append(s)
-        return self._reached(walked)
+        if states.rowless and max(walked) >= len(states.table):  # ``_reached``, inline
+            raise IndexError("the pass reached a state with no row")
+        self._walked = walked
+        return Walk(states, walked)
 
     def batch_score_paths(self, ctx: Sequence[int], paths: Sequence[tuple[int, ...]]) -> Walk:
         """Score arbitrary continuation paths of ``ctx`` in one forward pass.
@@ -378,8 +388,13 @@ class ModelOracle:
         one raises here.
         """
         self._passes += 1
-        walk = _PendingWalk(self._states, self._enter(ctx), tuple(paths))
-        if self._states.rowless:
+        states, w = self._states, self.window
+        step, size = states.step, self.vocab.size
+        s = root = states.root
+        for t in ctx[len(ctx) - w :] if len(ctx) > w else ctx:  # ``_enter``, inline
+            s = step[s][t] if 0 <= t < size else root
+        walk = _PendingWalk(states, s, tuple(paths))
+        if states.rowless:
             return self._reached(walk.ids)
         self._walked = walk
         return walk

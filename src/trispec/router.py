@@ -172,26 +172,26 @@ def trispec_round(
     rejected position instead of the residual; at temperature 0 both are
     the proxy's argmax, so it has no effect there.
 
-    A greedy round is kept in the target's round table. A repeat drafts
-    (a draft-memo hit), makes the proxy's pass over the draft on the key's
-    window tail again, and the target's over the suffix if the round
-    escalated, so that they are counted, and returns the stored round.
+    A greedy round is kept in the target's round table, which is read
+    before anything is metered or drafted. A repeat drafts (a draft-memo
+    hit), makes the proxy's pass over the draft on the key's window tail
+    again, and the target's over the suffix if the round escalated, so
+    that they are counted, and returns the stored round.
     """
     apply_temperature(None, temperature)
-    meter = PassMeter(drafter, proxy, target)
-
     base = tuple(ctx)
-    draft = draft_chain(drafter, base, k, temperature, streams.draft)
     key = None
     if temperature == 0.0:
         key = _round_key(drafter, proxy, target, base, k, rule)
         rnd = target._states.rounds.get(key)
         if rnd is not None:
-            tail, tokens = key[0], draft.tokens
+            tail, tokens = key[0], draft_chain(drafter, base, k, temperature, streams.draft).tokens
             proxy.batch_score(tail, tokens)
             if rnd.tau_t is not None:
                 target.batch_score(tail + tokens[: rnd.tau_m], tokens[rnd.tau_m :])
             return rnd
+    meter = PassMeter(drafter, proxy, target)
+    draft = draft_chain(drafter, base, k, temperature, streams.draft)
     walk = proxy.batch_score(base, draft.tokens)
     coins, tau_a = acceptance_coins(draft, walk, temperature, streams.proxy_coins)
     tau_m = trusted_prefix_len(walk, rule)

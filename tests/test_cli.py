@@ -342,6 +342,31 @@ def test_run_refuses_costs_that_overflow_the_ledger(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+ZERO_LATENCY = "error: the cost constants give the run zero latency (L = 0), so its speedup is undefined"
+
+
+@pytest.mark.parametrize("costs", [
+    ("-O", "lambda=0", "-O", "c_d=0", "-O", "c_p=0"),  # proxy-only rounds: the target's cost goes unread
+    ("-O", "c_d=0", "-O", "c_p=0", "-O", "c_t=0"),
+], ids=["unread-target-cost", "all-zero"])
+def test_run_refuses_costs_that_give_the_run_zero_latency(costs, tmp_path, capsys):
+    """Its speedup would divide by ``L = 0``; that is a config error, not a traceback."""
+    assert main(["run", "--out", str(tmp_path), *costs, *FAST]) == 2
+    err = capsys.readouterr().err
+    assert ZERO_LATENCY in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_sweep_refuses_costs_that_give_a_point_zero_latency(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--grid", "lambda=0.0,0.5", "-O", "c_d=0", "-O", "c_p=0", "-O", "c_t=0",
+            "--out", str(out), *FAST]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert ZERO_LATENCY in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_refuses_a_corpus_that_is_not_utf8(tmp_path, capsys):
     corpus = tmp_path / "latin1.txt"
     corpus.write_bytes(b"plain ascii line\ncaf\xe9 au lait\n" * 50)

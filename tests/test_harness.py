@@ -15,6 +15,7 @@ from trispec.harness import (
     ConfigError,
     EmptyCorpusError,
     ExperimentConfig,
+    Family,
     SWEEP_METRIC_COLUMNS,
     SWEEP_SCHEMA,
     TRACE_COLUMNS,
@@ -35,7 +36,8 @@ from trispec.harness import (
     write_sweep_csv,
     write_trace_csv,
 )
-from trispec.models import MixtureProxy, NgramModel, save_oracle
+from trispec.core import Distribution, Vocabulary
+from trispec.models import MixtureProxy, NgramModel, TableModel, save_oracle
 from trispec.verification import RoundCase
 
 
@@ -410,6 +412,47 @@ def test_continuation_ppl_is_a_sane_quality_probe(tri_result):
     ppl = tri_result.report.continuation_ppl
     assert ppl is not None and math.isfinite(ppl)
     assert ppl > 1.0
+
+
+def _sequential_ppl(target, continuations):
+    """The per-token perplexity loop, kept as the reference: each token's
+    target probability read from its own pass, floored at 1e-300, its
+    negative log added in token order."""
+    probe = target.fork()
+    nll, count = 0.0, 0
+    for prompt, emitted in continuations:
+        for i, token in enumerate(emitted):
+            p = float(probe.next_dist(prompt + tuple(emitted[:i]))[token])
+            nll += -math.log(max(p, 1e-300))
+        count += len(emitted)
+    return math.exp(nll / count)
+
+
+def _zero_entry_family():
+    """Table oracles whose drafter and proxy always agree on alternating
+    tokens 0 and 2, and whose target gives token 2 no mass at all. Its
+    0.662 is a probability whose ``np.log`` is not ``math.log``'s."""
+    vocab = Vocabulary(3)
+    proposer = {(2,): Distribution([0.7, 0.1, 0.2])}
+    drafter = TableModel(vocab, proposer, default=Distribution([0.2, 0.3, 0.5]))
+    proxy = TableModel(vocab, proposer, default=Distribution([0.1, 0.2, 0.7]))
+    target = TableModel(vocab, {}, default=Distribution([0.662, 0.338, 0.0]))
+    held = [0, 1, 2, 1] * 40
+    return Family(drafter, proxy, target, vocab, np.array(held[:40]), held)
+
+
+@pytest.mark.parametrize("family_name", ["ref_family", "zero_entry"])
+def test_continuation_ppl_is_the_sequential_per_token_sum_bit_for_bit(family_name, request):
+    """Proxy-only rounds (lambda 0) emit what the target may give no mass:
+    on the table family, token 2 hits the 1e-300 floor."""
+    family = _zero_entry_family() if family_name == "zero_entry" else request.getfixturevalue(family_name)
+    for lam in (0.0, 0.5):
+        cfg = ExperimentConfig(lam=lam, max_new_tokens=16, num_prompts=3)
+        result = run_experiment(cfg, family)
+        want = _sequential_ppl(family.target, result.continuations)
+        assert result.report.continuation_ppl.hex() == want.hex()
+        if family_name == "zero_entry" and lam == 0.0:
+            assert 2 in result.continuations[0][1]  # a token the target gives no mass
 
 
 def test_reruns_are_byte_identical(ref_family, tmp_path):
@@ -936,6 +979,44 @@ def test_csv_writers_format_rows_as_the_per_row_formatter_did(width, cells, reco
     path = tmp_path / "trace.csv"
     write_trace_csv(records, path)
     assert path.read_bytes() == _trace_bytes(records)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(_records(), min_size=1, max_size=5), data=st.data())
+def test_trace_bytes_are_the_per_record_formatters(records, data, tmp_path):
+    """The writer formats each distinct row tail once per file; the bytes
+    must still be the per-record formatter's. Repeats of a tail come under
+    other run ids and indices, and at a cost of 0.0 or -0.0, which compare
+    equal and print apart; a read-back cannot tell those two apart."""
+    repeats = data.draw(st.lists(st.tuples(
+        st.sampled_from(records), st.sampled_from(["", "other", 'a,"b"']), st.integers(0, 10**6),
+        st.sampled_from([None, 0.0, -0.0]),
+    ), max_size=8), label="repeats")
+    records = records + [
+        replace(rec, run_id=run_id, round_index=index, round_cost=rec.round_cost if cost is None else cost)
+        for rec, run_id, index, cost in repeats
+    ]
+    records = data.draw(st.permutations(records), label="order")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    assert path.read_bytes() == _trace_bytes(records)
+
+
+def test_trace_tails_that_compare_equal_but_print_apart_are_each_written_as_they_print(tmp_path):
+    base = TraceRecord("r", 0, "ProxyOnly", 1, 3, None, 2, True, False, 0.0)
+    records = [replace(base, round_index=i, **change) for i, change in enumerate([
+        {}, {"round_cost": -0.0}, {}, {"round_cost": 0}, {"round_cost": False},
+        {"round_cost": 1.0}, {"round_cost": 1}, {"round_cost": True},
+        {"tau_a": 1.0}, {"tau_a": True}, {"emitted_count": 2.0}, {"tau_t": 0}, {"tau_t": False},
+        {"proxy_called": 1}, {"target_called": 0.0}, {"round_cost": -0.0},
+    ])]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    assert path.read_bytes() == _trace_bytes(records)
+    lines = path.read_text().splitlines()[2:]
+    assert [line.rsplit(",", 1)[1] for line in lines[:8]] == [
+        "0.0", "-0.0", "0.0", "0", "False", "1.0", "1", "True"]
 
 
 @pytest.mark.parametrize("run_id", ["", '"', ",", "\r", "\n", 'a "b", c\r\nd'])

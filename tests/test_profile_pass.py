@@ -1,5 +1,6 @@
 """``tools/profile_pass.py``, ``tools/digest_outputs.py``,
-``tools/time_pass.py`` and ``tools/time_setup.py`` drive the benchmark
+``tools/time_pass.py``, ``tools/time_request.py`` and
+``tools/time_setup.py`` drive the benchmark
 from outside, so a change to either side can break them while nothing else
 notices. These tests run each tool's ``main`` on a shrunken workload in a
 fresh interpreter, as a real run would; one more runs ``digest_outputs``
@@ -123,6 +124,39 @@ def test_time_pass_prints_the_fastest_and_median_pass(name, cold, tmp_path):
 ])
 def test_time_pass_refuses_bad_arguments(argv, message, tmp_path):
     proc = _run_tool(argv, tmp_path, "time_pass")
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
+REQUEST_PARTS = ("request", "accumulate", "_ppl_under_target", "write_report_json",
+                 "write_trace_csv", "rest")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("cold", [False, True])
+def test_time_request_splits_each_request_into_its_steps(name, cold, tmp_path):
+    mode = ["--cold"] if cold else []
+    proc = _run_tool(["--workload", name, "--seed", "3", "--passes", "3", *mode], tmp_path,
+                     "time_request")
+    assert proc.returncode == 0, proc.stderr
+    parts = ", ".join(rf"{part} (-?\d+\.\d\d)" for part in REQUEST_PARTS)
+    found = re.search(rf"^{name} seed 3: 1 requests{', cold' if cold else ''}, 3 passes,"
+                      rf" ms per pass: {parts}$", proc.stdout, re.MULTILINE)
+    assert found, proc.stdout
+    request, *steps, rest = map(float, found.groups())
+    assert all(0.0 < ms < request for ms in steps)  # each wrapped step ran in every request
+    assert rest > 0.0
+    assert f"fresh set-ups: {3 if cold else 0}" in proc.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--workload", "greedy-chain", "--seed", "3", "--passes", "0"], "--passes must be >= 1"),
+    (["--workload", "greedy-chain", "--seed", "-1"], "--seed must be >= 0"),
+    (["--workload", "no-such-workload", "--seed", "3"], "unknown workload 'no-such-workload'"),
+])
+def test_time_request_refuses_bad_arguments(argv, message, tmp_path):
+    proc = _run_tool(argv, tmp_path, "time_request")
     assert proc.returncode == 2
     assert message in proc.stderr
 
